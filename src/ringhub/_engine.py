@@ -9,23 +9,25 @@ one at a time. Per-step draws use the float64 path only, which consumes one
 raw 64-bit word per value; chunked draws therefore match per-agent scalar
 draws exactly.
 
-Costs are computed in integers scaled by the lcm of the alpha and beta
-denominators, so cost comparisons (the sign() in the score update) are
-exact. Scores are kept doubled in float64; they stay exact integers.
+Costs are equilibrium.scaled_costs, integers scaled by the lcm of the alpha
+and beta denominators, so cost comparisons (the sign() in the score update)
+are exact, and the equilibrium band is equilibrium.ne_totals on the same
+integers. Scores are kept doubled in float64; they stay exact integers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, route_table
+from .equilibrium import ne_totals, scaled_costs
+from .network import Network, draw_destinations, route_table
 
-__all__ = ["BatchResult", "simulate_batch", "CHUNK"]
+__all__ = ["BatchResult", "simulate_batch", "CHUNK", "SLAB_BYTES"]
 
 CHUNK = 32  # steps per draw block; per-step semantics do not depend on it
+SLAB_BYTES = 1_500_000_000  # rough memory budget of one slab of runs
 
 
 @dataclass
@@ -46,47 +48,6 @@ class BatchResult:
     final_scores: np.ndarray | None = None  # (R, N, S) virtual scores
 
 
-def _scaled_costs(net: Network, dests: np.ndarray, tables):
-    """Outside / inside-uncongested / inside-congested costs, scaled ints."""
-    d_out, d_access, d_hub = tables
-    cfg = net.config
-    scale = math.lcm(cfg.alpha.denominator, cfg.beta.denominator)
-    pa = int(cfg.alpha * scale)
-    pb = int(cfg.beta * scale)
-    rows = np.arange(net.N)
-    out = scale * d_out[rows, dests]
-    acc = scale * d_access[rows, dests]
-    hub = d_hub[rows, dests]
-    return out, acc + pa * hub, acc + pb * hub, scale
-
-
-def _ne_per_run(out_s, inu_s, L, n, scale):
-    """Vectorized best/worst equilibrium averages for each run's OD draw."""
-    l_s = out_s - inu_s
-    order = np.argsort(-l_s, axis=1, kind="stable")
-    l_sorted = np.take_along_axis(l_s, order, axis=1)
-    inu_sorted = np.take_along_axis(inu_s, order, axis=1)
-    out_sorted = np.take_along_axis(out_s, order, axis=1)
-
-    r = out_s.shape[0]
-    csi = np.zeros((r, n + 1), dtype=np.int64)
-    cso = np.zeros((r, n + 1), dtype=np.int64)
-    np.cumsum(inu_sorted, axis=1, out=csi[:, 1:])
-    np.cumsum(out_sorted, axis=1, out=cso[:, 1:])
-
-    npot = (l_sorted > 0).sum(axis=1)
-    tot_out = out_s.sum(axis=1)
-    ridx = np.arange(r)
-    k = np.minimum(npot, L)
-    denom = float(n * scale)
-    ne_best = (csi[ridx, k] + tot_out - cso[ridx, k]) / denom
-    lo = npot - k
-    ne_worst = (
-        (csi[ridx, npot] - csi[ridx, lo]) + tot_out - (cso[ridx, npot] - cso[ridx, lo])
-    ) / denom
-    return npot, ne_best, ne_worst
-
-
 def simulate_batch(
     net: Network,
     M: int,
@@ -100,40 +61,37 @@ def simulate_batch(
 ) -> BatchResult:
     """Simulate one run per seed and return per-run metrics.
 
-    Splits the batch into memory-bounded slabs; results are identical to
-    running each seed alone because every run draws only from its own
-    generator.
+    Splits the batch into memory-bounded slabs that write into the rows of
+    one preallocated result; results are identical to running each seed
+    alone because every run draws only from its own generator.
     """
     seeds = np.asarray(seeds, dtype=np.int64)
-    n, s_count, p = net.N, S, 1 << M
-    # keep one slab's tables plus one chunk of keys around ~1.5 GB
-    per_run = n * s_count * (2 * p + 8 * CHUNK) + 64 * n
-    slab = max(1, min(len(seeds), int(1_500_000_000 // max(per_run, 1))))
-    parts = [
-        _simulate_slab(net, M, S, mode, T, warmup, seeds[i : i + slab], collect_trace, collect_scores)
-        for i in range(0, len(seeds), slab)
-    ]
-    if len(parts) == 1:
-        return parts[0]
+    r, n, p, lam = len(seeds), net.N, 1 << M, net.config.hub_links
+    # strategy tables, one chunk of keys, the pair-wise route temporaries
+    # and the (R, T) step records of one run
+    per_run = n * S * (2 * p + 8 * CHUNK) + 64 * n + 24 * n * lam + 13 * T
+    slab = max(1, min(r, SLAB_BYTES // per_run))
 
-    def cat(attr):
-        vals = [getattr(b, attr) for b in parts]
-        return None if vals[0] is None else np.concatenate(vals)
+    def per_step(dtype):
+        return np.empty((r, T), dtype=dtype) if collect_trace else None
 
-    return BatchResult(
-        avg_cost=cat("avg_cost"),
-        congestion_ratio=cat("congestion_ratio"),
-        avg_hub_users=cat("avg_hub_users"),
-        std_hub_users=cat("std_hub_users"),
-        n_p=cat("n_p"),
-        ne_best=cat("ne_best"),
-        ne_worst=cat("ne_worst"),
-        scale=parts[0].scale,
-        trace_n_in=cat("trace_n_in"),
-        trace_h=cat("trace_h"),
-        trace_cost=cat("trace_cost"),
-        final_scores=cat("final_scores"),
+    res = BatchResult(
+        avg_cost=np.empty(r),
+        congestion_ratio=np.empty(r),
+        avg_hub_users=np.empty(r),
+        std_hub_users=np.empty(r),
+        n_p=np.empty(r, dtype=np.int64),
+        ne_best=np.empty(r),
+        ne_worst=np.empty(r),
+        scale=net.config.scale,
+        trace_n_in=per_step(np.int32),
+        trace_h=per_step(bool),
+        trace_cost=per_step(np.int64),
+        final_scores=np.empty((r, n, S)) if collect_scores and mode != "random" else None,
     )
+    for start in range(0, r, slab):
+        _simulate_slab(net, M, S, mode, T, warmup, seeds, slice(start, start + slab), res)
+    return res
 
 
 def _simulate_slab(
@@ -144,35 +102,28 @@ def _simulate_slab(
     T: int,
     warmup: int,
     seeds: np.ndarray,
-    collect_trace: bool,
-    collect_scores: bool,
-) -> BatchResult:
-    n, s_count, p = net.N, S, 1 << M
-    L = net.config.L
-    r_count = len(seeds)
-    rngs = [np.random.default_rng(int(s)) for s in seeds]
-    geometry = route_table(net)
+    rows: slice,
+    res: BatchResult,
+) -> None:
+    """Simulate seeds[rows] and write their results into res[rows]."""
+    cfg = net.config
+    n, p, L = net.N, 1 << M, cfg.L
+    rngs = [np.random.default_rng(int(s)) for s in seeds[rows]]
+    r_count = len(rngs)
     adaptive = mode != "random"
 
-    out_s = np.empty((r_count, n), dtype=np.int64)
-    inu_s = np.empty((r_count, n), dtype=np.int64)
-    inc_s = np.empty((r_count, n), dtype=np.int64)
+    dests = np.empty((r_count, n), dtype=np.int64)
     mu = np.zeros(r_count, dtype=np.int64)
-    scale = 1
     if adaptive:
-        tables = np.empty((r_count, n, s_count, p), dtype=bool)
-
-    arange_n = np.arange(n)
+        tables = np.empty((r_count, n, S, p), dtype=bool)
     for i, rng in enumerate(rngs):
-        draws = rng.integers(0, n - 1, size=n)
-        dests = draws + (draws >= arange_n)
-        out_s[i], inu_s[i], inc_s[i], scale = _scaled_costs(net, dests, geometry)
+        dests[i] = draw_destinations(n, rng)
         if adaptive:
             if mode == "heterogeneous":
-                bias = rng.integers(0, p + 1, size=(n, s_count))
+                bias = rng.integers(0, p + 1, size=(n, S))
             else:
-                bias = np.full((n, s_count), p // 2, dtype=np.int64)
-            raw = rng.integers(0, p, size=(n, s_count, p))
+                bias = np.full((n, S), p // 2, dtype=np.int64)
+            raw = rng.integers(0, p, size=(n, S, p))
             tables[i] = raw >= bias[:, :, None]
         bits = rng.integers(0, 2, size=M)
         acc = 0
@@ -180,11 +131,19 @@ def _simulate_slab(
             acc = (acc << 1) | int(b)
         mu[i] = acc
 
-    n_p, ne_best, ne_worst = _ne_per_run(out_s, inu_s, L, n, scale)
+    out_s, inu_s, inc_s = scaled_costs(cfg, route_table(net, np.arange(n), dests))
+    l_s = out_s - inu_s
+    n_p, best, worst = ne_totals(l_s, out_s, inu_s, L)
+    res.n_p[rows] = n_p
+    res.ne_best[rows] = best / float(n * cfg.scale)
+    res.ne_worst[rows] = worst / float(n * cfg.scale)
 
-    nin_rec = np.empty((r_count, T), dtype=np.int32)
-    h_rec = np.empty((r_count, T), dtype=bool)
-    cost_rec = np.empty((r_count, T), dtype=np.int64)
+    def record(full, dtype):
+        return full[rows] if full is not None else np.empty((r_count, T), dtype=dtype)
+
+    nin_rec = record(res.trace_n_in, np.int32)
+    h_rec = record(res.trace_h, bool)
+    cost_rec = record(res.trace_cost, np.int64)
 
     ridx = np.arange(r_count)
     if adaptive:
@@ -193,61 +152,41 @@ def _simulate_slab(
             (2 * tables.astype(np.int8) - 1).transpose(3, 0, 1, 2)
         )
         del tables
-        scores2 = np.zeros((r_count, n, s_count), dtype=np.float64)  # doubled scores
-        sgn_u2 = 2 * np.sign(out_s - inu_s).astype(np.int8)
+        scores2 = np.zeros((r_count, n, S), dtype=np.float64)  # doubled scores
+        sgn_u2 = 2 * np.sign(l_s).astype(np.int8)
         sgn_c2 = 2 * np.sign(out_s - inc_s).astype(np.int8)
-        keys = np.empty((r_count, CHUNK, n, s_count), dtype=np.float64)
+        draw_shape = (n, S)  # one tie-break key per strategy
     else:
-        coin = np.empty((r_count, CHUNK, n), dtype=np.float64)
+        draw_shape = (n,)  # one coin per agent
+    draws = np.empty((r_count, CHUNK, *draw_shape), dtype=np.float64)
 
-    t = 0
-    while t < T:
+    for t in range(0, T, CHUNK):
         c = min(CHUNK, T - t)
-        if adaptive:
-            for i, rng in enumerate(rngs):
-                keys[i, :c] = rng.random((c, n, s_count))
-            for j in range(c):
+        for i, rng in enumerate(rngs):
+            draws[i, :c] = rng.random((c, *draw_shape))
+        for j in range(c):
+            if adaptive:
                 tmu = signed[mu, ridx]  # (R, N, S) suggestions as +-1
-                sel = np.argmax(scores2 + keys[:, j], axis=2)
+                sel = np.argmax(scores2 + draws[:, j], axis=2)
                 acts = np.take_along_axis(tmu, sel[:, :, None], axis=2)[:, :, 0] > 0
-                nin = acts.sum(axis=1)
-                h = nin > L
-                cost = np.where(acts, np.where(h[:, None], inc_s, inu_s), out_s)
+            else:
+                acts = draws[:, j] < 0.5
+            nin = acts.sum(axis=1)
+            h = nin > L
+            cost = np.where(acts, np.where(h[:, None], inc_s, inu_s), out_s)
+            if adaptive:
                 sgn2 = np.where(h[:, None], sgn_c2, sgn_u2)
                 scores2 += sgn2[:, :, None] * tmu
                 mu = ((mu << 1) | h) & (p - 1)
-                step = t + j
-                nin_rec[:, step] = nin
-                h_rec[:, step] = h
-                cost_rec[:, step] = cost.sum(axis=1)
-        else:
-            for i, rng in enumerate(rngs):
-                coin[i, :c] = rng.random((c, n))
-            for j in range(c):
-                acts = coin[:, j] < 0.5
-                nin = acts.sum(axis=1)
-                h = nin > L
-                cost = np.where(acts, np.where(h[:, None], inc_s, inu_s), out_s)
-                step = t + j
-                nin_rec[:, step] = nin
-                h_rec[:, step] = h
-                cost_rec[:, step] = cost.sum(axis=1)
-        t += c
+            nin_rec[:, t + j] = nin
+            h_rec[:, t + j] = h
+            cost_rec[:, t + j] = cost.sum(axis=1)
 
     ms = slice(warmup, T)
-    t_meas = T - warmup
     nin_m = nin_rec[:, ms].astype(np.float64)
-    return BatchResult(
-        avg_cost=cost_rec[:, ms].sum(axis=1) / float(scale * n * t_meas),
-        congestion_ratio=h_rec[:, ms].mean(axis=1),
-        avg_hub_users=nin_m.mean(axis=1),
-        std_hub_users=nin_m.std(axis=1),
-        n_p=n_p,
-        ne_best=ne_best,
-        ne_worst=ne_worst,
-        scale=scale,
-        trace_n_in=nin_rec if collect_trace else None,
-        trace_h=h_rec if collect_trace else None,
-        trace_cost=cost_rec if collect_trace else None,
-        final_scores=(scores2 / 2.0) if (adaptive and collect_scores) else None,
-    )
+    res.avg_cost[rows] = cost_rec[:, ms].sum(axis=1) / float(cfg.scale * n * (T - warmup))
+    res.congestion_ratio[rows] = h_rec[:, ms].mean(axis=1)
+    res.avg_hub_users[rows] = nin_m.mean(axis=1)
+    res.std_hub_users[rows] = nin_m.std(axis=1)
+    if res.final_scores is not None:
+        res.final_scores[rows] = scores2 / 2.0

@@ -17,7 +17,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,8 +25,17 @@ import numpy as np
 
 from .agents import MODES
 from .equilibrium import cost_advantages, ne_costs
-from .network import NetworkConfig, assign_destinations, build_network
-from .sim import SimConfig, config_with, replicate, run, write_trace_csv
+from .network import NetworkConfig, _require_int, assign_destinations, build_network
+from .sim import (
+    METRIC_NAMES,
+    Metrics,
+    SimConfig,
+    config_with,
+    replicate,
+    run,
+    write_csv,
+    write_trace_csv,
+)
 
 __all__ = [
     "SweepSpec",
@@ -42,18 +51,7 @@ __all__ = [
 ]
 
 SWEEP_VARIABLES = ("lambda", "M", "N", "capacity_ratio")
-CSV_HEADER = [
-    "value",
-    "mode",
-    "avg_cost",
-    "congestion_ratio",
-    "avg_hub_users",
-    "std_hub_users",
-    "n_p",
-    "ne_best",
-    "ne_worst",
-]
-METRIC_COLUMNS = CSV_HEADER[2:7]
+CSV_HEADER = ["value", "mode", *METRIC_NAMES, "ne_best", "ne_worst"]
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,7 @@ class SweepSpec:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("values must be a non-empty list")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications!r}")
+        _require_int(self.replications, "replications", 1)
         modes = tuple(self.modes) or (self.base.mode,)
         for mode in modes:
             if mode not in MODES:
@@ -94,16 +91,12 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """Across-run means at one sweep point for one agent mode."""
+class SweepRow(Metrics):
+    """Across-run means of the Metrics at one sweep point for one agent mode,
+    with the point's equilibrium band when the sweep computes it."""
 
     value: int | float
     mode: str
-    avg_cost: float
-    congestion_ratio: float
-    avg_hub_users: float
-    std_hub_users: float
-    n_p: float
     ne_best: float | None
     ne_worst: float | None
 
@@ -148,16 +141,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         point = config_at(spec, value)
         for mode in spec.modes:
             result = replicate(replace(point, mode=mode), spec.replications)
-            mean = result.mean
             rows.append(
                 SweepRow(
+                    **vars(result.mean),
                     value=value,
                     mode=mode,
-                    avg_cost=mean.avg_cost,
-                    congestion_ratio=mean.congestion_ratio,
-                    avg_hub_users=mean.avg_hub_users,
-                    std_hub_users=mean.std_hub_users,
-                    n_p=mean.n_p,
                     ne_best=result.ne_best if spec.ne_baseline else None,
                     ne_worst=result.ne_worst if spec.ne_baseline else None,
                 )
@@ -200,14 +188,6 @@ def optimal_lambda(
 # ---------------------------------------------------------------- output --
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_outputs(rows: list[SweepRow], format: str, out_dir, basename: str = "results") -> list[Path]:
     """Write sweep rows as a CSV table or as one SVG chart per metric.
 
@@ -219,23 +199,11 @@ def emit_outputs(rows: list[SweepRow], format: str, out_dir, basename: str = "re
         raise ValueError(f"format must be 'csv' or 'svg', got {format!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths: list[Path] = []
     if format == "csv":
-        path = out_dir / f"{basename}.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for row in rows:
-                writer.writerow(
-                    [
-                        _format_cell(row.value),
-                        row.mode,
-                        *(_format_cell(getattr(row, col)) for col in CSV_HEADER[2:]),
-                    ]
-                )
-        paths.append(path)
-        return paths
-    for metric in METRIC_COLUMNS:
+        table = ([getattr(row, col) for col in CSV_HEADER] for row in rows)
+        return [write_csv(out_dir / f"{basename}.csv", CSV_HEADER, table)]
+    paths: list[Path] = []
+    for metric in METRIC_NAMES:
         path = out_dir / f"{basename}-{metric}.svg"
         path.write_text(_chart_svg(rows, metric), encoding="utf-8")
         paths.append(path)
@@ -258,17 +226,14 @@ def read_rows(path) -> list[SweepRow]:
             raise ValueError(f"unexpected header: {header!r}")
         rows = []
         for raw in reader:
+            cells = dict(zip(header, raw))
             rows.append(
                 SweepRow(
-                    value=_parse_value(raw[0]),
-                    mode=raw[1],
-                    avg_cost=float(raw[2]),
-                    congestion_ratio=float(raw[3]),
-                    avg_hub_users=float(raw[4]),
-                    std_hub_users=float(raw[5]),
-                    n_p=float(raw[6]),
-                    ne_best=float(raw[7]) if raw[7] else None,
-                    ne_worst=float(raw[8]) if raw[8] else None,
+                    **{name: float(cells[name]) for name in METRIC_NAMES},
+                    value=_parse_value(cells["value"]),
+                    mode=cells["mode"],
+                    ne_best=float(cells["ne_best"]) if cells["ne_best"] else None,
+                    ne_worst=float(cells["ne_worst"]) if cells["ne_worst"] else None,
                 )
             )
     return rows
@@ -488,23 +453,28 @@ def _config_from_args(args) -> SimConfig:
     )
 
 
+def _json_object(doc, cls, where: str) -> dict:
+    """doc as keyword arguments for cls; refuses a non-object or an unknown key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    return doc
+
+
 def _spec_from_json(path: str, args) -> SweepSpec:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    net = doc.get("base", {}).get("network", {})
-    base_kwargs = {k: v for k, v in doc.get("base", {}).items() if k != "network"}
-    if "alpha" in net:
-        net["alpha"] = Fraction(net["alpha"])
-    if "beta" in net:
-        net["beta"] = Fraction(net["beta"])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"config: cannot read {path}: {exc.strerror}") from exc
+    spec_kwargs = _json_object(doc, SweepSpec, "config")
+    base_kwargs = _json_object(spec_kwargs.pop("base", {}), SimConfig, "config base")
+    net = _json_object(base_kwargs.pop("network", {}), NetworkConfig, "config base network")
     base = SimConfig(network=NetworkConfig(**net), **base_kwargs)
     if args.seed is not None:
         base = replace(base, seed=args.seed)
-    spec_kwargs = {
-        k: doc[k]
-        for k in ("sweep_variable", "values", "replications", "ne_baseline", "modes")
-        if k in doc
-    }
     spec = SweepSpec(base=base, **spec_kwargs)
     if args.reps is not None:
         spec = replace(spec, replications=args.reps)
@@ -526,11 +496,11 @@ def _cmd_run(args) -> int:
             print(f"trace: {path}")
         else:
             metrics = run(cfg)
-        for name in ("avg_cost", "congestion_ratio", "avg_hub_users", "std_hub_users", "n_p"):
+        for name in METRIC_NAMES:
             print(f"{name}={getattr(metrics, name)}")
         return 0
     result = replicate(cfg, reps)
-    for name in ("avg_cost", "congestion_ratio", "avg_hub_users", "std_hub_users", "n_p"):
+    for name in METRIC_NAMES:
         print(f"{name}={getattr(result.mean, name)} (se {getattr(result.se, name):.4g})")
     print(f"ne_best={result.ne_best}")
     print(f"ne_worst={result.ne_worst}")
@@ -538,56 +508,47 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        if args.preset:
-            named = preset_specs(args.preset, fast=args.fast)
-            if args.reps is not None:
-                named = [(n, replace(s, replications=args.reps)) for n, s in named]
-            if args.seed is not None:
-                named = [
-                    (n, replace(s, base=replace(s.base, seed=args.seed))) for n, s in named
-                ]
-        elif args.config:
-            named = [(Path(args.config).stem, _spec_from_json(args.config, args))]
-        elif args.variable:
-            if not args.values:
-                print("error: --values is required with --variable", file=sys.stderr)
-                return 2
-            base = _config_from_args(args)
-            values = tuple(_parse_value(v) for v in args.values.split(","))
-            spec = SweepSpec(
-                base=base,
-                sweep_variable=args.variable,
-                values=values,
-                replications=args.reps if args.reps is not None else 1000,
-                modes=tuple(args.modes.split(",")) if args.modes else (),
-            )
-            named = [("results", spec)]
-        else:
-            print("error: give --preset, --config, or --variable", file=sys.stderr)
+    if args.preset:
+        named = preset_specs(args.preset, fast=args.fast)
+        if args.reps is not None:
+            named = [(n, replace(s, replications=args.reps)) for n, s in named]
+        if args.seed is not None:
+            named = [
+                (n, replace(s, base=replace(s.base, seed=args.seed))) for n, s in named
+            ]
+    elif args.config:
+        named = [(Path(args.config).stem, _spec_from_json(args.config, args))]
+    elif args.variable:
+        if not args.values:
+            print("error: --values is required with --variable", file=sys.stderr)
             return 2
-
-        paths: list[Path] = []
-        for basename, spec in named:
-            if args.preset == "optimal-lambda" and spec.sweep_variable == "capacity_ratio":
-                table = optimal_lambda(spec)
-                out = Path(args.out_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                path = out / f"{basename}.csv"
-                with path.open("w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh, lineterminator="\n")
-                    writer.writerow(["capacity_ratio", "optimal_lambda"])
-                    writer.writerows(table)
-                paths.append(path)
-                continue
-            rows = run_sweep(spec)
-            paths.extend(emit_outputs(rows, args.format, args.out_dir, basename=basename))
-        for path in paths:
-            print(path)
-        return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        base = _config_from_args(args)
+        values = tuple(_parse_value(v) for v in args.values.split(","))
+        spec = SweepSpec(
+            base=base,
+            sweep_variable=args.variable,
+            values=values,
+            replications=args.reps if args.reps is not None else 1000,
+            modes=tuple(args.modes.split(",")) if args.modes else (),
+        )
+        named = [("results", spec)]
+    else:
+        print("error: give --preset, --config, or --variable", file=sys.stderr)
         return 2
+
+    paths: list[Path] = []
+    for basename, spec in named:
+        if args.preset == "optimal-lambda" and spec.sweep_variable == "capacity_ratio":
+            out = Path(args.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            header = ["capacity_ratio", "optimal_lambda"]
+            paths.append(write_csv(out / f"{basename}.csv", header, optimal_lambda(spec)))
+            continue
+        rows = run_sweep(spec)
+        paths.extend(emit_outputs(rows, args.format, args.out_dir, basename=basename))
+    for path in paths:
+        print(path)
+    return 0
 
 
 def _cmd_ne(args) -> int:
@@ -636,7 +597,11 @@ def main(argv: list[str] | None = None) -> int:
     # run/ne paths treat the flag default as "not given"; sweep needs None
     if not hasattr(args, "reps"):
         args.reps = None
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,20 +7,36 @@ enter. The closed form below evaluates the two extreme equilibria (the
 cheapest and the dearest allocation of hub slots); a brute-force enumerator
 over small instances serves as its oracle.
 
-All arithmetic is exact: advantages and costs are Fractions.
+All arithmetic is exact. Costs are priced once, as integers scaled by the
+lcm of the alpha and beta denominators (scaled_costs), and the closed form
+(ne_totals) works on those integers for the batched engine and, with Python
+integers, for the Fraction API.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .network import Network, ODPair, best_inside_route, inside_cost, outside_cost
+import numpy as np
+
+from .network import (
+    Network,
+    NetworkConfig,
+    ODPair,
+    best_inside_route,
+    inside_cost,
+    outside_cost,
+    route_table,
+)
 
 __all__ = [
     "CostAdvantage",
     "NEResult",
+    "scaled_costs",
+    "ne_totals",
     "cost_advantages",
     "potential_count",
     "ne_costs",
@@ -45,6 +61,50 @@ class NEResult:
     c_worst: Fraction
 
 
+def scaled_costs(cfg: NetworkConfig, geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outside, inside-uncongested and inside-congested costs times cfg.scale.
+
+    geometry is route_table's (d_out, d_access, d_hub); the results are exact
+    int64 arrays of the same shape, which NetworkConfig's bound keeps from
+    overflowing.
+    """
+    d_out, d_access, d_hub = geometry
+    scale = cfg.scale
+    access = scale * d_access
+    return (
+        scale * d_out,
+        access + int(cfg.alpha * scale) * d_hub,
+        access + int(cfg.beta * scale) * d_hub,
+    )
+
+
+def ne_totals(l, out, inu, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Total costs of the best and worst equilibrium of each run.
+
+    l, out and inu are (runs, agents) arrays of advantages, outside costs and
+    uncongested inside costs on one integer scale: int64, or Python ints in
+    object arrays. Agents are ranked by descending advantage, ties by index.
+    The best allocation seats the min(n_p, L) most-advantaged potential users
+    (l > 0), the worst the least-advantaged ones; everyone else drives
+    outside. Returns (n_p, best, worst), one entry per run.
+
+    The allocations are equilibria whenever beta >= 1: the ring distance obeys
+    d(O,D) <= d_access + d_hub, so joining a full hub at the congested price
+    can never beat the outside route. For beta < 1 consult brute_force_ne.
+    """
+    order = np.argsort(-l, axis=1, kind="stable")
+    seated = np.zeros((l.shape[0], l.shape[1] + 1), dtype=out.dtype)
+    # seated[:, k]: change of the run's total when the first k ranked agents sit inside
+    np.cumsum(np.take_along_axis(inu - out, order, axis=1), axis=1, out=seated[:, 1:])
+    n_p = (l > 0).sum(axis=1)
+    k = np.minimum(n_p, L)
+    runs = np.arange(l.shape[0])
+    total_out = out.sum(axis=1)
+    best = total_out + seated[runs, k]
+    worst = total_out + seated[runs, n_p] - seated[runs, n_p - k]
+    return n_p, best, worst
+
+
 def cost_advantages(
     net: Network, od_pairs: list[ODPair]
 ) -> tuple[list[CostAdvantage], list[int], list[Fraction]]:
@@ -53,18 +113,15 @@ def cost_advantages(
     Returns (advantages, outside_costs, inside_costs_uncongested), all
     indexed by agent.
     """
-    cfg = net.config
-    advantages: list[CostAdvantage] = []
-    outside: list[int] = []
-    inside: list[Fraction] = []
-    for n, od in enumerate(od_pairs):
-        c_out = outside_cost(od, net.N)
-        route = best_inside_route(od, net)
-        c_in = inside_cost(route, congested=False, alpha=cfg.alpha, beta=cfg.beta)
-        advantages.append(CostAdvantage(agent=n, l=Fraction(c_out) - c_in))
-        outside.append(c_out)
-        inside.append(Fraction(c_in))
-    return advantages, outside, inside
+    geometry = route_table(
+        net, [od.origin for od in od_pairs], [od.destination for od in od_pairs]
+    )
+    out, inu, _ = scaled_costs(net.config, geometry)
+    scale = net.config.scale
+    advantages = [
+        CostAdvantage(agent=n, l=Fraction(l, scale)) for n, l in enumerate((out - inu).tolist())
+    ]
+    return advantages, geometry[0].tolist(), [Fraction(c, scale) for c in inu.tolist()]
 
 
 def potential_count(advantages: list[CostAdvantage]) -> int:
@@ -80,15 +137,9 @@ def ne_costs(
 ) -> NEResult:
     """Average cost of the best and worst equilibrium hub allocations.
 
-    Agents are ranked by descending advantage, ties by agent index. The best
-    allocation admits the min(n_p, L) most-advantaged potential users; the
-    worst admits the L least-advantaged potential users (everyone fits when
-    n_p <= L, so the two coincide). The hub stays uncongested either way.
-
-    The allocations returned are equilibria whenever beta >= 1: the ring
-    distance obeys d(O,D) <= d_access + d_hub, so joining a full hub at the
-    congested price can never beat the outside route. For beta < 1 consult
-    brute_force_ne instead.
+    Agents are ranked by descending advantage, ties by agent index; see
+    ne_totals for the allocations. The inputs are put on one common
+    denominator as Python integers, so the result is exact for any rationals.
     """
     n = len(advantages)
     if not (len(outside_costs) == n and len(inside_costs_uncongested) == n):
@@ -97,22 +148,22 @@ def ne_costs(
             f"{n} advantages, {len(outside_costs)} outside costs, "
             f"{len(inside_costs_uncongested)} inside costs"
         )
-    order = sorted(advantages, key=lambda adv: (-adv.l, adv.agent))
-    potential = [adv.agent for adv in order if adv.l > 0]
-    n_p = len(potential)
-    k = min(n_p, L)
-
-    total_outside = sum(Fraction(c) for c in outside_costs)
-
-    def avg_with_inside(agents: list[int]) -> Fraction:
-        total = total_outside
-        for a in agents:
-            total += inside_costs_uncongested[a] - Fraction(outside_costs[a])
-        return total / n
-
-    c_best = avg_with_inside(potential[:k])
-    c_worst = avg_with_inside(potential[n_p - k :])
-    return NEResult(n_p=n_p, c_best=c_best, c_worst=c_worst)
+    advantage = [Fraction(0)] * n
+    for adv in advantages:
+        advantage[adv.agent] = Fraction(adv.l)
+    costs = [
+        advantage,
+        [Fraction(c) for c in outside_costs],
+        [Fraction(c) for c in inside_costs_uncongested],
+    ]
+    scale = math.lcm(*(x.denominator for xs in costs for x in xs))
+    n_p, best, worst = ne_totals(
+        *(np.array([[x.numerator * (scale // x.denominator) for x in xs]], dtype=object) for xs in costs),
+        L,
+    )
+    return NEResult(
+        n_p=int(n_p[0]), c_best=Fraction(best[0], n * scale), c_worst=Fraction(worst[0], n * scale)
+    )
 
 
 def brute_force_ne(

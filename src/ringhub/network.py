@@ -10,6 +10,7 @@ that cost comparisons never suffer floating-point ties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ __all__ = [
     "build_network",
     "interchange_positions",
     "ring_distance",
+    "draw_destinations",
     "assign_destinations",
     "outside_cost",
     "best_inside_route",
@@ -31,11 +33,21 @@ __all__ = [
 ]
 
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _as_fraction(value, field: str) -> Fraction:
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{field} is not a rational number: {value!r}") from exc
+
+
+def _require_int(value, field: str, lo: int, hi: int | None = None) -> None:
+    """Refuse anything but an integer in [lo, hi] (hi=None: no upper bound)."""
+    if not isinstance(value, (int, np.integer)) or value < lo or (hi is not None and value > hi):
+        bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise ValueError(f"{field} must be an integer {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,17 +70,32 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _as_fraction(self.alpha, "alpha"))
         object.__setattr__(self, "beta", _as_fraction(self.beta, "beta"))
-        if not isinstance(self.N, (int, np.integer)) or self.N < 4:
-            raise ValueError(f"N must be an integer >= 4, got {self.N!r}")
-        if not 2 <= self.hub_links <= self.N:
-            raise ValueError(
-                f"hub_links must be in [2, N={self.N}], got {self.hub_links!r}"
-            )
-        if not 1 <= self.L <= self.N:
-            raise ValueError(f"L must be in [1, N={self.N}], got {self.L!r}")
+        _require_int(self.N, "N", 4)
+        _require_int(self.hub_links, "hub_links", 2, self.N)
+        _require_int(self.L, "L", 1, self.N)
         if not 0 < self.alpha < self.beta:
             raise ValueError(
                 f"need 0 < alpha < beta, got alpha={self.alpha}, beta={self.beta}"
+            )
+        self.check_cost_sums(1)
+
+    @property
+    def scale(self) -> int:
+        """Common denominator of alpha and beta: every scaled cost is an integer."""
+        return math.lcm(self.alpha.denominator, self.beta.denominator)
+
+    def check_cost_sums(self, steps: int) -> None:
+        """Refuse prices whose scaled costs, summed over N agents and steps, can pass int64.
+
+        An agent's scaled cost is at most scale * (N//2) * (2 + beta): two
+        access legs and a congested hub crossing, each no longer than N//2.
+        """
+        bound = steps * self.N * (self.N // 2) * (2 * self.scale + int(self.beta * self.scale))
+        if bound > INT64_MAX:
+            raise ValueError(
+                f"alpha={self.alpha} and beta={self.beta} need scale {self.scale}; "
+                f"summing N={self.N} agents' costs over {steps} step(s) can exceed int64, "
+                "so give alpha and beta as fractions with small denominators"
             )
 
 
@@ -156,16 +183,19 @@ def ring_distance(i: int, j: int, N: int) -> int:
     return min(d, N - d)
 
 
-def assign_destinations(net: Network, rng: np.random.Generator) -> list[ODPair]:
-    """Draw one destination per agent, uniform over the other N-1 nodes.
+def draw_destinations(N: int, rng: np.random.Generator) -> np.ndarray:
+    """One destination per agent, uniform over the other N-1 nodes.
 
-    Agent n's origin is node n. The whole assignment comes from a single
-    generator call so replications consume identical stream lengths.
+    Agent n's origin is node n. The whole draw is a single generator call so
+    replications consume identical stream lengths.
     """
-    n = net.N
-    draws = rng.integers(0, n - 1, size=n)
-    dests = draws + (draws >= np.arange(n))
-    return [ODPair(int(o), int(d)) for o, d in enumerate(dests)]
+    draws = rng.integers(0, N - 1, size=N)
+    return draws + (draws >= np.arange(N))
+
+
+def assign_destinations(net: Network, rng: np.random.Generator) -> list[ODPair]:
+    """draw_destinations as OD pairs, agent n travelling from node n."""
+    return [ODPair(o, d) for o, d in enumerate(draw_destinations(net.N, rng).tolist())]
 
 
 def outside_cost(od: ODPair, N: int) -> int:
@@ -212,50 +242,44 @@ def inside_cost(
     return route.d_access + factor * route.d_hub
 
 
-def route_table(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized route geometry for every ordered (origin, destination) pair.
+def route_table(net: Network, origins, dests) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized route geometry for the given (origin, destination) pairs.
 
-    Returns (d_out, d_access, d_hub), three (N, N) int64 arrays indexed
-    [origin, destination]. Rows describe the same routes best_inside_route
-    picks, including its lexicographic tie-break; diagonal entries are 0 and
-    carry no meaning (destinations never equal origins).
+    origins and dests are integer arrays that broadcast to one shape; the
+    result is (d_out, d_access, d_hub), three int64 arrays of that shape.
+    Each pair gets the route best_inside_route picks, including its
+    lexicographic tie-break; a pair with origin == destination carries no
+    meaning.
 
     The argmin runs on integer costs scaled by alpha's denominator, so route
-    selection is exact. Two-stage minimization keeps it O(N * hub_links^2):
-    first the best exit per (entry, destination), then the best entry per
-    (origin, destination). np.argmin takes the first minimum, which composes
-    to the lexicographic (h_in, h_out) order because interchanges are sorted.
+    selection is exact. Stage 1 finds the best exit per (entry, destination)
+    over all nodes, a (lambda, lambda, N) array; stage 2 the best entry per
+    pair, a (pairs, lambda) array. np.argmin takes the first minimum, which
+    composes to the lexicographic (h_in, h_out) order because interchanges
+    are sorted.
     """
     n = net.N
     hubs = np.asarray(net.interchanges, dtype=np.int64)
     p = int(net.config.alpha.numerator)
     q = int(net.config.alpha.denominator)
+    origins = np.asarray(origins, dtype=np.int64)
+    dests = np.asarray(dests, dtype=np.int64)
 
-    idx = np.arange(n, dtype=np.int64)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    d_all = np.minimum(diff, n - diff)  # (N, N) ring distances
-
-    d_hub_pairs = d_all[np.ix_(hubs, hubs)]  # (lam, lam)
-    d_exit = d_all[hubs]  # (lam, N): d(h_out, D)
+    def ring(a, b):
+        diff = np.abs(a - b)
+        return np.minimum(diff, n - diff)
 
     # stage 1: cheapest exit for each (entry a, destination), price q*d + p*hub
-    cand = p * d_hub_pairs[:, :, None] + q * d_exit[None, :, :]  # (a, b, D)
+    hub_legs = ring(hubs[:, None, None], hubs[None, :, None])  # (a, b, 1)
+    exit_legs = ring(hubs[None, :, None], np.arange(n))  # (1, b, D)
+    cand = p * hub_legs + q * exit_legs  # (a, b, D)
     lam = len(hubs)
-    cand[np.arange(lam), np.arange(lam), :] = np.iinfo(np.int64).max
+    cand[np.arange(lam), np.arange(lam), :] = INT64_MAX
     b_star = np.argmin(cand, axis=1)  # (a, D)
     s1 = np.take_along_axis(cand, b_star[:, None, :], axis=1)[:, 0, :]  # (a, D)
 
-    # stage 2: cheapest entry for each (origin, destination)
-    d_entry = d_all[:, hubs]  # (N, lam): d(O, h_in)
-    total = q * d_entry[:, :, None] + s1[None, :, :]  # (O, a, D)
-    a_star = np.argmin(total, axis=1)  # (O, D)
-
-    dest_idx = np.arange(n)[None, :].repeat(n, axis=0)
+    # stage 2: cheapest entry for each pair
+    a_star = np.argmin(q * ring(origins[..., None], hubs) + s1.T[dests], axis=-1)
     h_in = hubs[a_star]
-    h_out = hubs[b_star[a_star, dest_idx]]
-    d_hub = d_all[h_in, h_out]
-    d_access = d_all[idx[:, None], h_in] + d_all[h_out, dest_idx]
-
-    np.fill_diagonal(d_access, 0)
-    np.fill_diagonal(d_hub, 0)
-    return d_all.copy(), d_access, d_hub
+    h_out = hubs[b_star[a_star, dests]]
+    return ring(origins, dests), ring(origins, h_in) + ring(h_out, dests), ring(h_in, h_out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,12 +24,13 @@ import numpy as np
 
 from . import _engine
 from .agents import MODES
-from .network import NetworkConfig, build_network
+from .network import INT64_MAX, NetworkConfig, _require_int, build_network
 
 __all__ = [
     "SimConfig",
     "StepRecord",
     "Metrics",
+    "METRIC_NAMES",
     "ReplicateResult",
     "run",
     "replicate",
@@ -51,20 +52,16 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.M <= 12:
-            raise ValueError(f"M must be in [1, 12], got {self.M!r}")
-        if self.S < 1:
-            raise ValueError(f"S must be >= 1, got {self.S!r}")
+        if not isinstance(self.network, NetworkConfig):
+            raise ValueError(f"network must be a NetworkConfig, got {self.network!r}")
+        _require_int(self.M, "M", 1, 12)
+        _require_int(self.S, "S", 1)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T!r}")
-        if not 0 <= self.warmup < self.T:
-            raise ValueError(
-                f"warmup must satisfy 0 <= warmup < T={self.T}, got {self.warmup!r}"
-            )
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _require_int(self.T, "T", 1)
+        _require_int(self.warmup, "warmup", 0, self.T - 1)
+        _require_int(self.seed, "seed", 0, INT64_MAX)
+        self.network.check_cost_sums(self.T)
 
 
 @dataclass(frozen=True)
@@ -86,6 +83,9 @@ class Metrics:
     avg_hub_users: float
     std_hub_users: float
     n_p: int | float
+
+
+METRIC_NAMES = tuple(f.name for f in fields(Metrics))
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,7 @@ def run(cfg: SimConfig, trace: bool = False):
     Metrics cover steps warmup+1 .. T only; the trace has all T steps.
     """
     batch = _batch(cfg, [cfg.seed], collect_trace=trace)
-    metrics = Metrics(
-        avg_cost=float(batch.avg_cost[0]),
-        congestion_ratio=float(batch.congestion_ratio[0]),
-        avg_hub_users=float(batch.avg_hub_users[0]),
-        std_hub_users=float(batch.std_hub_users[0]),
-        n_p=int(batch.n_p[0]),
-    )
+    metrics = Metrics(**{name: getattr(batch, name)[0].item() for name in METRIC_NAMES})
     if not trace:
         return metrics
     records = [
@@ -146,8 +140,9 @@ def replicate(cfg: SimConfig, R: int) -> ReplicateResult:
     results are identical to executing them one at a time and are
     independent of batch order.
     """
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R!r}")
+    _require_int(R, "R", 1)
+    if cfg.seed + R - 1 > INT64_MAX:
+        raise ValueError(f"R: the last seed, seed+R-1 = {cfg.seed + R - 1}, exceeds int64")
     seeds = cfg.seed + np.arange(R, dtype=np.int64)
     batch = _batch(cfg, seeds)
 
@@ -157,9 +152,8 @@ def replicate(cfg: SimConfig, R: int) -> ReplicateResult:
         se = float(arr.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
         return mean, se
 
-    names = ["avg_cost", "congestion_ratio", "avg_hub_users", "std_hub_users", "n_p"]
     means, ses = {}, {}
-    for name in names:
+    for name in METRIC_NAMES:
         means[name], ses[name] = stats(getattr(batch, name))
     return ReplicateResult(
         mean=Metrics(**means),
@@ -170,15 +164,27 @@ def replicate(cfg: SimConfig, R: int) -> ReplicateResult:
     )
 
 
-def write_trace_csv(records: list[StepRecord], path) -> Path:
-    """Write a trace as CSV rows (t, n_in, h, total_cost), LF line endings."""
+def write_csv(path, header, rows) -> Path:
+    """Write a header and rows as UTF-8 CSV with LF line endings.
+
+    The csv module writes floats as their repr and None as an empty cell, so
+    a table reads back exactly and rewrites byte for byte.
+    """
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "n_in", "h", "total_cost"])
-        for rec in records:
-            writer.writerow([rec.t, rec.n_in, rec.h, repr(float(rec.total_cost))])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
+
+
+def write_trace_csv(records: list[StepRecord], path) -> Path:
+    """Write a trace as CSV rows (t, n_in, h, total_cost), LF line endings."""
+    return write_csv(
+        path,
+        ["t", "n_in", "h", "total_cost"],
+        ([rec.t, rec.n_in, rec.h, float(rec.total_cost)] for rec in records),
+    )
 
 
 def config_with(cfg: SimConfig, **changes) -> SimConfig:

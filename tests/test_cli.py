@@ -348,6 +348,31 @@ class TestMain:
         assert spec.base.seed == 11
         assert spec.sweep_variable == "lambda"
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"base": {"network": {"alpha": 0.3}}, "values": [3]}, "alpha"),
+            ({"values": [3], "replicates": 2}, "replicates"),
+            ({"base": {"M": 2, "memory": 3}, "values": [3]}, "memory"),
+            ({"base": {"network": {"hubs": 3}}, "values": [3]}, "hubs"),
+            ({"base": {"S": 2.0}, "values": [3]}, "S"),
+            ([3], "object"),
+            (None, "cannot read"),  # no file at all
+        ],
+    )
+    def test_sweep_config_errors_exit_cleanly(self, tmp_path, capsys, doc, message):
+        cfg_path = tmp_path / "bad.json"
+        if doc is not None:
+            cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_run_invalid_flag_exits_cleanly(self, capsys):
+        assert cli.main(["run", *TINY_FLAGS, "--hub-links", "1"]) == 2
+        assert "hub_links" in capsys.readouterr().err
+
     def test_sweep_requires_a_source(self, capsys):
         assert cli.main(["sweep", *TINY_FLAGS]) == 2
         assert "error" in capsys.readouterr().err

@@ -94,6 +94,16 @@ class TestNECosts:
             other = rh.ne_costs(adv2, o2, i2, L=2)
             assert (other.c_best, other.c_worst) == (base.c_best, base.c_worst)
 
+    def test_exact_with_denominators_beyond_int64(self):
+        d = Fraction(1, 2**70 + 1)
+        ls = [5, 3, 1, -1, -1, -1, -1, -1]
+        outs = [10, 10, 10, 5, 5, 5, 5, 5]
+        advantages, outs, ins = synthetic([l * d for l in ls], [o * d for o in outs])
+        result = rh.ne_costs(advantages, outs, ins, L=2)
+        assert result.n_p == 3
+        assert result.c_best == Fraction(47, 8) * d
+        assert result.c_worst == Fraction(51, 8) * d
+
     def test_inconsistent_lengths_rejected(self):
         advantages, outs, ins = synthetic([1, 2], [5, 5])
         with pytest.raises(ValueError, match="inconsistent"):

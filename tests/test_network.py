@@ -44,6 +44,12 @@ class TestConfig:
             {"alpha": 0},
             {"alpha": Fraction(3, 2), "beta": Fraction(1, 2)},
             {"alpha": Fraction(1, 2), "beta": Fraction(1, 2)},
+            {"N": 100.5},
+            {"hub_links": 3.5},
+            {"L": 80.5},
+            {"alpha": float("inf")},
+            {"alpha": 0.3},  # Fraction(0.3) has a 2**54 denominator
+            {"beta": 0.9},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -235,7 +241,7 @@ class TestRouteTable:
     )
     def test_matches_scalar_ops_on_all_pairs(self, n, lam):
         net = rh.build_network(rh.NetworkConfig(N=n, hub_links=lam, L=1))
-        d_out, d_access, d_hub = rh.route_table(net)
+        d_out, d_access, d_hub = rh.route_table(net, *np.indices((n, n)))
         for o in range(n):
             for d in range(n):
                 if o == d:
@@ -250,7 +256,7 @@ class TestRouteTable:
         # a large alpha pushes routes toward shorter hub crossings
         cfg = rh.NetworkConfig(N=20, hub_links=5, L=1, alpha=Fraction(9, 10), beta=Fraction(11, 10))
         net = rh.build_network(cfg)
-        _, d_access, d_hub = rh.route_table(net)
+        _, d_access, d_hub = rh.route_table(net, *np.indices((20, 20)))
         for o in range(20):
             for d in range(20):
                 if o == d:

@@ -6,14 +6,18 @@ tests/reference.py, which is built from the public per-agent operations.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringhub as rh
 from ringhub import _engine
+from ringhub.equilibrium import scaled_costs
 
 from reference import reference_run
 
@@ -45,6 +49,119 @@ class TestConfigValidation:
         net = rh.NetworkConfig(N=12, hub_links=3, L=5)
         with pytest.raises(ValueError, match="warmup"):
             rh.SimConfig(network=net, M=2, S=2, mode="homogeneous", T=10, warmup=10, seed=0)
+
+
+    @pytest.mark.parametrize(
+        "changes,field",
+        [
+            ({"M": 2.5}, "M"),
+            ({"S": 2.0}, "S"),
+            ({"T": 20.5}, "T"),
+            ({"warmup": 2.5}, "warmup"),
+            ({"seed": 2**63}, "seed"),
+            ({"N": 12.0}, "N"),
+            ({"hub_links": 3.5}, "hub_links"),
+            ({"L": 5.5}, "L"),
+            ({"alpha": float("inf")}, "alpha"),
+            ({"alpha": 0.3}, "alpha"),
+            ({"beta": 0.9}, "beta"),
+            # accepted for one step, but T=40 steps of cost sums pass int64
+            ({"N": 100, "L": 80, "alpha": Fraction(1, 2**44)}, "alpha"),
+        ],
+    )
+    def test_rejection_names_the_field(self, changes, field):
+        with pytest.raises(ValueError, match=field):
+            rh.sim.config_with(small_config(), **changes)
+
+    def test_replicate_refuses_seeds_past_int64(self):
+        cfg = small_config(seed=2**63 - 1)
+        assert rh.replicate(cfg, 1).replications == 1
+        with pytest.raises(ValueError, match="R"):
+            rh.replicate(cfg, 2)
+        with pytest.raises(ValueError, match="R"):
+            rh.replicate(small_config(), 2.5)
+
+
+@st.composite
+def priced_configs(draw):
+    """Small configs whose price denominators range up to far past int64."""
+    n = draw(st.integers(4, 12))
+    den = draw(st.one_of(st.integers(1, 16), st.integers(2**40, 2**62)))
+    a = draw(st.integers(1, 3 * den))
+    b = draw(st.integers(a + 1, 4 * den))
+    net = dict(
+        N=n,
+        hub_links=draw(st.integers(2, n)),
+        L=draw(st.integers(1, n)),
+        alpha=Fraction(a, den),
+        beta=Fraction(b, den),
+    )
+    return net, draw(st.integers(1, 6))
+
+
+class TestExactCosts:
+    @given(priced_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_accepted_prices_give_exact_nonnegative_costs(self, params):
+        net_kwargs, T = params
+        try:
+            cfg = rh.SimConfig(
+                network=rh.NetworkConfig(**net_kwargs), M=2, S=2, T=T, warmup=0, seed=3
+            )
+        except ValueError as exc:
+            assert "alpha" in str(exc) and "beta" in str(exc)
+            return
+        net = rh.build_network(cfg.network)
+        n, scale = net.N, cfg.network.scale
+        origins, dests = np.indices((n, n))
+        costs = scaled_costs(cfg.network, rh.route_table(net, origins, dests))
+        for o, d in zip(origins.ravel(), dests.ravel()):
+            if o == d:
+                continue
+            od = rh.ODPair(int(o), int(d))
+            route = rh.best_inside_route(od, net)
+            want = [
+                rh.outside_cost(od, n),
+                rh.inside_cost(route, False, net.config.alpha, net.config.beta),
+                rh.inside_cost(route, True, net.config.alpha, net.config.beta),
+            ]
+            got = [Fraction(int(c[o, d]), scale) for c in costs]
+            assert got == want
+            assert min(got) >= 0
+
+        batch = _engine.simulate_batch(net, 2, 2, "homogeneous", T, 0, [3], collect_trace=True)
+        totals = [Fraction(int(c), batch.scale) for c in batch.trace_cost[0]]
+        assert totals == reference_run(cfg).total_cost
+        assert min(totals) >= 0
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("mode", ["heterogeneous", "random"])
+    def test_many_slabs_equal_one(self, monkeypatch, mode):
+        cfg = small_config(mode=mode, S=3, seed=50)
+        args = (
+            rh.build_network(cfg.network), cfg.M, cfg.S, cfg.mode, cfg.T, cfg.warmup,
+            cfg.seed + np.arange(5),
+        )
+        whole = _engine.simulate_batch(*args, collect_trace=True, collect_scores=True)
+
+        slab_sizes = []
+
+        def spy(net, origins, dests):
+            slab_sizes.append(len(dests))
+            return rh.route_table(net, origins, dests)
+
+        monkeypatch.setattr(_engine, "route_table", spy)
+        monkeypatch.setattr(_engine, "SLAB_BYTES", 1)  # one run per slab
+        split = _engine.simulate_batch(*args, collect_trace=True, collect_scores=True)
+        assert slab_sizes == [1] * 5
+        for field in dataclasses.fields(_engine.BatchResult):
+            a, b = getattr(whole, field.name), getattr(split, field.name)
+            if field.name == "final_scores" and mode == "random":
+                assert a is None and b is None
+            else:
+                assert np.array_equal(a, b), field.name
+                assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
 
 
 class TestEngineMatchesReference:
