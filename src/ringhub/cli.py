@@ -25,7 +25,13 @@ import numpy as np
 
 from .agents import MODES
 from .equilibrium import cost_advantages, ne_costs
-from .network import NetworkConfig, _require_int, assign_destinations, build_network
+from .network import (
+    NetworkConfig,
+    _as_fraction,
+    _require_int,
+    assign_destinations,
+    build_network,
+)
 from .sim import (
     METRIC_NAMES,
     Metrics,
@@ -77,6 +83,9 @@ class SweepSpec:
                 f"sweep_variable must be one of {SWEEP_VARIABLES}, "
                 f"got {self.sweep_variable!r}"
             )
+        for name in ("values", "modes"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValueError("values must be a non-empty list")
@@ -111,21 +120,20 @@ def config_at(spec: SweepSpec, value) -> SimConfig:
     var = spec.sweep_variable
     try:
         if var == "lambda":
-            return config_with(base, hub_links=int(value))
+            return config_with(base, hub_links=value)
         if var == "M":
-            return config_with(base, M=int(value))
+            return config_with(base, M=value)
         if var == "N":
-            n = int(value)
+            _require_int(value, "N", 4)
             ratio = Fraction(base.network.L, base.network.N)
             return config_with(
                 base,
-                N=n,
-                L=max(1, round(ratio * n)),
-                hub_links=min(base.network.hub_links, n),
+                N=value,
+                L=max(1, round(ratio * value)),
+                hub_links=min(base.network.hub_links, value),
             )
-        return config_with(
-            base, L=max(1, round(Fraction(value) * base.network.N))
-        )
+        ratio = _as_fraction(value, "capacity_ratio")
+        return config_with(base, L=max(1, round(ratio * base.network.N)))
     except ValueError as exc:
         raise ValueError(f"values: {value!r} is invalid for {var} sweep: {exc}") from exc
 
@@ -167,17 +175,18 @@ def optimal_lambda(
             f"sweep_variable: optimal_lambda needs a capacity_ratio sweep, "
             f"got {spec.sweep_variable!r}"
         )
+    if len(spec.modes) != 1:
+        raise ValueError(f"modes: optimal_lambda needs one mode, got {spec.modes}")
     grid = tuple(lambda_values) if lambda_values else tuple(range(2, spec.base.network.N + 1))
     table: list[tuple[float, int]] = []
     for ratio in spec.values:
-        base = config_at(spec, ratio)
         sub = SweepSpec(
-            base=base,
+            base=config_at(spec, ratio),
             sweep_variable="lambda",
             values=grid,
             replications=spec.replications,
             ne_baseline=False,
-            modes=(base.mode,),
+            modes=spec.modes,
         )
         rows = run_sweep(sub)
         best = min(rows, key=lambda row: (row.avg_cost, row.value))
@@ -339,118 +348,53 @@ def _chart_svg(rows: list[SweepRow], metric: str) -> str:
 # --------------------------------------------------------------- presets --
 
 
+# Each preset is a list of (output basename, config document); a document has
+# the shape of a JSON config file given to `ringhub sweep --config`.
+PRESET_DOCS = {
+    "baseline-homogeneous": [
+        ("baseline-homogeneous", {
+            "values": list(range(2, 101)),
+            "modes": ["homogeneous", "random"],
+        }),
+    ],
+    "heterogeneous": [
+        ("heterogeneous", {
+            "base": {"M": 8, "mode": "heterogeneous"},
+            "values": list(range(2, 101)),
+            "modes": ["heterogeneous", "random"],
+        }),
+    ],
+    "multi-scale": [
+        (f"multi-scale-n{n}", {
+            "base": {"network": {"N": n, "L": round(0.8 * n), "hub_links": 2}},
+            "values": list(range(2, n + 1)),
+        })
+        for n in (20, 40, 60, 80)
+    ],
+    "optimal-lambda": [
+        ("optimal-lambda", {
+            "sweep_variable": "capacity_ratio",
+            "values": [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+            "ne_baseline": False,
+        }),
+    ],
+}
+PRESETS = tuple(PRESET_DOCS)
+_FAST_REPLICATIONS = 50
+
+
 def preset_specs(name: str, fast: bool = False) -> list[tuple[str, SweepSpec]]:
     """Named experiment presets as (output basename, spec) pairs.
 
     fast drops replications to 50 for smoke runs.
     """
-    reps = 50 if fast else 1000
-    base = SimConfig()
-    if name == "baseline-homogeneous":
-        return [
-            (
-                name,
-                SweepSpec(
-                    base=base,
-                    sweep_variable="lambda",
-                    values=tuple(range(2, 101)),
-                    replications=reps,
-                    modes=("homogeneous", "random"),
-                ),
-            )
-        ]
-    if name == "heterogeneous":
-        return [
-            (
-                name,
-                SweepSpec(
-                    base=replace(base, M=8, mode="heterogeneous"),
-                    sweep_variable="lambda",
-                    values=tuple(range(2, 101)),
-                    replications=reps,
-                    modes=("heterogeneous", "random"),
-                ),
-            )
-        ]
-    if name == "multi-scale":
-        specs = []
-        for n in (20, 40, 60, 80):
-            cfg = config_with(base, N=n, L=round(0.8 * n), hub_links=2)
-            specs.append(
-                (
-                    f"{name}-n{n}",
-                    SweepSpec(
-                        base=cfg,
-                        sweep_variable="lambda",
-                        values=tuple(range(2, n + 1)),
-                        replications=reps,
-                    ),
-                )
-            )
-        return specs
-    if name == "optimal-lambda":
-        return [
-            (
-                name,
-                SweepSpec(
-                    base=base,
-                    sweep_variable="capacity_ratio",
-                    values=(0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-                    replications=reps,
-                    ne_baseline=False,
-                ),
-            )
-        ]
-    raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-
-
-PRESETS = ("baseline-homogeneous", "heterogeneous", "multi-scale", "optimal-lambda")
+    if name not in PRESET_DOCS:
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    overrides = {"replications": _FAST_REPLICATIONS} if fast else {}
+    return [(basename, _spec_from_doc(doc, **overrides)) for basename, doc in PRESET_DOCS[name]]
 
 
 # ------------------------------------------------------------------- cli --
-
-
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
-
-
-def _base_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    net = common.add_argument_group("network")
-    net.add_argument("--nodes", type=int, default=100, metavar="N", help="ring size (default 100)")
-    net.add_argument("--hub-links", type=int, default=4, metavar="LAM", help="interchange count (default 4)")
-    net.add_argument("--capacity", type=int, default=80, metavar="L", help="hub capacity (default 80)")
-    net.add_argument("--alpha", type=_fraction, default=Fraction(1, 2), help="uncongested hub price (default 1/2)")
-    net.add_argument("--beta", type=_fraction, default=Fraction(3, 2), help="congested hub price (default 3/2)")
-    agents = common.add_argument_group("agents")
-    agents.add_argument("--memory", type=int, default=2, metavar="M", help="history bits (default 2)")
-    agents.add_argument("--strategies", type=int, default=8, metavar="S", help="strategies per agent (default 8)")
-    agents.add_argument("--mode", choices=("homogeneous", "heterogeneous", "random"), default="homogeneous")
-    agents.add_argument("--steps", type=int, default=1000, metavar="T", help="total steps (default 1000)")
-    agents.add_argument("--warmup", type=int, default=500, help="steps excluded from metrics (default 500)")
-    common.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    return common
-
-
-def _config_from_args(args) -> SimConfig:
-    return SimConfig(
-        network=NetworkConfig(
-            N=args.nodes,
-            hub_links=args.hub_links,
-            L=args.capacity,
-            alpha=args.alpha,
-            beta=args.beta,
-        ),
-        M=args.memory,
-        S=args.strategies,
-        mode=args.mode,
-        T=args.steps,
-        warmup=args.warmup,
-        seed=args.seed if args.seed is not None else 0,
-    )
 
 
 def _json_object(doc, cls, where: str) -> dict:
@@ -463,31 +407,74 @@ def _json_object(doc, cls, where: str) -> dict:
     return doc
 
 
-def _spec_from_json(path: str, args) -> SweepSpec:
+def _spec_from_doc(doc, **overrides) -> SweepSpec:
+    """The sweep a config document describes, with overrides applied.
+
+    doc has the shape of a JSON config file: SweepSpec fields, with base and
+    base.network as nested objects. An override names a SweepSpec, SimConfig
+    or NetworkConfig field and replaces that field of the document. The base
+    config is complete before the spec is built, because modes defaults to
+    the base mode.
+    """
+    spec = dict(_json_object(doc, SweepSpec, "config"))
+    base = dict(_json_object(spec.pop("base", {}), SimConfig, "config base"))
+    net = _json_object(base.pop("network", {}), NetworkConfig, "config base network")
+    spec.update(overrides)
+    config = {k: spec.pop(k) for k in list(spec) if k not in SweepSpec.__dataclass_fields__}
+    return SweepSpec(base=config_with(SimConfig(), **{**net, **base, **config}), **spec)
+
+
+def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValueError(f"config: cannot read {path}: {exc.strerror}") from exc
-    spec_kwargs = _json_object(doc, SweepSpec, "config")
-    base_kwargs = _json_object(spec_kwargs.pop("base", {}), SimConfig, "config base")
-    net = _json_object(base_kwargs.pop("network", {}), NetworkConfig, "config base network")
-    base = SimConfig(network=NetworkConfig(**net), **base_kwargs)
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
-    spec = SweepSpec(base=base, **spec_kwargs)
-    if args.reps is not None:
-        spec = replace(spec, replications=args.reps)
-    return spec
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config: {path} is not valid JSON: {exc}") from exc
+
+
+_FIELDS = {*NetworkConfig.__dataclass_fields__, *SimConfig.__dataclass_fields__,
+           *SweepSpec.__dataclass_fields__}
+
+
+def _given(args) -> dict:
+    """The flags given on the command line, keyed by the field each one sets."""
+    return {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
+
+
+def _value_list(text: str) -> list:
+    return [_parse_value(v) for v in text.split(",")]
+
+
+def _base_parser() -> argparse.ArgumentParser:
+    d = SimConfig()
+    common = argparse.ArgumentParser(add_help=False)
+    net = common.add_argument_group("network")
+    net.add_argument("--nodes", dest="N", type=int, help=f"ring size (default {d.network.N})")
+    net.add_argument("--hub-links", type=int, metavar="LAM",
+                     help=f"interchange count (default {d.network.hub_links})")
+    net.add_argument("--capacity", dest="L", type=int, help=f"hub capacity (default {d.network.L})")
+    net.add_argument("--alpha", help=f"uncongested hub price, exact (default {d.network.alpha})")
+    net.add_argument("--beta", help=f"congested hub price, exact (default {d.network.beta})")
+    agents = common.add_argument_group("agents")
+    agents.add_argument("--memory", dest="M", type=int, help=f"history bits (default {d.M})")
+    agents.add_argument("--strategies", dest="S", type=int,
+                        help=f"strategies per agent (default {d.S})")
+    agents.add_argument("--mode", choices=MODES, help=f"agent population (default {d.mode})")
+    agents.add_argument("--steps", dest="T", type=int, help=f"total steps (default {d.T})")
+    agents.add_argument("--warmup", type=int,
+                        help=f"steps excluded from metrics (default {d.warmup})")
+    common.add_argument("--seed", type=int, help=f"master seed (default {d.seed})")
+    return common
 
 
 def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    reps = args.reps if args.reps is not None else 1
-    if args.trace and reps != 1:
+    cfg = config_with(SimConfig(), **_given(args))
+    if args.trace and args.reps != 1:
         print("error: --trace requires --reps 1", file=sys.stderr)
         return 2
-    if reps == 1:
+    if args.reps == 1:
         if args.trace:
             metrics, records = run(cfg, trace=True)
             out = Path(args.out_dir)
@@ -499,7 +486,7 @@ def _cmd_run(args) -> int:
         for name in METRIC_NAMES:
             print(f"{name}={getattr(metrics, name)}")
         return 0
-    result = replicate(cfg, reps)
+    result = replicate(cfg, args.reps)
     for name in METRIC_NAMES:
         print(f"{name}={getattr(result.mean, name)} (se {getattr(result.se, name):.4g})")
     print(f"ne_best={result.ne_best}")
@@ -508,37 +495,33 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    given = _given(args)
+    if args.fast:
+        given.setdefault("replications", _FAST_REPLICATIONS)
+    if args.mode is not None:
+        # a sweep runs its modes, so --mode alone is the one-mode list
+        if args.modes is not None:
+            raise ValueError("modes: give --mode or --modes, not both")
+        given["modes"] = [args.mode]
     if args.preset:
-        named = preset_specs(args.preset, fast=args.fast)
-        if args.reps is not None:
-            named = [(n, replace(s, replications=args.reps)) for n, s in named]
-        if args.seed is not None:
-            named = [
-                (n, replace(s, base=replace(s.base, seed=args.seed))) for n, s in named
-            ]
+        docs = PRESET_DOCS[args.preset]
     elif args.config:
-        named = [(Path(args.config).stem, _spec_from_json(args.config, args))]
-    elif args.variable:
-        if not args.values:
+        docs = [(Path(args.config).stem, _read_json(args.config))]
+    elif args.sweep_variable:
+        if args.values is None:
             print("error: --values is required with --variable", file=sys.stderr)
             return 2
-        base = _config_from_args(args)
-        values = tuple(_parse_value(v) for v in args.values.split(","))
-        spec = SweepSpec(
-            base=base,
-            sweep_variable=args.variable,
-            values=values,
-            replications=args.reps if args.reps is not None else 1000,
-            modes=tuple(args.modes.split(",")) if args.modes else (),
-        )
-        named = [("results", spec)]
+        docs = [("results", {})]
     else:
         print("error: give --preset, --config, or --variable", file=sys.stderr)
         return 2
+    named = [(basename, _spec_from_doc(doc, **given)) for basename, doc in docs]
 
     paths: list[Path] = []
     for basename, spec in named:
-        if args.preset == "optimal-lambda" and spec.sweep_variable == "capacity_ratio":
+        if args.preset == "optimal-lambda":
+            if args.format != "csv":
+                raise ValueError("format: the optimal-lambda table is CSV only")
             out = Path(args.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             header = ["capacity_ratio", "optimal_lambda"]
@@ -552,7 +535,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ne(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = config_with(SimConfig(), **_given(args))
     net = build_network(cfg.network)
     rng = np.random.default_rng(cfg.seed)
     od_pairs = assign_destinations(net, rng)
@@ -573,19 +556,24 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", parents=[common], help="single configuration")
-    p_run.add_argument("--reps", type=int, default=None, help="average this many runs")
+    p_run.add_argument("--reps", type=int, default=1, help="average this many runs")
     p_run.add_argument("--out-dir", default=".", help="directory for --trace output")
     p_run.add_argument("--trace", action="store_true", help="write the full step trace CSV")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="parameter sweep")
-    p_sweep.add_argument("--preset", choices=PRESETS, help="named experiment preset")
-    p_sweep.add_argument("--config", help="JSON sweep spec file")
-    p_sweep.add_argument("--variable", choices=SWEEP_VARIABLES, help="ad-hoc sweep variable")
-    p_sweep.add_argument("--values", help="comma-separated sweep values")
-    p_sweep.add_argument("--modes", help="comma-separated agent modes")
-    p_sweep.add_argument("--reps", type=int, default=None, help="replications per point")
-    p_sweep.add_argument("--fast", action="store_true", help="smoke-test preset sizes (R=50)")
+    source = p_sweep.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=PRESETS, help="named experiment preset")
+    source.add_argument("--config", help="JSON sweep spec file")
+    p_sweep.add_argument("--variable", dest="sweep_variable", choices=SWEEP_VARIABLES,
+                         help="sweep variable")
+    p_sweep.add_argument("--values", type=_value_list, help="comma-separated sweep values")
+    p_sweep.add_argument("--modes", type=lambda text: text.split(","),
+                         help="comma-separated agent modes")
+    p_sweep.add_argument("--reps", dest="replications", type=int, metavar="REPS",
+                         help="replications per point")
+    p_sweep.add_argument("--fast", action="store_true",
+                         help=f"{_FAST_REPLICATIONS} replications unless --reps (smoke test)")
     p_sweep.add_argument("--out-dir", default=".", help="output directory")
     p_sweep.add_argument("--format", choices=("csv", "svg"), default="csv")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -594,9 +582,6 @@ def main(argv: list[str] | None = None) -> int:
     p_ne.set_defaults(func=_cmd_ne)
 
     args = parser.parse_args(argv)
-    # run/ne paths treat the flag default as "not given"; sweep needs None
-    if not hasattr(args, "reps"):
-        args.reps = None
     try:
         return args.func(args)
     except ValueError as exc:

@@ -37,15 +37,22 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _as_fraction(value, field: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{field} is not a rational number: {value!r}") from exc
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{field} is not a rational number: {value!r}")
 
 
 def _require_int(value, field: str, lo: int, hi: int | None = None) -> None:
     """Refuse anything but an integer in [lo, hi] (hi=None: no upper bound)."""
-    if not isinstance(value, (int, np.integer)) or value < lo or (hi is not None and value > hi):
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
         bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
         raise ValueError(f"{field} must be an integer {bound}, got {value!r}")
 
@@ -144,30 +151,15 @@ class InsideRoute:
 
 
 def interchange_positions(N: int, hub_links: int) -> tuple[int, ...]:
-    """Evenly spaced interchange nodes: round(i*N/hub_links) mod N, half up.
+    """Evenly spaced interchange nodes: round(i*N/hub_links), half up.
 
-    Rounding is done in integer arithmetic. If rounding ever produced a
-    duplicate, the gap is filled with the nearest unused nodes so the count
-    always equals hub_links; for 2 <= hub_links <= N the formula spaces
-    positions at least one node apart, so the fill path is a safety net.
+    Rounding is done in integer arithmetic. For 2 <= hub_links <= N the exact
+    positions i*N/hub_links lie at least one node apart, so the rounded ones
+    are distinct, increasing and below N.
     """
     if not 2 <= hub_links <= N:
         raise ValueError(f"hub_links must be in [2, N={N}], got {hub_links!r}")
-    positions: list[int] = []
-    seen: set[int] = set()
-    for i in range(hub_links):
-        p = ((2 * i * N + hub_links) // (2 * hub_links)) % N
-        if p not in seen:
-            seen.add(p)
-            positions.append(p)
-    while len(positions) < hub_links:
-        best = min(
-            (q for q in range(N) if q not in seen),
-            key=lambda q: min(min(abs(q - p), N - abs(q - p)) for p in positions),
-        )
-        seen.add(best)
-        positions.append(best)
-    return tuple(sorted(positions))
+    return tuple((2 * i * N + hub_links) // (2 * hub_links) for i in range(hub_links))
 
 
 def build_network(cfg: NetworkConfig) -> Network:

@@ -103,11 +103,10 @@ class ReplicateResult:
     replications: int
 
 
-def _batch(cfg: SimConfig, seeds, collect_trace=False, collect_scores=False):
+def _batch(cfg: SimConfig, seeds, collect_trace=False):
     net = build_network(cfg.network)
     return _engine.simulate_batch(
-        net, cfg.M, cfg.S, cfg.mode, cfg.T, cfg.warmup, seeds,
-        collect_trace=collect_trace, collect_scores=collect_scores,
+        net, cfg.M, cfg.S, cfg.mode, cfg.T, cfg.warmup, seeds, collect_trace=collect_trace
     )
 
 

@@ -47,6 +47,9 @@ class TestSweepSpec:
             tiny_spec(values=(2, 1))
         with pytest.raises(ValueError, match="values"):
             tiny_spec(sweep_variable="M", values=(0,))
+        # a non-integer lambda is refused, not truncated to int(2.5) == 2
+        with pytest.raises(ValueError, match="values"):
+            tiny_spec(values=(2.5,))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="modes"):
@@ -115,6 +118,13 @@ class TestOptimalLambda:
     def test_requires_capacity_ratio_sweep(self):
         with pytest.raises(ValueError, match="sweep_variable"):
             cli.optimal_lambda(tiny_spec())
+
+    def test_requires_one_mode(self):
+        spec = tiny_spec(
+            sweep_variable="capacity_ratio", values=(0.5,), modes=("homogeneous", "random")
+        )
+        with pytest.raises(ValueError, match="modes"):
+            cli.optimal_lambda(spec, lambda_values=(4,))
 
     def test_degenerate_grid(self):
         spec = tiny_spec(sweep_variable="capacity_ratio", values=(0.5,))
@@ -248,6 +258,11 @@ class TestPresets:
             cli.preset_specs("nonsense")
 
 
+TINY_DOC = {
+    "network": {"N": 12, "hub_links": 3, "L": 5},
+    "M": 2, "S": 2, "T": 30, "warmup": 10, "seed": 9,
+}
+
 TINY_FLAGS = [
     "--nodes", "12", "--hub-links", "3", "--capacity", "5",
     "--memory", "2", "--strategies", "2",
@@ -337,16 +352,73 @@ class TestMain:
         assert rows == want
 
     def test_sweep_reps_flag_overrides_config(self, tmp_path):
-        doc = {"values": [3], "replications": 500}
+        doc = {"base": TINY_DOC, "values": [3], "replications": 500}
         cfg_path = tmp_path / "quick.json"
         cfg_path.write_text(json.dumps(doc), encoding="utf-8")
-        spec = cli._spec_from_json(
-            str(cfg_path),
-            type("Args", (), {"seed": 11, "reps": 4})(),
-        )
-        assert spec.replications == 4
-        assert spec.base.seed == 11
-        assert spec.sweep_variable == "lambda"
+        code = cli.main([
+            "sweep", "--config", str(cfg_path), "--seed", "11", "--reps", "4",
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        want = tiny_spec(base=tiny_base(seed=11), values=(3,), replications=4)
+        assert cli.read_rows(tmp_path / "quick.csv") == cli.run_sweep(want)
+
+    def test_sweep_flags_override_config_base(self, tmp_path):
+        """--capacity, --memory and --mode act as if written into the file's
+        base; the file has no modes, so --mode also sets the modes run."""
+        flagged = tmp_path / "flagged.json"
+        flagged.write_text(json.dumps({"base": TINY_DOC, "values": [2, 3]}), encoding="utf-8")
+        written = tmp_path / "written.json"
+        base = {**TINY_DOC, "network": {**TINY_DOC["network"], "L": 4}, "M": 3, "mode": "random"}
+        written.write_text(json.dumps({"base": base, "values": [2, 3]}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main([
+            "sweep", "--config", str(flagged), "--capacity", "4", "--memory", "3",
+            "--mode", "random", "--reps", "2", "--out-dir", str(out),
+        ]) == 0
+        assert cli.main([
+            "sweep", "--config", str(written), "--reps", "2", "--out-dir", str(out),
+        ]) == 0
+        flagged_csv = (out / "flagged.csv").read_bytes()
+        assert flagged_csv == (out / "written.csv").read_bytes()
+        assert [r.mode for r in cli.read_rows(out / "flagged.csv")] == ["random", "random"]
+
+    @pytest.mark.parametrize(
+        "name,index",
+        [(name, i) for name in cli.PRESETS for i in range(len(cli.PRESET_DOCS[name]))],
+    )
+    def test_preset_docs_are_config_files(self, tmp_path, monkeypatch, name, index):
+        seen = []
+        rows = cli.run_sweep(tiny_spec(values=(3,), replications=1))
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: seen.append(spec) or rows)
+        monkeypatch.setattr(cli, "optimal_lambda", lambda spec: seen.append(spec) or [])
+        basename, doc = cli.PRESET_DOCS[name][index]
+        cfg_path = tmp_path / f"{basename}.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        for source in (["--preset", name], ["--config", str(cfg_path)]):
+            assert cli.main(["sweep", *source, "--fast", "--out-dir", str(tmp_path)]) == 0
+        from_preset, from_config = seen[index], seen[-1]
+        assert from_preset == from_config == cli.preset_specs(name, fast=True)[index][1]
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--preset", "multi-scale", "--nodes", "10"], "L must be"),
+            (["--preset", "optimal-lambda", "--format", "svg"], "format"),
+            (["--variable", "M", "--values", "2", "--mode", "random",
+              "--modes", "homogeneous"], "modes"),
+        ],
+    )
+    def test_sweep_flag_errors_exit_cleanly(self, tmp_path, capsys, flags, message):
+        code = cli.main(["sweep", *flags, "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_sweep_takes_one_document(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--preset", "heterogeneous", "--config", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "doc,message",
@@ -358,6 +430,12 @@ class TestMain:
             ({"base": {"S": 2.0}, "values": [3]}, "S"),
             ([3], "object"),
             (None, "cannot read"),  # no file at all
+            ({"base": {"network": {"alpha": "1/0"}}, "values": [3]}, "alpha"),
+            ({"sweep_variable": "capacity_ratio", "values": ["1/0"]}, "capacity_ratio"),
+            ({"base": {"M": True}, "values": [3]}, "M"),
+            ({"base": {"seed": True}, "values": [3]}, "seed"),
+            ({"values": 5}, "values must be a list"),
+            ({"values": [3], "modes": "random"}, "modes must be a list"),
         ],
     )
     def test_sweep_config_errors_exit_cleanly(self, tmp_path, capsys, doc, message):
@@ -368,6 +446,13 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_sweep_malformed_config_exits_cleanly(self, tmp_path, capsys):
+        cfg_path = tmp_path / "broken.json"
+        cfg_path.write_text('{"values": [3', encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and "broken.json" in err
 
     def test_run_invalid_flag_exits_cleanly(self, capsys):
         assert cli.main(["run", *TINY_FLAGS, "--hub-links", "1"]) == 2

@@ -50,6 +50,9 @@ class TestConfig:
             {"alpha": float("inf")},
             {"alpha": 0.3},  # Fraction(0.3) has a 2**54 denominator
             {"beta": 0.9},
+            {"alpha": "1/0"},
+            {"L": True},  # a JSON true is not the integer 1
+            {"beta": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
