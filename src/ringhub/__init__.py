@@ -10,15 +10,6 @@ hub-design experiments.
 
 from __future__ import annotations
 
-from .agents import (
-    AgentMind,
-    Policy,
-    Strategy,
-    choose_action,
-    draw_bias,
-    generate_strategy,
-    update_scores,
-)
 from .cli import (
     PRESETS,
     SweepRow,
@@ -66,13 +57,6 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentMind",
-    "Policy",
-    "Strategy",
-    "choose_action",
-    "draw_bias",
-    "generate_strategy",
-    "update_scores",
     "PRESETS",
     "SweepRow",
     "SweepSpec",

@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import MODES
 from .equilibrium import cost_advantages, ne_costs
 from .network import (
     NetworkConfig,
@@ -34,6 +33,7 @@ from .network import (
 )
 from .sim import (
     METRIC_NAMES,
+    MODES,
     Metrics,
     SimConfig,
     config_with,
@@ -133,7 +133,7 @@ def config_at(spec: SweepSpec, value) -> SimConfig:
                 hub_links=min(base.network.hub_links, value),
             )
         ratio = _as_fraction(value, "capacity_ratio")
-        return config_with(base, L=max(1, round(ratio * base.network.N)))
+        return config_with(base, L=round(ratio * base.network.N))
     except ValueError as exc:
         raise ValueError(f"values: {value!r} is invalid for {var} sweep: {exc}") from exc
 
@@ -447,26 +447,28 @@ def _value_list(text: str) -> list:
     return [_parse_value(v) for v in text.split(",")]
 
 
-def _base_parser() -> argparse.ArgumentParser:
+def _parent_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The network flags with --seed, and the agent flags."""
     d = SimConfig()
-    common = argparse.ArgumentParser(add_help=False)
-    net = common.add_argument_group("network")
+    network = argparse.ArgumentParser(add_help=False)
+    net = network.add_argument_group("network")
     net.add_argument("--nodes", dest="N", type=int, help=f"ring size (default {d.network.N})")
     net.add_argument("--hub-links", type=int, metavar="LAM",
                      help=f"interchange count (default {d.network.hub_links})")
     net.add_argument("--capacity", dest="L", type=int, help=f"hub capacity (default {d.network.L})")
     net.add_argument("--alpha", help=f"uncongested hub price, exact (default {d.network.alpha})")
     net.add_argument("--beta", help=f"congested hub price, exact (default {d.network.beta})")
-    agents = common.add_argument_group("agents")
-    agents.add_argument("--memory", dest="M", type=int, help=f"history bits (default {d.M})")
-    agents.add_argument("--strategies", dest="S", type=int,
-                        help=f"strategies per agent (default {d.S})")
-    agents.add_argument("--mode", choices=MODES, help=f"agent population (default {d.mode})")
-    agents.add_argument("--steps", dest="T", type=int, help=f"total steps (default {d.T})")
-    agents.add_argument("--warmup", type=int,
-                        help=f"steps excluded from metrics (default {d.warmup})")
-    common.add_argument("--seed", type=int, help=f"master seed (default {d.seed})")
-    return common
+    network.add_argument("--seed", type=int, help=f"master seed (default {d.seed})")
+    agents = argparse.ArgumentParser(add_help=False)
+    group = agents.add_argument_group("agents")
+    group.add_argument("--memory", dest="M", type=int, help=f"history bits (default {d.M})")
+    group.add_argument("--strategies", dest="S", type=int,
+                       help=f"strategies per agent (default {d.S})")
+    group.add_argument("--mode", choices=MODES, help=f"agent population (default {d.mode})")
+    group.add_argument("--steps", dest="T", type=int, help=f"total steps (default {d.T})")
+    group.add_argument("--warmup", type=int,
+                       help=f"steps excluded from metrics (default {d.warmup})")
+    return network, agents
 
 
 def _cmd_run(args) -> int:
@@ -474,10 +476,12 @@ def _cmd_run(args) -> int:
     if args.trace and args.reps != 1:
         print("error: --trace requires --reps 1", file=sys.stderr)
         return 2
+    if args.out_dir is not None and not args.trace:
+        raise ValueError("out-dir: --out-dir needs --trace")
     if args.reps == 1:
         if args.trace:
             metrics, records = run(cfg, trace=True)
-            out = Path(args.out_dir)
+            out = Path(args.out_dir or ".")
             out.mkdir(parents=True, exist_ok=True)
             path = write_trace_csv(records, out / "trace.csv")
             print(f"trace: {path}")
@@ -548,20 +552,20 @@ def _cmd_ne(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    common = _base_parser()
+    network, agents = _parent_parsers()
     parser = argparse.ArgumentParser(
         prog="ringhub",
         description="Minority-game route choice on ring-and-hub networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[common], help="single configuration")
+    p_run = sub.add_parser("run", parents=[network, agents], help="single configuration")
     p_run.add_argument("--reps", type=int, default=1, help="average this many runs")
-    p_run.add_argument("--out-dir", default=".", help="directory for --trace output")
+    p_run.add_argument("--out-dir", help="directory for --trace output (default .)")
     p_run.add_argument("--trace", action="store_true", help="write the full step trace CSV")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="parameter sweep")
+    p_sweep = sub.add_parser("sweep", parents=[network, agents], help="parameter sweep")
     source = p_sweep.add_mutually_exclusive_group()
     source.add_argument("--preset", choices=PRESETS, help="named experiment preset")
     source.add_argument("--config", help="JSON sweep spec file")
@@ -578,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--format", choices=("csv", "svg"), default="csv")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_ne = sub.add_parser("ne", parents=[common], help="equilibrium baseline")
+    p_ne = sub.add_parser("ne", parents=[network], help="equilibrium baseline")
     p_ne.set_defaults(func=_cmd_ne)
 
     args = parser.parse_args(argv)

@@ -2,14 +2,9 @@
 
 A run is fully determined by its SimConfig: the seed fixes the OD
 assignment, the strategy tables, the initial history, and every per-step
-draw. Replications use seeds seed+0 .. seed+R-1 and average each metric.
-
-The per-run draw order is part of the determinism contract and is frozen
-as: destinations (one call), per-strategy bias draws (heterogeneous mode
-only, agent-major), strategy tables (one call), M initial history bits
-(first bit most significant), then per-step draws in step order (one
-tie-break key per strategy for adaptive agents, one coin per agent for
-random agents), agent-major within a step.
+draw, in the order documented in ringhub._engine; that order is part of the
+determinism contract. Replications use seeds seed+0 .. seed+R-1 and average
+each metric.
 """
 
 from __future__ import annotations
@@ -23,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import _engine
-from .agents import MODES
 from .network import INT64_MAX, NetworkConfig, _require_int, build_network
 
 __all__ = [
+    "MODES",
     "SimConfig",
     "StepRecord",
     "Metrics",
@@ -37,6 +32,9 @@ __all__ = [
     "write_trace_csv",
     "config_with",
 ]
+
+
+MODES = ("homogeneous", "heterogeneous", "random")
 
 
 @dataclass(frozen=True)

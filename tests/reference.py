@@ -1,9 +1,10 @@
 """Slow scalar reference simulator used as the oracle for the batched engine.
 
-Built purely from the public per-agent operations, looping over agents and
-steps. It consumes random samples in the engine's documented order
-(destinations, bias draws, tables, history bits, then per-step draws
-agent-major), so a correct engine must reproduce its output bit for bit.
+A self-contained loop over agents and steps that shares no code with the
+engine beyond the network's scalar route functions. It consumes random
+samples in the draw order documented in ringhub._engine (destinations, bias
+draws, tables, history bits, then per-step draws agent-major), so a correct
+engine must reproduce its output bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +27,43 @@ class ReferenceTrace:
     n_p: int
 
 
+def draw_biases(mode: str, M: int, N: int, S: int, rng) -> list[list[int]]:
+    """Bias K of each agent's strategies: P/2 for homogeneous agents, else
+    uniform on the P+1 integers 0..P, one scalar draw each, agent-major."""
+    p = 1 << M
+    if mode == "homogeneous":
+        return [[p // 2] * S for _ in range(N)]
+    return [[int(rng.integers(0, p + 1)) for _ in range(S)] for _ in range(N)]
+
+
+def draw_tables(biases: list[list[int]], M: int, rng) -> list[np.ndarray]:
+    """One (S, P) bool table per agent; True (take the hub) where the entry's
+    draw on 0..P-1 is at least K, so an entry is False with probability K/P."""
+    p = 1 << M
+    return [np.array([rng.integers(0, p, size=p) >= k for k in row]) for row in biases]
+
+
+def choose(table: np.ndarray | None, scores: np.ndarray, mu: int, rng) -> bool:
+    """One agent's action: True takes the hub.
+
+    An agent without a table flips a fair coin (one float below 1/2). Others
+    draw one key per strategy and play the suggestion of argmax(2*score + key),
+    so the best score wins, ties split uniformly, and the stream advances at
+    a fixed rate whether or not there was a tie.
+    """
+    if table is None:
+        return bool(rng.random() < 0.5)
+    return bool(table[np.argmax(2 * scores + rng.random(len(scores))), mu])
+
+
+def credit(table: np.ndarray, scores: np.ndarray, mu: int, c_out, c_in) -> None:
+    """Score every strategy, played or not, for the step that just resolved:
+    +1 for suggesting the cheaper route, -1 for the dearer one, no change on
+    an exact cost tie. c_in is priced at the realized hub state."""
+    diff = c_out - c_in
+    scores += ((diff > 0) - (diff < 0)) * (2 * table[:, mu].astype(np.int64) - 1)
+
+
 def reference_run(cfg: rh.SimConfig) -> ReferenceTrace:
     net = rh.build_network(cfg.network)
     alpha, beta = cfg.network.alpha, cfg.network.beta
@@ -42,22 +80,11 @@ def reference_run(cfg: rh.SimConfig) -> ReferenceTrace:
         c_in_con.append(rh.inside_cost(route, True, alpha, beta))
     n_p = sum(1 for n in range(net.N) if c_out[n] > c_in_unc[n])
 
-    random_mode = cfg.mode == "random"
-    minds: list[rh.AgentMind] = []
-    if random_mode:
-        minds = [
-            rh.AgentMind(strategies=[], policy=rh.Policy.RANDOM) for _ in range(net.N)
-        ]
-    else:
-        biases = [
-            [rh.draw_bias(cfg.mode, cfg.M, rng) for _ in range(cfg.S)]
-            for _ in range(net.N)
-        ]
-        for n in range(net.N):
-            strategies = [
-                rh.generate_strategy(cfg.M, biases[n][s], rng) for s in range(cfg.S)
-            ]
-            minds.append(rh.AgentMind(strategies=strategies))
+    adaptive = cfg.mode != "random"
+    tables: list = [None] * net.N
+    if adaptive:
+        tables = draw_tables(draw_biases(cfg.mode, cfg.M, net.N, cfg.S, rng), cfg.M, rng)
+    scores = [np.zeros(cfg.S, dtype=np.int64) for _ in range(net.N)]
 
     p = 1 << cfg.M
     mu = 0
@@ -66,23 +93,18 @@ def reference_run(cfg: rh.SimConfig) -> ReferenceTrace:
 
     trace = ReferenceTrace([], [], [], [], [], n_p)
     for _ in range(cfg.T):
-        actions = [rh.choose_action(minds[n], mu, rng) for n in range(net.N)]
+        actions = [choose(tables[n], scores[n], mu, rng) for n in range(net.N)]
         n_in = sum(actions)
         h = int(n_in > cfg.network.L)
-        total = Fraction(0)
-        for n in range(net.N):
-            if actions[n]:
-                total += c_in_con[n] if h else c_in_unc[n]
-            else:
-                total += c_out[n]
-        if not random_mode:
+        c_in = c_in_con if h else c_in_unc
+        total = sum((c_in[n] if actions[n] else c_out[n] for n in range(net.N)), Fraction(0))
+        if adaptive:
             for n in range(net.N):
-                realized_in = c_in_con[n] if h else c_in_unc[n]
-                rh.update_scores(minds[n], mu, c_out[n], realized_in)
+                credit(tables[n], scores[n], mu, c_out[n], c_in[n])
         mu = ((mu << 1) | h) & (p - 1)
         trace.n_in.append(n_in)
         trace.h.append(h)
         trace.total_cost.append(total)
         trace.mu_after.append(mu)
-    trace.final_scores = [mind.scores.copy() for mind in minds]
+    trace.final_scores = [s.copy() for s in scores]
     return trace

@@ -50,6 +50,10 @@ class TestSweepSpec:
         # a non-integer lambda is refused, not truncated to int(2.5) == 2
         with pytest.raises(ValueError, match="values"):
             tiny_spec(values=(2.5,))
+        # capacity ratios that round to L < 1 are refused, not clamped to L = 1
+        for ratio in (-0.5, 0, 0.001):
+            with pytest.raises(ValueError, match="L must be"):
+                tiny_spec(sweep_variable="capacity_ratio", values=(ratio,))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="modes"):
@@ -263,11 +267,8 @@ TINY_DOC = {
     "M": 2, "S": 2, "T": 30, "warmup": 10, "seed": 9,
 }
 
-TINY_FLAGS = [
-    "--nodes", "12", "--hub-links", "3", "--capacity", "5",
-    "--memory", "2", "--strategies", "2",
-    "--steps", "30", "--warmup", "10", "--seed", "9",
-]
+NET_FLAGS = ["--nodes", "12", "--hub-links", "3", "--capacity", "5", "--seed", "9"]
+TINY_FLAGS = [*NET_FLAGS, "--memory", "2", "--strategies", "2", "--steps", "30", "--warmup", "10"]
 
 
 class TestMain:
@@ -300,7 +301,7 @@ class TestMain:
         assert "trace" in capsys.readouterr().err
 
     def test_ne_prints_baseline(self, capsys):
-        assert cli.main(["ne", *TINY_FLAGS]) == 0
+        assert cli.main(["ne", *NET_FLAGS]) == 0
         out = capsys.readouterr().out
         cfg = tiny_base()
         net = rh.build_network(cfg.network)
@@ -310,6 +311,12 @@ class TestMain:
         assert f"n_p={want.n_p}" in out
         assert f"c_best={want.c_best}" in out
         assert f"c_worst={want.c_worst}" in out
+
+    def test_ne_refuses_agent_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ne", *NET_FLAGS, "--memory", "5"])
+        assert exc.value.code == 2
+        assert "--memory" in capsys.readouterr().err
 
     def test_sweep_ad_hoc_writes_csv(self, tmp_path, capsys):
         code = cli.main([
@@ -457,6 +464,16 @@ class TestMain:
     def test_run_invalid_flag_exits_cleanly(self, capsys):
         assert cli.main(["run", *TINY_FLAGS, "--hub-links", "1"]) == 2
         assert "hub_links" in capsys.readouterr().err
+
+    def test_run_out_dir_needs_trace(self, tmp_path, capsys):
+        assert cli.main(["run", *TINY_FLAGS, "--out-dir", str(tmp_path / "d")]) == 2
+        assert "out-dir" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_run_trace_defaults_to_cwd(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", *TINY_FLAGS, "--trace"]) == 0
+        assert (tmp_path / "trace.csv").exists()
 
     def test_sweep_requires_a_source(self, capsys):
         assert cli.main(["sweep", *TINY_FLAGS]) == 2
