@@ -13,11 +13,31 @@ Costs are equilibrium.scaled_costs, integers scaled by the lcm of the alpha
 and beta denominators, so cost comparisons (the sign() in the score update)
 are exact, and the equilibrium band is equilibrium.ne_totals on the same
 integers. Scores are kept doubled in float64; they stay exact integers.
+
+A run whose remaining steps are all alike stops stepping. At each chunk
+boundary after the first, a run is locked when, at its current history mu:
+
+1. every agent's top-score strategies suggest one action a_n at mu;
+2. mu is all h*, where h* = (sum of a_n > L) is the hub state those
+   actions produce, so the step leaves mu unchanged;
+3. every agent either gains, d_n = sgn_n(h*) * (2*a_n - 1) >= 0, or has
+   all S strategies suggesting a_n at mu.
+
+Doubled scores differ by at least 2 and tie-break keys lie in [0, 1), so
+the action is a_n whatever the keys. The step adds 2*d_n to the top
+strategies and at most that to the others (the same to all of them under
+the second branch of 3), so the top set and mu are the same before the next
+step, which therefore repeats this one. A locked run's remaining n_in, h
+and cost are constants, its doubled scores grow by (T - t) times one
+integer step, exactly, and its generator is never read again, so filling
+its records in one write and dropping it from the step loop gives the same
+results as stepping it to T. Random mode has no scores and never locks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -159,8 +179,40 @@ def _simulate_slab(
     else:
         draw_shape = (n,)  # one coin per agent
     draws = np.empty((r_count, CHUNK, *draw_shape), dtype=np.float64)
+    final = res.final_scores[rows] if res.final_scores is not None else None
+    # slab rows still stepping: a slice until a run locks, so records are
+    # written through views as long as every run steps
+    live = slice(None)
+
+    def outcome(acts, out, inu, inc):
+        """Hub users, hub state and total scaled cost of one step's actions."""
+        nin = acts.sum(axis=1)
+        h = nin > L
+        return nin, h, np.where(acts, np.where(h[:, None], inc, inu), out).sum(axis=1)
 
     for t in range(0, T, CHUNK):
+        if adaptive and t:
+            hit, acts = _locked_runs(signed, scores2, mu, sgn_u2, sgn_c2, L)
+            if len(hit):
+                nin, h, cost = outcome(acts, out_s[hit], inu_s[hit], inc_s[hit])
+                at = np.arange(r_count)[live]
+                done = at[hit]
+                nin_rec[done, t:] = nin[:, None]
+                h_rec[done, t:] = h[:, None]
+                cost_rec[done, t:] = cost[:, None]
+                if final is not None:
+                    step2 = np.where(h[:, None], sgn_c2[hit], sgn_u2[hit])[:, :, None]
+                    step2 = step2 * signed[mu[hit], hit]  # +-2 or 0, as int8
+                    final[done] = (scores2[hit] + float(T - t) * step2) / 2.0
+                keep = np.ones(len(at), dtype=bool)
+                keep[hit] = False
+                live, rngs, signed = at[keep], list(compress(rngs, keep)), signed[:, keep]
+                scores2, mu, sgn_u2, sgn_c2, out_s, inu_s, inc_s = (
+                    a[keep] for a in (scores2, mu, sgn_u2, sgn_c2, out_s, inu_s, inc_s)
+                )
+                ridx, draws = ridx[: len(live)], draws[: len(live)]
+                if not len(live):
+                    break
         c = min(CHUNK, T - t)
         for i, rng in enumerate(rngs):
             draws[i, :c] = rng.random((c, *draw_shape))
@@ -171,16 +223,14 @@ def _simulate_slab(
                 acts = np.take_along_axis(tmu, sel[:, :, None], axis=2)[:, :, 0] > 0
             else:
                 acts = draws[:, j] < 0.5
-            nin = acts.sum(axis=1)
-            h = nin > L
-            cost = np.where(acts, np.where(h[:, None], inc_s, inu_s), out_s)
+            nin, h, cost = outcome(acts, out_s, inu_s, inc_s)
             if adaptive:
                 sgn2 = np.where(h[:, None], sgn_c2, sgn_u2)
                 scores2 += sgn2[:, :, None] * tmu
                 mu = ((mu << 1) | h) & (p - 1)
-            nin_rec[:, t + j] = nin
-            h_rec[:, t + j] = h
-            cost_rec[:, t + j] = cost.sum(axis=1)
+            nin_rec[live, t + j] = nin
+            h_rec[live, t + j] = h
+            cost_rec[live, t + j] = cost
 
     ms = slice(warmup, T)
     nin_m = nin_rec[:, ms].astype(np.float64)
@@ -188,5 +238,27 @@ def _simulate_slab(
     res.congestion_ratio[rows] = h_rec[:, ms].mean(axis=1)
     res.avg_hub_users[rows] = nin_m.mean(axis=1)
     res.std_hub_users[rows] = nin_m.std(axis=1)
-    if res.final_scores is not None:
-        res.final_scores[rows] = scores2 / 2.0
+    if final is not None:
+        final[live] = scores2 / 2.0
+
+
+def _locked_runs(signed, scores2, mu, sgn_u2, sgn_c2, L):
+    """The runs that pass the lock test of the module docstring, with their
+    actions: (run indices, (K, N) bool, True taking the hub).
+
+    Only runs whose history is all zeros or all ones can pass condition 2,
+    so the test looks at those alone.
+    """
+    p = len(signed)
+    cand = np.flatnonzero((mu == 0) | (mu == p - 1))
+    tmu = signed[mu[cand], cand]  # (K, N, S) suggestions as +-1
+    s = scores2[cand]
+    top = s == s.max(axis=2, keepdims=True)
+    up = (top & (tmu > 0)).any(axis=2)  # some top strategy takes the hub
+    down = (top & (tmu < 0)).any(axis=2)  # some top strategy keeps out
+    h = up.sum(axis=1) > L
+    gain2 = np.where(h[:, None], sgn_c2[cand], sgn_u2[cand]) * np.where(up, 1, -1)
+    unanimous = (tmu == tmu[:, :, :1]).all(axis=2)
+    ok = ((up != down) & ((gain2 >= 0) | unanimous)).all(axis=1)
+    ok &= h == (mu[cand] == p - 1)
+    return cand[ok], up[ok]

@@ -25,6 +25,7 @@ import numpy as np
 
 from .equilibrium import cost_advantages, ne_costs
 from .network import (
+    INT64_MAX,
     NetworkConfig,
     _as_fraction,
     _require_int,
@@ -539,12 +540,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ne(args) -> int:
-    cfg = config_with(SimConfig(), **_given(args))
-    net = build_network(cfg.network)
-    rng = np.random.default_rng(cfg.seed)
-    od_pairs = assign_destinations(net, rng)
+    # only the network and the seed: ne simulates no steps, so the price
+    # check for T steps of SimConfig does not apply
+    given = _given(args)
+    seed = given.pop("seed", SimConfig.seed)
+    net = build_network(NetworkConfig(**given))
+    _require_int(seed, "seed", 0, INT64_MAX)
+    od_pairs = assign_destinations(net, np.random.default_rng(seed))
     advantages, outside, inside = cost_advantages(net, od_pairs)
-    result = ne_costs(advantages, outside, inside, cfg.network.L)
+    result = ne_costs(advantages, outside, inside, net.config.L)
     print(f"n_p={result.n_p}")
     print(f"c_best={result.c_best} ({float(result.c_best)})")
     print(f"c_worst={result.c_worst} ({float(result.c_worst)})")

@@ -34,6 +34,7 @@ __all__ = [
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
+_ROUTE_BLOCK_BYTES = 1 << 24  # rough size of one block of route_table's stage 1
 
 
 def _as_fraction(value, field: str) -> Fraction:
@@ -245,10 +246,10 @@ def route_table(net: Network, origins, dests) -> tuple[np.ndarray, np.ndarray, n
 
     The argmin runs on integer costs scaled by alpha's denominator, so route
     selection is exact. Stage 1 finds the best exit per (entry, destination)
-    over all nodes, a (lambda, lambda, N) array; stage 2 the best entry per
-    pair, a (pairs, lambda) array. np.argmin takes the first minimum, which
-    composes to the lexicographic (h_in, h_out) order because interchanges
-    are sorted.
+    over all nodes, one block of entries at a time, a (block, lambda, N)
+    array under _ROUTE_BLOCK_BYTES; stage 2 the best entry per pair, a
+    (pairs, lambda) array. np.argmin takes the first minimum, which composes
+    to the lexicographic (h_in, h_out) order because interchanges are sorted.
     """
     n = net.N
     hubs = np.asarray(net.interchanges, dtype=np.int64)
@@ -261,14 +262,19 @@ def route_table(net: Network, origins, dests) -> tuple[np.ndarray, np.ndarray, n
         diff = np.abs(a - b)
         return np.minimum(diff, n - diff)
 
-    # stage 1: cheapest exit for each (entry a, destination), price q*d + p*hub
-    hub_legs = ring(hubs[:, None, None], hubs[None, :, None])  # (a, b, 1)
-    exit_legs = ring(hubs[None, :, None], np.arange(n))  # (1, b, D)
-    cand = p * hub_legs + q * exit_legs  # (a, b, D)
+    # stage 1: cheapest exit for each (entry a, destination), price q*d + p*hub,
+    # over blocks of entries so the (block, b, D) temporary stays small
     lam = len(hubs)
-    cand[np.arange(lam), np.arange(lam), :] = INT64_MAX
-    b_star = np.argmin(cand, axis=1)  # (a, D)
-    s1 = np.take_along_axis(cand, b_star[:, None, :], axis=1)[:, 0, :]  # (a, D)
+    exit_legs = q * ring(hubs[:, None], np.arange(n))  # (b, D)
+    b_star = np.empty((lam, n), dtype=np.int64)
+    s1 = np.empty((lam, n), dtype=np.int64)
+    block = max(1, _ROUTE_BLOCK_BYTES // (8 * lam * n))
+    for lo in range(0, lam, block):
+        a = np.arange(lo, min(lo + block, lam))
+        cand = p * ring(hubs[a, None, None], hubs[None, :, None]) + exit_legs  # (a, b, D)
+        cand[np.arange(len(a)), a, :] = INT64_MAX
+        b_star[a] = np.argmin(cand, axis=1)
+        s1[a] = np.take_along_axis(cand, b_star[a, None, :], axis=1)[:, 0, :]
 
     # stage 2: cheapest entry for each pair
     a_star = np.argmin(q * ring(origins[..., None], hubs) + s1.T[dests], axis=-1)

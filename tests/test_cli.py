@@ -312,6 +312,16 @@ class TestMain:
         assert f"c_best={want.c_best}" in out
         assert f"c_worst={want.c_worst}" in out
 
+    def test_ne_takes_prices_too_fine_for_a_simulation(self, capsys):
+        # T=1000 steps of these prices' cost sums could pass int64, but ne
+        # simulates no steps
+        assert cli.main(["ne", "--seed", "3", "--alpha", "1/10000000000000", "--beta", "2"]) == 0
+        assert "n_p=69" in capsys.readouterr().out.splitlines()
+
+    def test_ne_refuses_a_bad_seed(self, capsys):
+        assert cli.main(["ne", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_ne_refuses_agent_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["ne", *NET_FLAGS, "--memory", "5"])

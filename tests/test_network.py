@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringhub as rh
+from ringhub import network
 
 # frozen expectations, computed by hand from the half-up rounding rule
 KNOWN_INTERCHANGES = {
@@ -254,6 +255,18 @@ class TestRouteTable:
                 route = rh.best_inside_route(od, net)
                 assert d_access[o, d] == route.d_access
                 assert d_hub[o, d] == route.d_hub
+
+    @pytest.mark.parametrize("n,lam", [(20, 7), (30, 30), (101, 37)])
+    @pytest.mark.parametrize("entries", [1, 2])
+    def test_blocks_of_entries_equal_one_block(self, monkeypatch, n, lam, entries):
+        cfg = rh.NetworkConfig(N=n, hub_links=lam, L=1, alpha=Fraction(2, 3), beta=2)
+        net = rh.build_network(cfg)
+        pairs = np.indices((n, n))
+        whole = rh.route_table(net, *pairs)
+        monkeypatch.setattr(network, "_ROUTE_BLOCK_BYTES", 8 * lam * n * entries)
+        blocked = rh.route_table(net, *pairs)
+        for a, b in zip(whole, blocked):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_respects_alpha_pricing(self):
         # a large alpha pushes routes toward shorter hub crossings

@@ -1,7 +1,8 @@
 """Simulator driver tests.
 
 The batched engine must agree bit for bit with the scalar reference loop in
-tests/reference.py, which is built from the public per-agent operations.
+tests/reference.py, a self-contained per-agent loop that shares no code with
+the engine beyond the network's scalar route functions.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ class TestExactCosts:
 
 
 class TestSlabs:
-    @pytest.mark.parametrize("mode", ["heterogeneous", "random"])
+    # homogeneous at lambda=3: three of the five runs lock by step 32
+    @pytest.mark.parametrize("mode", ["heterogeneous", "random", "homogeneous"])
     def test_many_slabs_equal_one(self, monkeypatch, mode):
         cfg = small_config(mode=mode, S=3, seed=50)
         args = (
@@ -162,6 +164,72 @@ class TestSlabs:
             else:
                 assert np.array_equal(a, b), field.name
                 assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
+
+
+class KeyCounter:
+    """A Generator stand-in that counts the floats drawn from it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed)
+        self.floats = 0
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, size):
+        self.floats += math.prod(size)
+        return self._rng.random(size)
+
+
+class TestLockedRuns:
+    """Runs locked into a fixed point stop stepping without changing a result."""
+
+    @pytest.mark.parametrize(
+        "mode,L,S",
+        [
+            # uncongested locks (h=0)
+            ("homogeneous", 8, 3),
+            ("heterogeneous", 8, 3),
+            # congested locks (h=1)
+            ("homogeneous", 1, 3),
+            ("heterogeneous", 1, 3),
+            # one strategy: every agent's strategies agree
+            ("homogeneous", 8, 1),
+            ("heterogeneous", 1, 1),
+        ],
+    )
+    def test_locked_runs_match_reference(self, monkeypatch, mode, L, S):
+        net = rh.NetworkConfig(N=12, hub_links=3, L=L)
+        T, seeds = 120, range(1, 21)
+        counters = []
+
+        def counting_rng(seed):
+            counters.append(KeyCounter(seed))
+            return counters[-1]
+
+        monkeypatch.setattr(_engine, "CHUNK", 4)
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", counting_rng)
+            batch = _engine.simulate_batch(
+                rh.build_network(net), 2, S, mode, T, 10, list(seeds),
+                collect_trace=True, collect_scores=True,
+            )
+
+        # a run that locked stopped drawing keys at a chunk boundary
+        per_step = net.N * S
+        drawn = [c.floats for c in counters]
+        assert all(k % (4 * per_step) == 0 and k <= T * per_step for k in drawn)
+        assert any(k < T * per_step for k in drawn)
+
+        for i, seed in enumerate(seeds):
+            cfg = rh.SimConfig(network=net, M=2, S=S, mode=mode, T=T, warmup=10, seed=seed)
+            ref = reference_run(cfg)
+            assert list(batch.trace_n_in[i]) == ref.n_in, seed
+            assert list(batch.trace_h[i]) == ref.h, seed
+            costs = [Fraction(int(c), batch.scale) for c in batch.trace_cost[i]]
+            assert costs == ref.total_cost, seed
+            want = np.stack(ref.final_scores).astype(np.float64)
+            assert np.array_equal(batch.final_scores[i], want), seed
 
 
 class TestEngineMatchesReference:
