@@ -1,13 +1,17 @@
 """Batched simulation core.
 
 Runs many independent replications of the route-choice game as one numpy
-batch with a leading run axis. Each run owns a dedicated Generator, and the
-per-run draw order is fixed (destinations, bias draws for heterogeneous
-agents, strategy tables, initial history bits, then per-step float draws in
-step order), so a batch of runs is bit-identical to the same runs executed
-one at a time. Per-step draws use the float64 path only, which consumes one
-raw 64-bit word per value; chunked draws therefore match per-agent scalar
-draws exactly.
+batch. A row of the batch is one (point, seed) pair: a point is a network,
+and the networks of one batch differ at most in hub_links and L, so each
+row owns its costs, its capacity L and its score state. Each seed owns a
+dedicated Generator, and the per-seed draw order is fixed (destinations,
+bias draws for heterogeneous agents, strategy tables, initial history bits,
+then per-step float draws in step order). None of these draws depends on
+the network, so every row with that seed reads the same ones: the engine
+draws them once per seed and indexes them by the row's seed slot, and a
+batch is bit-identical to the same rows executed one at a time. Per-step
+draws use the float64 path only, which consumes one raw 64-bit word per
+value; chunked draws therefore match per-agent scalar draws exactly.
 
 Costs are equilibrium.scaled_costs, integers scaled by the lcm of the alpha
 and beta denominators, so cost comparisons (the sign() in the score update)
@@ -29,22 +33,27 @@ strategies and at most that to the others (the same to all of them under
 the second branch of 3), so the top set and mu are the same before the next
 step, which therefore repeats this one. A locked run's remaining n_in, h
 and cost are constants, its doubled scores grow by (T - t) times one
-integer step, exactly, and its generator is never read again, so filling
-its records in one write and dropping it from the step loop gives the same
-results as stepping it to T. Random mode has no scores and never locks.
+integer step, exactly, and it reads no key again, so filling its records in
+one write and dropping its row from the step loop gives the same results as
+stepping it to T. Random mode has no scores and never locks.
+
+Rows of one seed share its keys. A seed's generator draws the keys of a
+chunk when some row of that seed is still live at that chunk. Locking only
+ever removes rows, so once no row of a seed is live none will be again:
+the keys a generator skips are ones no row would have read, and every live
+row reads exactly the keys it would read alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from .equilibrium import ne_totals, scaled_costs
 from .network import Network, draw_destinations, route_table
 
-__all__ = ["BatchResult", "simulate_batch", "CHUNK", "SLAB_BYTES"]
+__all__ = ["BatchResult", "simulate_batch", "simulate_points", "CHUNK", "SLAB_BYTES"]
 
 CHUNK = 32  # steps per draw block; per-step semantics do not depend on it
 SLAB_BYTES = 1_500_000_000  # rough memory budget of one slab of runs
@@ -52,7 +61,7 @@ SLAB_BYTES = 1_500_000_000  # rough memory budget of one slab of runs
 
 @dataclass
 class BatchResult:
-    """Per-run results for one batch; arrays are indexed by run."""
+    """Per-run results for one batch; arrays are indexed by row."""
 
     avg_cost: np.ndarray
     congestion_ratio: np.ndarray
@@ -79,63 +88,93 @@ def simulate_batch(
     collect_trace: bool = False,
     collect_scores: bool = False,
 ) -> BatchResult:
-    """Simulate one run per seed and return per-run metrics.
+    """Simulate one run per seed and return per-run metrics: simulate_points
+    with the one network."""
+    return simulate_points([net], M, S, mode, T, warmup, seeds, collect_trace, collect_scores)
 
-    Splits the batch into memory-bounded slabs that write into the rows of
-    one preallocated result; results are identical to running each seed
-    alone because every run draws only from its own generator.
+
+def simulate_points(
+    nets: list[Network],
+    M: int,
+    S: int,
+    mode: str,
+    T: int,
+    warmup: int,
+    seeds,
+    collect_trace: bool = False,
+    collect_scores: bool = False,
+) -> BatchResult:
+    """Simulate one run per (network, seed) pair and return per-run metrics.
+
+    Row k*R + i of the result is nets[k] at seeds[i], for R seeds, so each
+    network's runs are one contiguous slice. The networks may differ only in
+    hub_links and L. Splits the seeds into memory-bounded slabs that write
+    into the rows of one preallocated result; results are identical to
+    running each row alone because every row reads only its own seed's
+    draws.
     """
+    first = nets[0].config
+    for net in nets:
+        cfg = net.config
+        if (cfg.N, cfg.alpha, cfg.beta) != (first.N, first.alpha, first.beta):
+            raise ValueError("nets: stacked networks may differ only in hub_links and L")
     seeds = np.asarray(seeds, dtype=np.int64)
-    r, n, p, lam = len(seeds), net.N, 1 << M, net.config.hub_links
-    # strategy tables, one chunk of keys, the pair-wise route temporaries
-    # and the (R, T) step records of one run
-    per_run = n * S * (2 * p + 8 * CHUNK) + 64 * n + 24 * n * lam + 13 * T
-    slab = max(1, min(r, SLAB_BYTES // per_run))
+    k, r, n, p = len(nets), len(seeds), first.N, 1 << M
+    lam = max(net.config.hub_links for net in nets)
+    # per seed: strategy tables, one chunk of keys and the pair-wise route
+    # temporaries of one point; per row: scores and one step's sum of them
+    # with the keys, costs, and the (T,) step records
+    per_seed = n * S * (2 * p + 8 * CHUNK) + 24 * n * lam
+    per_row = 16 * n * S + 64 * n + 13 * T
+    slab = max(1, min(r, SLAB_BYTES // (per_seed + k * per_row)))
 
     def per_step(dtype):
-        return np.empty((r, T), dtype=dtype) if collect_trace else None
+        return np.empty((k * r, T), dtype=dtype) if collect_trace else None
 
     res = BatchResult(
-        avg_cost=np.empty(r),
-        congestion_ratio=np.empty(r),
-        avg_hub_users=np.empty(r),
-        std_hub_users=np.empty(r),
-        n_p=np.empty(r, dtype=np.int64),
-        ne_best=np.empty(r),
-        ne_worst=np.empty(r),
-        scale=net.config.scale,
+        avg_cost=np.empty(k * r),
+        congestion_ratio=np.empty(k * r),
+        avg_hub_users=np.empty(k * r),
+        std_hub_users=np.empty(k * r),
+        n_p=np.empty(k * r, dtype=np.int64),
+        ne_best=np.empty(k * r),
+        ne_worst=np.empty(k * r),
+        scale=first.scale,
         trace_n_in=per_step(np.int32),
         trace_h=per_step(bool),
         trace_cost=per_step(np.int64),
-        final_scores=np.empty((r, n, S)) if collect_scores and mode != "random" else None,
+        final_scores=np.empty((k * r, n, S)) if collect_scores and mode != "random" else None,
     )
     for start in range(0, r, slab):
-        _simulate_slab(net, M, S, mode, T, warmup, seeds, slice(start, start + slab), res)
+        stop = min(start + slab, r)
+        rows = (np.arange(k)[:, None] * r + np.arange(start, stop)).ravel()
+        _simulate_slab(nets, M, S, mode, T, warmup, seeds[start:stop], rows, res)
     return res
 
 
 def _simulate_slab(
-    net: Network,
+    nets: list[Network],
     M: int,
     S: int,
     mode: str,
     T: int,
     warmup: int,
     seeds: np.ndarray,
-    rows: slice,
+    rows: np.ndarray,
     res: BatchResult,
 ) -> None:
-    """Simulate seeds[rows] and write their results into res[rows]."""
-    cfg = net.config
-    n, p, L = net.N, 1 << M, cfg.L
-    rngs = [np.random.default_rng(int(s)) for s in seeds[rows]]
-    r_count = len(rngs)
+    """Simulate every network at every seed and write the results into
+    res[rows]; slab row k*len(seeds) + i is nets[k] at seeds[i]."""
+    cfg = nets[0].config
+    n, p = cfg.N, 1 << M
+    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    n_seeds, n_rows = len(rngs), len(rows)
     adaptive = mode != "random"
 
-    dests = np.empty((r_count, n), dtype=np.int64)
-    mu = np.zeros(r_count, dtype=np.int64)
+    dests = np.empty((n_seeds, n), dtype=np.int64)
+    mu0 = np.zeros(n_seeds, dtype=np.int64)
     if adaptive:
-        tables = np.empty((r_count, n, S, p), dtype=bool)
+        tables = np.empty((n_seeds, n, S, p), dtype=bool)
     for i, rng in enumerate(rngs):
         dests[i] = draw_destinations(n, rng)
         if adaptive:
@@ -149,81 +188,85 @@ def _simulate_slab(
         acc = 0
         for b in bits:
             acc = (acc << 1) | int(b)
-        mu[i] = acc
+        mu0[i] = acc
 
-    out_s, inu_s, inc_s = scaled_costs(cfg, route_table(net, np.arange(n), dests))
+    # per-row state: slot is the row's seed, L its network's capacity
+    slot = np.tile(np.arange(n_seeds), len(nets))
+    L = np.repeat([net.config.L for net in nets], n_seeds)
+    out_s, inu_s, inc_s = (np.empty((n_rows, n), dtype=np.int64) for _ in range(3))
+    for k, net in enumerate(nets):
+        part = slice(k * n_seeds, (k + 1) * n_seeds)
+        priced = scaled_costs(net.config, route_table(net, np.arange(n), dests))
+        out_s[part], inu_s[part], inc_s[part] = priced
     l_s = out_s - inu_s
     n_p, best, worst = ne_totals(l_s, out_s, inu_s, L)
     res.n_p[rows] = n_p
     res.ne_best[rows] = best / float(n * cfg.scale)
     res.ne_worst[rows] = worst / float(n * cfg.scale)
 
-    def record(full, dtype):
-        return full[rows] if full is not None else np.empty((r_count, T), dtype=dtype)
-
-    nin_rec = record(res.trace_n_in, np.int32)
-    h_rec = record(res.trace_h, bool)
-    cost_rec = record(res.trace_cost, np.int64)
-
-    ridx = np.arange(r_count)
+    nin_rec = np.empty((n_rows, T), dtype=np.int32)
+    h_rec = np.empty((n_rows, T), dtype=bool)
+    cost_rec = np.empty((n_rows, T), dtype=np.int64)
+    mu = mu0[slot]
     if adaptive:
-        # (P, R, N, S) layout makes the per-step history gather contiguous
+        # (P, seeds, N, S) layout makes the per-step history gather contiguous
         signed = np.ascontiguousarray(
             (2 * tables.astype(np.int8) - 1).transpose(3, 0, 1, 2)
         )
         del tables
-        scores2 = np.zeros((r_count, n, S), dtype=np.float64)  # doubled scores
+        scores2 = np.zeros((n_rows, n, S), dtype=np.float64)  # doubled scores
         sgn_u2 = 2 * np.sign(l_s).astype(np.int8)
         sgn_c2 = 2 * np.sign(out_s - inc_s).astype(np.int8)
         draw_shape = (n, S)  # one tie-break key per strategy
     else:
         draw_shape = (n,)  # one coin per agent
-    draws = np.empty((r_count, CHUNK, *draw_shape), dtype=np.float64)
-    final = res.final_scores[rows] if res.final_scores is not None else None
-    # slab rows still stepping: a slice until a run locks, so records are
-    # written through views as long as every run steps
+    draws = np.empty((n_seeds, CHUNK, *draw_shape), dtype=np.float64)
+    final = np.empty((n_rows, n, S)) if res.final_scores is not None else None
+    # slab rows still stepping: a slice until a row locks, so records are
+    # written by basic indexing as long as every row steps
     live = slice(None)
 
-    def outcome(acts, out, inu, inc):
+    def outcome(acts, out, inu, inc, cap):
         """Hub users, hub state and total scaled cost of one step's actions."""
         nin = acts.sum(axis=1)
-        h = nin > L
+        h = nin > cap
         return nin, h, np.where(acts, np.where(h[:, None], inc, inu), out).sum(axis=1)
 
     for t in range(0, T, CHUNK):
         if adaptive and t:
-            hit, acts = _locked_runs(signed, scores2, mu, sgn_u2, sgn_c2, L)
+            hit, acts = _locked_runs(signed, slot, scores2, mu, sgn_u2, sgn_c2, L)
             if len(hit):
-                nin, h, cost = outcome(acts, out_s[hit], inu_s[hit], inc_s[hit])
-                at = np.arange(r_count)[live]
+                nin, h, cost = outcome(acts, out_s[hit], inu_s[hit], inc_s[hit], L[hit])
+                at = np.arange(n_rows)[live]
                 done = at[hit]
                 nin_rec[done, t:] = nin[:, None]
                 h_rec[done, t:] = h[:, None]
                 cost_rec[done, t:] = cost[:, None]
                 if final is not None:
                     step2 = np.where(h[:, None], sgn_c2[hit], sgn_u2[hit])[:, :, None]
-                    step2 = step2 * signed[mu[hit], hit]  # +-2 or 0, as int8
+                    step2 = step2 * signed[mu[hit], slot[hit]]  # +-2 or 0, as int8
                     final[done] = (scores2[hit] + float(T - t) * step2) / 2.0
                 keep = np.ones(len(at), dtype=bool)
                 keep[hit] = False
-                live, rngs, signed = at[keep], list(compress(rngs, keep)), signed[:, keep]
-                scores2, mu, sgn_u2, sgn_c2, out_s, inu_s, inc_s = (
-                    a[keep] for a in (scores2, mu, sgn_u2, sgn_c2, out_s, inu_s, inc_s)
+                live = at[keep]
+                slot, scores2, mu, sgn_u2, sgn_c2, out_s, inu_s, inc_s, L = (
+                    a[keep] for a in (slot, scores2, mu, sgn_u2, sgn_c2, out_s, inu_s, inc_s, L)
                 )
-                ridx, draws = ridx[: len(live)], draws[: len(live)]
                 if not len(live):
                     break
         c = min(CHUNK, T - t)
-        for i, rng in enumerate(rngs):
-            draws[i, :c] = rng.random((c, *draw_shape))
+        for i in np.flatnonzero(np.bincount(slot, minlength=n_seeds)):
+            draws[i, :c] = rngs[i].random((c, *draw_shape))
         for j in range(c):
+            keys = draws[slot, j]  # a gathered copy, so adding to it leaves draws intact
             if adaptive:
-                tmu = signed[mu, ridx]  # (R, N, S) suggestions as +-1
-                sel = np.argmax(scores2 + draws[:, j], axis=2)
+                tmu = signed[mu, slot]  # (rows, N, S) suggestions as +-1
+                keys += scores2
+                sel = np.argmax(keys, axis=2)
                 acts = np.take_along_axis(tmu, sel[:, :, None], axis=2)[:, :, 0] > 0
             else:
-                acts = draws[:, j] < 0.5
-            nin, h, cost = outcome(acts, out_s, inu_s, inc_s)
+                acts = keys < 0.5
+            nin, h, cost = outcome(acts, out_s, inu_s, inc_s, L)
             if adaptive:
                 sgn2 = np.where(h[:, None], sgn_c2, sgn_u2)
                 scores2 += sgn2[:, :, None] * tmu
@@ -238,25 +281,28 @@ def _simulate_slab(
     res.congestion_ratio[rows] = h_rec[:, ms].mean(axis=1)
     res.avg_hub_users[rows] = nin_m.mean(axis=1)
     res.std_hub_users[rows] = nin_m.std(axis=1)
+    if res.trace_n_in is not None:
+        res.trace_n_in[rows], res.trace_h[rows], res.trace_cost[rows] = nin_rec, h_rec, cost_rec
     if final is not None:
         final[live] = scores2 / 2.0
+        res.final_scores[rows] = final
 
 
-def _locked_runs(signed, scores2, mu, sgn_u2, sgn_c2, L):
-    """The runs that pass the lock test of the module docstring, with their
-    actions: (run indices, (K, N) bool, True taking the hub).
+def _locked_runs(signed, slot, scores2, mu, sgn_u2, sgn_c2, L):
+    """The rows that pass the lock test of the module docstring, with their
+    actions: (row indices, (K, N) bool, True taking the hub).
 
-    Only runs whose history is all zeros or all ones can pass condition 2,
+    Only rows whose history is all zeros or all ones can pass condition 2,
     so the test looks at those alone.
     """
     p = len(signed)
     cand = np.flatnonzero((mu == 0) | (mu == p - 1))
-    tmu = signed[mu[cand], cand]  # (K, N, S) suggestions as +-1
+    tmu = signed[mu[cand], slot[cand]]  # (K, N, S) suggestions as +-1
     s = scores2[cand]
     top = s == s.max(axis=2, keepdims=True)
     up = (top & (tmu > 0)).any(axis=2)  # some top strategy takes the hub
     down = (top & (tmu < 0)).any(axis=2)  # some top strategy keeps out
-    h = up.sum(axis=1) > L
+    h = up.sum(axis=1) > L[cand]
     gain2 = np.where(h[:, None], sgn_c2[cand], sgn_u2[cand]) * np.where(up, 1, -1)
     unanimous = (tmu == tmu[:, :, :1]).all(axis=2)
     ok = ((up != down) & ((gain2 >= 0) | unanimous)).all(axis=1)

@@ -39,7 +39,9 @@ from .sim import (
     SimConfig,
     config_with,
     replicate,
+    replicate_points,
     run,
+    stack_key,
     write_csv,
     write_trace_csv,
 )
@@ -144,22 +146,32 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     All points share the spec's base seed, so modes at the same value see
     identical OD draws and the whole table is reproducible byte for byte.
+    Per mode, points whose configs differ only in hub_links and L (every
+    point of a lambda or capacity_ratio sweep) run as one engine batch; each
+    row equals what replicate gives for that point alone.
     """
-    rows: list[SweepRow] = []
-    for value in spec.values:
-        point = config_at(spec, value)
-        for mode in spec.modes:
-            result = replicate(replace(point, mode=mode), spec.replications)
-            rows.append(
-                SweepRow(
-                    **vars(result.mean),
-                    value=value,
-                    mode=mode,
-                    ne_best=result.ne_best if spec.ne_baseline else None,
-                    ne_worst=result.ne_worst if spec.ne_baseline else None,
-                )
-            )
-    return rows
+    points = {
+        (i, mode): replace(config_at(spec, value), mode=mode)
+        for i, value in enumerate(spec.values)
+        for mode in spec.modes
+    }
+    groups: dict[SimConfig, list] = {}
+    for point, cfg in points.items():
+        groups.setdefault(stack_key(cfg), []).append(point)
+    results = {}
+    for members in groups.values():
+        cfgs = [points[point] for point in members]
+        results.update(zip(members, replicate_points(cfgs, spec.replications)))
+    return [
+        SweepRow(
+            **vars(results[i, mode].mean),
+            value=spec.values[i],
+            mode=mode,
+            ne_best=results[i, mode].ne_best if spec.ne_baseline else None,
+            ne_worst=results[i, mode].ne_worst if spec.ne_baseline else None,
+        )
+        for i, mode in points
+    ]
 
 
 def optimal_lambda(

@@ -78,15 +78,16 @@ def scaled_costs(cfg: NetworkConfig, geometry) -> tuple[np.ndarray, np.ndarray, 
     )
 
 
-def ne_totals(l, out, inu, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ne_totals(l, out, inu, L) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Total costs of the best and worst equilibrium of each run.
 
     l, out and inu are (runs, agents) arrays of advantages, outside costs and
     uncongested inside costs on one integer scale: int64, or Python ints in
-    object arrays. Agents are ranked by descending advantage, ties by index.
-    The best allocation seats the min(n_p, L) most-advantaged potential users
-    (l > 0), the worst the least-advantaged ones; everyone else drives
-    outside. Returns (n_p, best, worst), one entry per run.
+    object arrays. L is the hub capacity, one for all runs or one per run.
+    Agents are ranked by descending advantage, ties by index. The best
+    allocation seats the min(n_p, L) most-advantaged potential users (l > 0),
+    the worst the least-advantaged ones; everyone else drives outside.
+    Returns (n_p, best, worst), one entry per run.
 
     The allocations are equilibria whenever beta >= 1: the ring distance obeys
     d(O,D) <= d_access + d_hub, so joining a full hub at the congested price

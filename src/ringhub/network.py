@@ -34,7 +34,7 @@ __all__ = [
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
-_ROUTE_BLOCK_BYTES = 1 << 24  # rough size of one block of route_table's stage 1
+_ROUTE_BLOCK_BYTES = 1 << 21  # rough size of one block of route_table's stage 1, 2 MiB
 
 
 def _as_fraction(value, field: str) -> Fraction:
@@ -247,8 +247,9 @@ def route_table(net: Network, origins, dests) -> tuple[np.ndarray, np.ndarray, n
     The argmin runs on integer costs scaled by alpha's denominator, so route
     selection is exact. Stage 1 finds the best exit per (entry, destination)
     over all nodes, one block of entries at a time, a (block, lambda, N)
-    array under _ROUTE_BLOCK_BYTES; stage 2 the best entry per pair, a
-    (pairs, lambda) array. np.argmin takes the first minimum, which composes
+    array under _ROUTE_BLOCK_BYTES (2 MiB; at least one entry per block, so
+    a larger array only when lambda * N exceeds 256Ki); stage 2 the best
+    entry per pair, a (pairs, lambda) array. np.argmin takes the first minimum, which composes
     to the lexicographic (h_in, h_out) order because interchanges are sorted.
     """
     n = net.N

@@ -29,6 +29,7 @@ __all__ = [
     "ReplicateResult",
     "run",
     "replicate",
+    "replicate_points",
     "write_trace_csv",
     "config_with",
 ]
@@ -130,21 +131,20 @@ def run(cfg: SimConfig, trace: bool = False):
     return metrics, records
 
 
-def replicate(cfg: SimConfig, R: int) -> ReplicateResult:
-    """Mean and standard error of each metric over R independent runs.
-
-    Run i uses seed cfg.seed + i. Runs execute as one vectorized batch;
-    results are identical to executing them one at a time and are
-    independent of batch order.
-    """
+def _seeds(cfg: SimConfig, R: int) -> np.ndarray:
+    """The seeds of R replications of cfg: seed, seed+1, .., seed+R-1."""
     _require_int(R, "R", 1)
     if cfg.seed + R - 1 > INT64_MAX:
         raise ValueError(f"R: the last seed, seed+R-1 = {cfg.seed + R - 1}, exceeds int64")
-    seeds = cfg.seed + np.arange(R, dtype=np.int64)
-    batch = _batch(cfg, seeds)
+    return cfg.seed + np.arange(R, dtype=np.int64)
+
+
+def _summary(batch, k: int, R: int) -> ReplicateResult:
+    """Mean and standard error of each metric over the k-th R runs of batch."""
+    rows = slice(k * R, (k + 1) * R)
 
     def stats(arr):
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(arr[rows], dtype=np.float64)
         mean = float(arr.mean())
         se = float(arr.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
         return mean, se
@@ -155,10 +155,43 @@ def replicate(cfg: SimConfig, R: int) -> ReplicateResult:
     return ReplicateResult(
         mean=Metrics(**means),
         se=Metrics(**ses),
-        ne_best=float(batch.ne_best.mean()),
-        ne_worst=float(batch.ne_worst.mean()),
+        ne_best=float(batch.ne_best[rows].mean()),
+        ne_worst=float(batch.ne_worst[rows].mean()),
         replications=R,
     )
+
+
+def replicate(cfg: SimConfig, R: int) -> ReplicateResult:
+    """Mean and standard error of each metric over R independent runs.
+
+    Run i uses seed cfg.seed + i. Runs execute as one vectorized batch;
+    results are identical to executing them one at a time and are
+    independent of batch order.
+    """
+    return _summary(_batch(cfg, _seeds(cfg, R)), 0, R)
+
+
+def stack_key(cfg: SimConfig) -> SimConfig:
+    """What configs must share to replicate as one engine batch: all but
+    the network's hub_links and L."""
+    return config_with(cfg, hub_links=2, L=1)
+
+
+def replicate_points(cfgs: list[SimConfig], R: int) -> list[ReplicateResult]:
+    """replicate(cfg, R) for each of cfgs, as one engine batch.
+
+    The configs may differ only in network.hub_links and network.L (equal
+    stack_key), so every point shares the R seeds' draws; each result equals
+    replicate's for that config exactly.
+    """
+    if len({stack_key(cfg) for cfg in cfgs}) != 1:
+        raise ValueError("cfgs: stacked points may differ only in hub_links and L")
+    first = cfgs[0]
+    batch = _engine.simulate_points(
+        [build_network(cfg.network) for cfg in cfgs],
+        first.M, first.S, first.mode, first.T, first.warmup, _seeds(first, R),
+    )
+    return [_summary(batch, k, R) for k in range(len(cfgs))]
 
 
 def write_csv(path, header, rows) -> Path:

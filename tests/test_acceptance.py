@@ -54,10 +54,14 @@ def memory_metrics():
 @pytest.fixture(scope="module")
 def stability_sigmas():
     """Mean hub-load standard deviation over lambda 2..10, R=500."""
-    return {
-        lam: rh.replicate(config_with(BASE, hub_links=lam), 500).mean.std_hub_users
-        for lam in range(2, 11)
-    }
+    spec = cli.SweepSpec(
+        base=BASE,
+        sweep_variable="lambda",
+        values=tuple(range(2, 11)),
+        replications=500,
+        ne_baseline=False,
+    )
+    return {row.value: row.std_hub_users for row in cli.run_sweep(spec)}
 
 
 @pytest.fixture(scope="module")
@@ -66,11 +70,14 @@ def multi_scale_curves():
     curves = {}
     for n in (20, 40, 60, 80):
         step = 1 if n <= 40 else 2
-        base = config_with(BASE, N=n, L=round(0.8 * n), hub_links=2)
-        curves[n] = {
-            lam: rh.replicate(config_with(base, hub_links=lam), 100).mean.congestion_ratio
-            for lam in range(2, n + 1, step)
-        }
+        spec = cli.SweepSpec(
+            base=config_with(BASE, N=n, L=round(0.8 * n), hub_links=2),
+            sweep_variable="lambda",
+            values=tuple(range(2, n + 1, step)),
+            replications=100,
+            ne_baseline=False,
+        )
+        curves[n] = {row.value: row.congestion_ratio for row in cli.run_sweep(spec)}
     return curves
 
 
@@ -86,12 +93,17 @@ def population_costs():
 @pytest.fixture(scope="module")
 def sigma_grid_m8():
     """Hub-load sigma across lambda for biased and coin-flip agents, M=8."""
-    grid = range(2, 101, 2)
+    spec = cli.SweepSpec(
+        base=config_with(BASE, M=8),
+        sweep_variable="lambda",
+        values=tuple(range(2, 101, 2)),
+        replications=100,
+        ne_baseline=False,
+        modes=("heterogeneous", "random"),
+    )
     out = {"heterogeneous": {}, "random": {}}
-    for lam in grid:
-        for mode in out:
-            cfg = config_with(BASE, hub_links=lam, M=8, mode=mode)
-            out[mode][lam] = rh.replicate(cfg, 100).mean.std_hub_users
+    for row in cli.run_sweep(spec):
+        out[row.mode][row.value] = row.std_hub_users
     return out
 
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ringhub as rh
-from ringhub import cli
+from ringhub import _engine, cli
 
 
 def tiny_base(**overrides) -> rh.SimConfig:
@@ -116,6 +117,46 @@ class TestRunSweep:
     def test_sweep_is_deterministic(self):
         spec = tiny_spec()
         assert cli.run_sweep(spec) == cli.run_sweep(spec)
+
+    @pytest.mark.parametrize("mode", rh.sim.MODES)
+    @pytest.mark.parametrize(
+        "variable,values", [("lambda", (2, 3, 7, 12)), ("capacity_ratio", (0.1, 0.5, 1))]
+    )
+    def test_stacked_rows_equal_replicate(self, monkeypatch, mode, variable, values):
+        monkeypatch.setattr(_engine, "CHUNK", 4)  # so that runs lock
+        calls = []
+        stack = _engine.simulate_points
+
+        def spy(nets, *args, **kwargs):
+            calls.append(len(nets))
+            return stack(nets, *args, **kwargs)
+
+        monkeypatch.setattr(_engine, "simulate_points", spy)
+        spec = tiny_spec(
+            base=tiny_base(T=120), sweep_variable=variable, values=values,
+            replications=5, modes=(mode,),
+        )
+        rows = cli.run_sweep(spec)
+        assert calls == [len(values)]  # every point in one engine batch
+        for row, value in zip(rows, values):
+            want = rh.replicate(replace(cli.config_at(spec, value), mode=mode), 5)
+            assert row == cli.SweepRow(
+                **vars(want.mean), value=value, mode=mode,
+                ne_best=want.ne_best, ne_worst=want.ne_worst,
+            )
+
+    def test_m_and_n_points_run_one_at_a_time(self, monkeypatch):
+        calls = []
+        stack = _engine.simulate_points
+
+        def spy(nets, *args, **kwargs):
+            calls.append(len(nets))
+            return stack(nets, *args, **kwargs)
+
+        monkeypatch.setattr(_engine, "simulate_points", spy)
+        cli.run_sweep(tiny_spec(sweep_variable="M", values=(1, 2, 3)))
+        cli.run_sweep(tiny_spec(sweep_variable="N", values=(8, 12)))
+        assert calls == [1] * 5
 
 
 class TestOptimalLambda:

@@ -171,6 +171,7 @@ class KeyCounter:
 
     def __init__(self, seed):
         self._rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed)
+        self.seed = seed
         self.floats = 0
 
     def integers(self, *args, **kwargs):
@@ -230,6 +231,79 @@ class TestLockedRuns:
             assert costs == ref.total_cost, seed
             want = np.stack(ref.final_scores).astype(np.float64)
             assert np.array_equal(batch.final_scores[i], want), seed
+
+
+class TestStackedPoints:
+    """Networks stacked into one batch equal the same networks run one at a
+    time, while each seed's generator is made once per slab."""
+
+    # (hub_links, L) at N=12: L=1 next to L=8, and several lambdas
+    POINTS = [(3, 8), (3, 1), (5, 8), (12, 4), (2, 1)]
+
+    @pytest.mark.parametrize("mode", rh.sim.MODES)
+    @pytest.mark.parametrize("S", [1, 3])
+    @pytest.mark.parametrize("slab_bytes", [_engine.SLAB_BYTES, 1])
+    def test_stacked_points_equal_single_points(self, monkeypatch, mode, S, slab_bytes):
+        nets = [
+            rh.build_network(rh.NetworkConfig(N=12, hub_links=lam, L=L)) for lam, L in self.POINTS
+        ]
+        seeds = [5, 3, 5, 11, 2, 7]
+        args = (2, S, mode, 120, 10, seeds)
+        monkeypatch.setattr(_engine, "CHUNK", 4)
+        monkeypatch.setattr(_engine, "SLAB_BYTES", slab_bytes)
+        counters = []
+
+        def counting_rng(seed):
+            counters.append(KeyCounter(seed))
+            return counters[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", counting_rng)
+            stacked = _engine.simulate_points(nets, *args, collect_trace=True, collect_scores=True)
+
+        # one generator per seed, whether the seeds share one slab or not,
+        # and no more keys than one point alone reads
+        assert [c.seed for c in counters] == seeds
+        per_step = 12 * (S if mode != "random" else 1)
+        drawn = [c.floats for c in counters]
+        assert all(k % (4 * per_step) == 0 and k <= 120 * per_step for k in drawn)
+
+        r = len(seeds)
+        for k, net in enumerate(nets):
+            alone = _engine.simulate_batch(net, *args, collect_trace=True, collect_scores=True)
+            for field in dataclasses.fields(_engine.BatchResult):
+                a, b = getattr(stacked, field.name), getattr(alone, field.name)
+                if field.name == "scale":
+                    assert a == b
+                elif b is None:
+                    assert a is None and mode == "random" and field.name == "final_scores"
+                else:
+                    assert np.array_equal(a[k * r : (k + 1) * r], b), (self.POINTS[k], field.name)
+                    assert a.dtype == b.dtype, field.name
+
+    def test_some_stacked_rows_lock(self, monkeypatch):
+        """The stacked case above steps past locks: a seed whose rows all
+        locked stops drawing keys early."""
+        monkeypatch.setattr(_engine, "CHUNK", 4)
+        counters = []
+
+        def counting_rng(seed):
+            counters.append(KeyCounter(seed))
+            return counters[-1]
+
+        nets = [rh.build_network(rh.NetworkConfig(N=12, hub_links=3, L=L)) for L in (8, 1)]
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        _engine.simulate_points(nets, 2, 3, "homogeneous", 120, 10, range(1, 21))
+        assert any(c.floats < 120 * 12 * 3 for c in counters)
+
+    def test_refuses_networks_that_differ_in_more(self):
+        nets = [rh.build_network(rh.NetworkConfig(N=n, hub_links=3, L=5)) for n in (12, 13)]
+        with pytest.raises(ValueError, match="nets"):
+            _engine.simulate_points(nets, 2, 2, "homogeneous", 10, 0, [1])
+
+    def test_replicate_points_refuses_configs_that_differ_in_more(self):
+        with pytest.raises(ValueError, match="cfgs"):
+            rh.sim.replicate_points([small_config(), small_config(S=3)], 2)
 
 
 class TestEngineMatchesReference:
