@@ -18,6 +18,20 @@ and beta denominators, so cost comparisons (the sign() in the score update)
 are exact, and the equilibrium band is equilibrium.ne_totals on the same
 integers. Scores are kept doubled in float64; they stay exact integers.
 
+A step is a few whole-array passes over the live rows. Each seed's
+generator fills its chunk of keys in place. The keys are added to the
+scores into one keys buffer per slab: while every row still steps, the rows
+are the (points x seeds) grid, so each seed's keys broadcast over the
+points; once a row has locked they are gathered by slot. The chosen
+strategy's suggestion is read from the gathered suggestions by flat index,
+(row * N + agent) * S + argmax. A step's total cost is out_sum less the
+saving l = out - inu of each agent inside (k = out - inc when congested),
+with out_sum the row's total outside cost: an exact int64 identity within
+the bound NetworkConfig.check_cost_sums enforces. Step records cover the
+measured window only, unless a trace asks for every step, and random play,
+which carries nothing from step to step, skips its warm-up steps after
+drawing their keys.
+
 A run whose remaining steps are all alike stops stepping. At each chunk
 boundary after the first, a run is locked when, at its current history mu:
 
@@ -46,6 +60,7 @@ row reads exactly the keys it would read alone.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +72,10 @@ __all__ = ["BatchResult", "simulate_batch", "simulate_points", "CHUNK", "SLAB_BY
 
 CHUNK = 32  # steps per draw block; per-step semantics do not depend on it
 SLAB_BYTES = 1_500_000_000  # rough memory budget of one slab of runs
+try:  # physical memory: a seed whose runs need more is refused up front
+    MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):  # no sysconf, as on Windows
+    MEMORY_BYTES = 1 << 62
 
 
 @dataclass
@@ -122,11 +141,18 @@ def simulate_points(
     k, r, n, p = len(nets), len(seeds), first.N, 1 << M
     lam = max(net.config.hub_links for net in nets)
     # per seed: strategy tables, one chunk of keys and the pair-wise route
-    # temporaries of one point; per row: scores and one step's sum of them
-    # with the keys, costs, and the (T,) step records
+    # temporaries of one point; per row: scores, the step's keys, suggestions
+    # and score increments, costs, and the step records, which cover the
+    # measured window unless a trace asks for every step
     per_seed = n * S * (2 * p + 8 * CHUNK) + 24 * n * lam
-    per_row = 16 * n * S + 64 * n + 13 * T
-    slab = max(1, min(r, SLAB_BYTES // (per_seed + k * per_row)))
+    per_row = 18 * n * S + 64 * n + 13 * (T if collect_trace else T - warmup)
+    one_seed = per_seed + k * per_row
+    if one_seed > MEMORY_BYTES:
+        raise ValueError(
+            f"S={S}, M={M}, N={n} and T={T} need about {one_seed:,} bytes for one seed, "
+            f"more than the {MEMORY_BYTES:,} bytes of memory of this machine"
+        )
+    slab = max(1, min(r, SLAB_BYTES // one_seed))
 
     def per_step(dtype):
         return np.empty((k * r, T), dtype=dtype) if collect_trace else None
@@ -174,7 +200,9 @@ def _simulate_slab(
     dests = np.empty((n_seeds, n), dtype=np.int64)
     mu0 = np.zeros(n_seeds, dtype=np.int64)
     if adaptive:
-        tables = np.empty((n_seeds, n, S, p), dtype=bool)
+        # +1 where a strategy takes the hub at a history, -1 where it keeps
+        # out; the (P, seeds, N, S) layout makes the per-step gather contiguous
+        signed = np.empty((p, n_seeds, n, S), dtype=np.int8)
     for i, rng in enumerate(rngs):
         dests[i] = draw_destinations(n, rng)
         if adaptive:
@@ -183,65 +211,72 @@ def _simulate_slab(
             else:
                 bias = np.full((n, S), p // 2, dtype=np.int64)
             raw = rng.integers(0, p, size=(n, S, p))
-            tables[i] = raw >= bias[:, :, None]
+            signed[:, i] = (2 * (raw >= bias[:, :, None]).view(np.int8) - 1).transpose(2, 0, 1)
         bits = rng.integers(0, 2, size=M)
         acc = 0
         for b in bits:
             acc = (acc << 1) | int(b)
         mu0[i] = acc
 
-    # per-row state: slot is the row's seed, L its network's capacity
+    # per-row state: slot is the row's seed, L its network's capacity; a
+    # step costs out_sum less l (k when congested) for each agent inside
     slot = np.tile(np.arange(n_seeds), len(nets))
     L = np.repeat([net.config.L for net in nets], n_seeds)
-    out_s, inu_s, inc_s = (np.empty((n_rows, n), dtype=np.int64) for _ in range(3))
-    for k, net in enumerate(nets):
-        part = slice(k * n_seeds, (k + 1) * n_seeds)
-        priced = scaled_costs(net.config, route_table(net, np.arange(n), dests))
-        out_s[part], inu_s[part], inc_s[part] = priced
-    l_s = out_s - inu_s
-    n_p, best, worst = ne_totals(l_s, out_s, inu_s, L)
+    out, inu, k = (np.empty((n_rows, n), dtype=np.int64) for _ in range(3))
+    for q, net in enumerate(nets):
+        part = slice(q * n_seeds, (q + 1) * n_seeds)
+        out[part], inu[part], inc = scaled_costs(net.config, route_table(net, np.arange(n), dests))
+        np.subtract(out[part], inc, out=k[part])
+    l = out - inu
+    n_p, best, worst = ne_totals(l, out, inu, L)
     res.n_p[rows] = n_p
     res.ne_best[rows] = best / float(n * cfg.scale)
     res.ne_worst[rows] = worst / float(n * cfg.scale)
+    out_sum = out.sum(axis=1)
+    del out, inu
 
-    nin_rec = np.empty((n_rows, T), dtype=np.int32)
-    h_rec = np.empty((n_rows, T), dtype=bool)
-    cost_rec = np.empty((n_rows, T), dtype=np.int64)
+    # records start at the measured window unless the trace wants every step
+    off = 0 if res.trace_n_in is not None else warmup
+    nin_rec = np.empty((n_rows, T - off), dtype=np.int32)
+    h_rec = np.empty((n_rows, T - off), dtype=bool)
+    cost_rec = np.empty((n_rows, T - off), dtype=np.int64)
     mu = mu0[slot]
     if adaptive:
-        # (P, seeds, N, S) layout makes the per-step history gather contiguous
-        signed = np.ascontiguousarray(
-            (2 * tables.astype(np.int8) - 1).transpose(3, 0, 1, 2)
-        )
-        del tables
         scores2 = np.zeros((n_rows, n, S), dtype=np.float64)  # doubled scores
-        sgn_u2 = 2 * np.sign(l_s).astype(np.int8)
-        sgn_c2 = 2 * np.sign(out_s - inc_s).astype(np.int8)
+        sgn_u2 = 2 * np.sign(l).astype(np.int8)
+        sgn_c2 = 2 * np.sign(k).astype(np.int8)
+        # step buffers; live rows use a prefix of each
+        keys_all = np.empty((n_rows, n, S), dtype=np.float64)
+        inc2_all = np.empty((n_rows, n, S), dtype=np.int8)
+        flat_all = np.arange(n_rows * n) * S  # each agent's first strategy
+        keys, inc2, flat = keys_all, inc2_all, flat_all
         draw_shape = (n, S)  # one tie-break key per strategy
     else:
         draw_shape = (n,)  # one coin per agent
     draws = np.empty((n_seeds, CHUNK, *draw_shape), dtype=np.float64)
     final = np.empty((n_rows, n, S)) if res.final_scores is not None else None
     # slab rows still stepping: a slice until a row locks, so records are
-    # written by basic indexing as long as every row steps
+    # written by basic indexing and keys broadcast over the points as long
+    # as every row steps
     live = slice(None)
 
-    def outcome(acts, out, inu, inc, cap):
+    def outcome(acts, out_sum, l, k, cap):
         """Hub users, hub state and total scaled cost of one step's actions."""
         nin = acts.sum(axis=1)
         h = nin > cap
-        return nin, h, np.where(acts, np.where(h[:, None], inc, inu), out).sum(axis=1)
+        return nin, h, out_sum - np.where(acts, np.where(h[:, None], k, l), 0).sum(axis=1)
 
     for t in range(0, T, CHUNK):
         if adaptive and t:
             hit, acts = _locked_runs(signed, slot, scores2, mu, sgn_u2, sgn_c2, L)
             if len(hit):
-                nin, h, cost = outcome(acts, out_s[hit], inu_s[hit], inc_s[hit], L[hit])
+                nin, h, cost = outcome(acts, out_sum[hit], l[hit], k[hit], L[hit])
                 at = np.arange(n_rows)[live]
                 done = at[hit]
-                nin_rec[done, t:] = nin[:, None]
-                h_rec[done, t:] = h[:, None]
-                cost_rec[done, t:] = cost[:, None]
+                fill = max(t - off, 0)
+                nin_rec[done, fill:] = nin[:, None]
+                h_rec[done, fill:] = h[:, None]
+                cost_rec[done, fill:] = cost[:, None]
                 if final is not None:
                     step2 = np.where(h[:, None], sgn_c2[hit], sgn_u2[hit])[:, :, None]
                     step2 = step2 * signed[mu[hit], slot[hit]]  # +-2 or 0, as int8
@@ -249,33 +284,47 @@ def _simulate_slab(
                 keep = np.ones(len(at), dtype=bool)
                 keep[hit] = False
                 live = at[keep]
-                slot, scores2, mu, sgn_u2, sgn_c2, out_s, inu_s, inc_s, L = (
-                    a[keep] for a in (slot, scores2, mu, sgn_u2, sgn_c2, out_s, inu_s, inc_s, L)
+                slot, scores2, mu, sgn_u2, sgn_c2, out_sum, l, k, L = (
+                    a[keep] for a in (slot, scores2, mu, sgn_u2, sgn_c2, out_sum, l, k, L)
                 )
-                if not len(live):
+                m = len(live)
+                if not m:
                     break
+                keys, inc2, flat = keys_all[:m], inc2_all[:m], flat_all[: m * n]
         c = min(CHUNK, T - t)
         for i in np.flatnonzero(np.bincount(slot, minlength=n_seeds)):
-            draws[i, :c] = rngs[i].random((c, *draw_shape))
+            rngs[i].random(out=draws[i, :c])
         for j in range(c):
-            keys = draws[slot, j]  # a gathered copy, so adding to it leaves draws intact
+            if not adaptive and t + j < off:
+                continue  # random play carries nothing into the next step
             if adaptive:
                 tmu = signed[mu, slot]  # (rows, N, S) suggestions as +-1
-                keys += scores2
-                sel = np.argmax(keys, axis=2)
-                acts = np.take_along_axis(tmu, sel[:, :, None], axis=2)[:, :, 0] > 0
-            else:
-                acts = keys < 0.5
-            nin, h, cost = outcome(acts, out_s, inu_s, inc_s, L)
+                if isinstance(live, slice):
+                    # rows are the (points, seeds) grid: each seed's keys
+                    # broadcast over the points
+                    grid = (-1, n_seeds, n, S)
+                    np.add(scores2.reshape(grid), draws[:, j], out=keys.reshape(grid))
+                else:
+                    # gathered by slot; mode="clip" skips take's copy of
+                    # the result, and slot is always in range
+                    draws[:, j].take(slot, axis=0, out=keys, mode="clip")
+                    keys += scores2
+                sel = keys.argmax(axis=2)
+                acts = tmu.reshape(-1).take(sel.ravel() + flat).reshape(-1, n) > 0
+            else:  # random play never locks, so rows stay the grid
+                acts = np.tile(draws[:, j] < 0.5, (len(nets), 1))
+            nin, h, cost = outcome(acts, out_sum, l, k, L)
             if adaptive:
                 sgn2 = np.where(h[:, None], sgn_c2, sgn_u2)
-                scores2 += sgn2[:, :, None] * tmu
+                np.multiply(sgn2[:, :, None], tmu, out=inc2)
+                scores2 += inc2
                 mu = ((mu << 1) | h) & (p - 1)
-            nin_rec[live, t + j] = nin
-            h_rec[live, t + j] = h
-            cost_rec[live, t + j] = cost
+            if t + j >= off:
+                nin_rec[live, t + j - off] = nin
+                h_rec[live, t + j - off] = h
+                cost_rec[live, t + j - off] = cost
 
-    ms = slice(warmup, T)
+    ms = slice(warmup - off, None)
     nin_m = nin_rec[:, ms].astype(np.float64)
     res.avg_cost[rows] = cost_rec[:, ms].sum(axis=1) / float(cfg.scale * n * (T - warmup))
     res.congestion_ratio[rows] = h_rec[:, ms].mean(axis=1)

@@ -516,6 +516,12 @@ class TestMain:
         assert cli.main(["run", *TINY_FLAGS, "--hub-links", "1"]) == 2
         assert "hub_links" in capsys.readouterr().err
 
+    def test_run_too_large_for_memory_exits_cleanly(self, capsys):
+        # refused from the size estimate, before anything is allocated
+        assert cli.main(["run", *TINY_FLAGS, "--strategies", "1000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "S=1000000000" in err
+
     def test_run_out_dir_needs_trace(self, tmp_path, capsys):
         assert cli.main(["run", *TINY_FLAGS, "--out-dir", str(tmp_path / "d")]) == 2
         assert "out-dir" in capsys.readouterr().err

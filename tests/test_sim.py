@@ -165,6 +165,28 @@ class TestSlabs:
                 assert np.array_equal(a, b), field.name
                 assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
 
+    @pytest.mark.parametrize("mode", rh.sim.MODES)
+    @pytest.mark.parametrize("warmup", [0, 6, 57])
+    def test_untraced_runs_record_only_the_window(self, monkeypatch, mode, warmup):
+        # runs lock at steps 4 to 16: after the measured window starts
+        # (warmup 0), on both sides of its start (6) and before it (57)
+        monkeypatch.setattr(_engine, "CHUNK", 4)
+        net = rh.build_network(rh.NetworkConfig(N=12, hub_links=3, L=8))
+        args = (net, 2, 3, mode, 80, warmup, list(range(1, 13)))
+        traced = _engine.simulate_batch(*args, collect_trace=True)
+        plain = _engine.simulate_batch(*args)
+        for name in rh.sim.METRIC_NAMES + ("ne_best", "ne_worst"):
+            assert np.array_equal(getattr(plain, name), getattr(traced, name)), name
+        assert plain.trace_n_in is None
+
+    def test_seed_larger_than_memory_is_refused(self, monkeypatch):
+        monkeypatch.setattr(_engine, "MEMORY_BYTES", 10_000)
+        cfg = small_config(S=3)
+        with pytest.raises(ValueError, match="S=3, M=2, N=12 and T=40"):
+            _engine.simulate_batch(
+                rh.build_network(cfg.network), cfg.M, cfg.S, cfg.mode, cfg.T, cfg.warmup, [1]
+            )
+
 
 class KeyCounter:
     """A Generator stand-in that counts the floats drawn from it."""
@@ -177,9 +199,9 @@ class KeyCounter:
     def integers(self, *args, **kwargs):
         return self._rng.integers(*args, **kwargs)
 
-    def random(self, size):
-        self.floats += math.prod(size)
-        return self._rng.random(size)
+    def random(self, size=None, out=None):
+        self.floats += out.size if out is not None else math.prod(size)
+        return self._rng.random(size, out=out)
 
 
 class TestLockedRuns:
@@ -306,26 +328,45 @@ class TestStackedPoints:
             rh.sim.replicate_points([small_config(), small_config(S=3)], 2)
 
 
+def assert_trace_matches_reference(cfg):
+    ref = reference_run(cfg)
+    batch = _engine.simulate_batch(
+        rh.build_network(cfg.network), cfg.M, cfg.S, cfg.mode, cfg.T,
+        cfg.warmup, [cfg.seed], collect_trace=True, collect_scores=True,
+    )
+    assert list(batch.trace_n_in[0]) == ref.n_in
+    assert list(batch.trace_h[0]) == ref.h
+    costs = [Fraction(int(c), batch.scale) for c in batch.trace_cost[0]]
+    assert costs == ref.total_cost
+    assert int(batch.n_p[0]) == ref.n_p
+    if cfg.mode != "random":
+        got = batch.final_scores[0]
+        want = np.stack(ref.final_scores)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want.astype(np.float64))
+
+
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous", "random"])
     @pytest.mark.parametrize("S", [1, 3])
     def test_exact_trace_agreement(self, mode, S):
-        cfg = small_config(mode=mode, S=S, seed=1234)
-        ref = reference_run(cfg)
-        batch = _engine.simulate_batch(
-            rh.build_network(cfg.network), cfg.M, cfg.S, cfg.mode, cfg.T,
-            cfg.warmup, [cfg.seed], collect_trace=True, collect_scores=True,
+        assert_trace_matches_reference(small_config(mode=mode, S=S, seed=1234))
+
+    @pytest.mark.parametrize(
+        "M,mode,T",
+        [
+            # the (256, seeds, N, S) strategy tables replicate-ref runs
+            (8, "heterogeneous", 60),
+            # the last chunk is one step, filled by one in-place draw
+            (2, "homogeneous", 2 * _engine.CHUNK + 1),
+            (2, "random", 2 * _engine.CHUNK + 1),
+        ],
+    )
+    def test_exact_trace_agreement_at_table_and_chunk_edges(self, M, mode, T):
+        net = rh.NetworkConfig(N=10, hub_links=4, L=3)
+        assert_trace_matches_reference(
+            rh.SimConfig(network=net, M=M, S=5, mode=mode, T=T, warmup=7, seed=31)
         )
-        assert list(batch.trace_n_in[0]) == ref.n_in
-        assert list(batch.trace_h[0]) == ref.h
-        costs = [Fraction(int(c), batch.scale) for c in batch.trace_cost[0]]
-        assert costs == ref.total_cost
-        assert int(batch.n_p[0]) == ref.n_p
-        if mode != "random":
-            got = batch.final_scores[0]
-            want = np.stack(ref.final_scores)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want.astype(np.float64))
 
     def test_exact_agreement_with_non_default_pricing(self):
         net = rh.NetworkConfig(
