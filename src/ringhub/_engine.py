@@ -56,11 +56,28 @@ chunk when some row of that seed is still live at that chunk. Locking only
 ever removes rows, so once no row of a seed is live none will be again:
 the keys a generator skips are ones no row would have read, and every live
 row reads exactly the keys it would read alone.
+
+A batch runs on every CPU the process may use. Its seeds are split into
+WORKERS contiguous groups, no more than there are seeds: group 0 runs in
+the calling process and every other in a forked child, each through the
+same slab loop, and the children write their rows in place into result
+arrays held in anonymous shared memory. Every seed's generator lives wholly
+inside one group, so results do not depend on the CPU count. The groups
+share the memory budget: each runs slabs of SLAB_BYTES / workers, and no
+more groups run at once than one seed each fits in physical memory. The
+engine stays serial, through the same group loop, where os.fork is missing,
+while the process runs a second Python thread (forking it could deadlock),
+and for one seed.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
+import pickle
+import signal
+import threading
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +85,15 @@ import numpy as np
 from .equilibrium import ne_totals, scaled_costs
 from .network import Network, draw_destinations, route_table
 
-__all__ = ["BatchResult", "simulate_batch", "simulate_points", "CHUNK", "SLAB_BYTES"]
+__all__ = ["BatchResult", "simulate_batch", "simulate_points", "CHUNK", "SLAB_BYTES", "WORKERS"]
 
 CHUNK = 32  # steps per draw block; per-step semantics do not depend on it
-SLAB_BYTES = 1_500_000_000  # rough memory budget of one slab of runs
+SLAB_BYTES = 1_500_000_000  # rough memory budget of the slabs that run at once
+BLOCK_BYTES = 1 << 20  # bound on the temporaries of a row-wise copy or reduction
+try:  # the CPUs this process may run on: one seed group runs on each
+    WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no sched_getaffinity, as on macOS and Windows
+    WORKERS = os.cpu_count() or 1
 try:  # physical memory: a seed whose runs need more is refused up front
     MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 except (AttributeError, ValueError, OSError):  # no sysconf, as on Windows
@@ -127,10 +149,11 @@ def simulate_points(
 
     Row k*R + i of the result is nets[k] at seeds[i], for R seeds, so each
     network's runs are one contiguous slice. The networks may differ only in
-    hub_links and L. Splits the seeds into memory-bounded slabs that write
-    into the rows of one preallocated result; results are identical to
-    running each row alone because every row reads only its own seed's
-    draws.
+    hub_links and L. Splits the seeds into one contiguous group per worker
+    (see the module docstring) and each group into memory-bounded slabs that
+    write into the rows of one preallocated result, shared with the forked
+    workers; results are identical to running each row alone because every
+    row reads only its own seed's draws.
     """
     first = nets[0].config
     for net in nets:
@@ -152,30 +175,121 @@ def simulate_points(
             f"S={S}, M={M}, N={n} and T={T} need about {one_seed:,} bytes for one seed, "
             f"more than the {MEMORY_BYTES:,} bytes of memory of this machine"
         )
-    slab = max(1, min(r, SLAB_BYTES // one_seed))
+    # one group of seeds per worker, as many as fit in memory at once; a
+    # process with other threads stays serial, as forking it can deadlock
+    workers = min(WORKERS, r, MEMORY_BYTES // one_seed)
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    slab = max(1, min(r, SLAB_BYTES // workers // one_seed))
+    empty = np.empty if workers == 1 else _shared_empty
 
     def per_step(dtype):
-        return np.empty((k * r, T), dtype=dtype) if collect_trace else None
+        return empty((k * r, T), dtype=dtype) if collect_trace else None
 
     res = BatchResult(
-        avg_cost=np.empty(k * r),
-        congestion_ratio=np.empty(k * r),
-        avg_hub_users=np.empty(k * r),
-        std_hub_users=np.empty(k * r),
-        n_p=np.empty(k * r, dtype=np.int64),
-        ne_best=np.empty(k * r),
-        ne_worst=np.empty(k * r),
+        avg_cost=empty(k * r),
+        congestion_ratio=empty(k * r),
+        avg_hub_users=empty(k * r),
+        std_hub_users=empty(k * r),
+        n_p=empty(k * r, dtype=np.int64),
+        ne_best=empty(k * r),
+        ne_worst=empty(k * r),
         scale=first.scale,
         trace_n_in=per_step(np.int32),
         trace_h=per_step(bool),
         trace_cost=per_step(np.int64),
-        final_scores=np.empty((k * r, n, S)) if collect_scores and mode != "random" else None,
+        final_scores=empty((k * r, n, S)) if collect_scores and mode != "random" else None,
     )
-    for start in range(0, r, slab):
-        stop = min(start + slab, r)
-        rows = (np.arange(k)[:, None] * r + np.arange(start, stop)).ravel()
-        _simulate_slab(nets, M, S, mode, T, warmup, seeds[start:stop], rows, res)
+
+    def run_group(g):
+        lo, hi = r * g // workers, r * (g + 1) // workers
+        for start in range(lo, hi, slab):
+            stop = min(start + slab, hi)
+            rows = (np.arange(k)[:, None] * r + np.arange(start, stop)).ravel()
+            _simulate_slab(nets, M, S, mode, T, warmup, seeds[start:stop], rows, res)
+
+    _run_forked(run_group, workers)
     return res
+
+
+def _shared_empty(shape, dtype=np.float64) -> np.ndarray:
+    """An array in anonymous shared memory, so that what a forked worker
+    writes into it shows in the caller."""
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(1, count * dtype.itemsize))
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+
+
+def _run_forked(run, groups: int) -> None:
+    """Call run(g) for each of the groups: run(0) here and every other in a
+    forked child, which writes its results in place and reports nothing but
+    an exception. A child's exception is raised here with its type and
+    message; every child is reaped, and killed first if run(0) fails."""
+    children = []  # (pid, read end of the pipe the child reports on)
+    failed = True
+    try:
+        for g in range(1, groups):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child: os._exit skips every handler of the caller
+                code = 0
+                try:
+                    os.close(read)
+                    run(g)
+                except BaseException as exc:
+                    code = 1
+                    _report(write, exc)
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, read))
+        run(0)
+        failed = False
+    finally:
+        errors = []
+        for pid, read in children:
+            if failed:
+                os.kill(pid, signal.SIGKILL)
+            errors.append(_reap(pid, read))
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _report(fd: int, exc: BaseException) -> None:
+    """Write exc and its traceback, pickled, to the pipe fd; an exception
+    that does not survive pickling goes as a RuntimeError of the same text."""
+    text = traceback.format_exc()
+    try:
+        payload = pickle.dumps((exc, text))
+        pickle.loads(payload)
+    except Exception:
+        payload = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text))
+    with os.fdopen(fd, "wb") as pipe:
+        pipe.write(payload)
+
+
+def _reap(pid: int, fd: int) -> BaseException | None:
+    """Wait for a child; return its exception, with the child's traceback as
+    the cause, if it failed."""
+    with os.fdopen(fd, "rb") as pipe:
+        payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if payload:
+        exc, text = pickle.loads(payload)
+        exc.__cause__ = RuntimeError(f"raised in an engine worker:\n{text}")
+        return exc
+    if status:
+        return RuntimeError(
+            f"an engine worker ended with exit code {os.waitstatus_to_exitcode(status)}"
+        )
+    return None
 
 
 def _simulate_slab(
@@ -283,11 +397,15 @@ def _simulate_slab(
                     final[done] = (scores2[hit] + float(T - t) * step2) / 2.0
                 keep = np.ones(len(at), dtype=bool)
                 keep[hit] = False
-                live = at[keep]
-                slot, scores2, mu, sgn_u2, sgn_c2, out_sum, l, k, L = (
-                    a[keep] for a in (slot, scores2, mu, sgn_u2, sgn_c2, out_sum, l, k, L)
-                )
+                kept = np.flatnonzero(keep)
+                live = at[kept]
                 m = len(live)
+                # the kept rows move forward within each array, so no
+                # per-row array is ever held twice
+                state = (slot, scores2, mu, sgn_u2, sgn_c2, out_sum, l, k, L)
+                for a in state:
+                    _compact(a, kept)
+                slot, scores2, mu, sgn_u2, sgn_c2, out_sum, l, k, L = (a[:m] for a in state)
                 if not m:
                     break
                 keys, inc2, flat = keys_all[:m], inc2_all[:m], flat_all[: m * n]
@@ -324,17 +442,32 @@ def _simulate_slab(
                 h_rec[live, t + j - off] = h
                 cost_rec[live, t + j - off] = cost
 
+    # a block of rows' float64 records at a time; each row's reductions
+    # read that row alone
     ms = slice(warmup - off, None)
-    nin_m = nin_rec[:, ms].astype(np.float64)
-    res.avg_cost[rows] = cost_rec[:, ms].sum(axis=1) / float(cfg.scale * n * (T - warmup))
-    res.congestion_ratio[rows] = h_rec[:, ms].mean(axis=1)
-    res.avg_hub_users[rows] = nin_m.mean(axis=1)
-    res.std_hub_users[rows] = nin_m.std(axis=1)
+    block = max(1, BLOCK_BYTES // (8 * (T - warmup)))
+    for b in range(0, n_rows, block):
+        part, at = slice(b, b + block), rows[b : b + block]
+        nin_m = nin_rec[part, ms].astype(np.float64)
+        res.avg_cost[at] = cost_rec[part, ms].sum(axis=1) / float(cfg.scale * n * (T - warmup))
+        res.congestion_ratio[at] = h_rec[part, ms].mean(axis=1)
+        res.avg_hub_users[at] = nin_m.mean(axis=1)
+        res.std_hub_users[at] = nin_m.std(axis=1)
     if res.trace_n_in is not None:
         res.trace_n_in[rows], res.trace_h[rows], res.trace_cost[rows] = nin_rec, h_rec, cost_rec
     if final is not None:
         final[live] = scores2 / 2.0
         res.final_scores[rows] = final
+
+
+def _compact(a: np.ndarray, kept: np.ndarray) -> None:
+    """Move row kept[i] of a to row i, in place, BLOCK_BYTES of rows at a
+    time. kept rises, so kept[i] >= i: no block overwrites a row that a later
+    block reads."""
+    block = max(1, BLOCK_BYTES // a[0].nbytes)
+    for b in range(0, len(kept), block):
+        part = kept[b : b + block]
+        a[b : b + len(part)] = a[part]
 
 
 def _locked_runs(signed, slot, scores2, mu, sgn_u2, sgn_c2, L):

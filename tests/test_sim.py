@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import re
+import signal
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +160,7 @@ class TestSlabs:
 
         monkeypatch.setattr(_engine, "route_table", spy)
         monkeypatch.setattr(_engine, "SLAB_BYTES", 1)  # one run per slab
+        monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's calls miss the spy
         split = _engine.simulate_batch(*args, collect_trace=True, collect_scores=True)
         assert slab_sizes == [1] * 5
         for field in dataclasses.fields(_engine.BatchResult):
@@ -178,6 +184,16 @@ class TestSlabs:
         for name in rh.sim.METRIC_NAMES + ("ne_best", "ne_worst"):
             assert np.array_equal(getattr(plain, name), getattr(traced, name)), name
         assert plain.trace_n_in is None
+
+    @pytest.mark.parametrize("mode", rh.sim.MODES)
+    @pytest.mark.parametrize("traced", [True, False])
+    def test_row_blocks_equal_one_block(self, monkeypatch, mode, traced):
+        # rows that lock are compacted, and the metrics reduced, a row at a time
+        monkeypatch.setattr(_engine, "CHUNK", 4)
+        args = stacked_args(mode, traced)
+        whole = _engine.simulate_points(*args)
+        monkeypatch.setattr(_engine, "BLOCK_BYTES", 1)
+        assert_same_batch(_engine.simulate_points(*args), whole)
 
     def test_seed_larger_than_memory_is_refused(self, monkeypatch):
         monkeypatch.setattr(_engine, "MEMORY_BYTES", 10_000)
@@ -231,6 +247,7 @@ class TestLockedRuns:
             return counters[-1]
 
         monkeypatch.setattr(_engine, "CHUNK", 4)
+        monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's counters are its own
         with monkeypatch.context() as m:
             m.setattr(np.random, "default_rng", counting_rng)
             batch = _engine.simulate_batch(
@@ -273,6 +290,7 @@ class TestStackedPoints:
         args = (2, S, mode, 120, 10, seeds)
         monkeypatch.setattr(_engine, "CHUNK", 4)
         monkeypatch.setattr(_engine, "SLAB_BYTES", slab_bytes)
+        monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's counters are its own
         counters = []
 
         def counting_rng(seed):
@@ -314,6 +332,7 @@ class TestStackedPoints:
             return counters[-1]
 
         nets = [rh.build_network(rh.NetworkConfig(N=12, hub_links=3, L=L)) for L in (8, 1)]
+        monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's counters are its own
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         _engine.simulate_points(nets, 2, 3, "homogeneous", 120, 10, range(1, 21))
         assert any(c.floats < 120 * 12 * 3 for c in counters)
@@ -326,6 +345,139 @@ class TestStackedPoints:
     def test_replicate_points_refuses_configs_that_differ_in_more(self):
         with pytest.raises(ValueError, match="cfgs"):
             rh.sim.replicate_points([small_config(), small_config(S=3)], 2)
+
+
+def stacked_args(mode, traced=True):
+    """simulate_points arguments for TestStackedPoints.POINTS at six seeds,
+    whose rows lock at CHUNK=4."""
+    nets = [
+        rh.build_network(rh.NetworkConfig(N=12, hub_links=lam, L=L))
+        for lam, L in TestStackedPoints.POINTS
+    ]
+    return (nets, 2, 3, mode, 120, 10, [5, 3, 5, 11, 2, 7], traced, traced)
+
+
+def assert_same_batch(a, b):
+    """Every BatchResult field of a equals b's, with the same dtype."""
+    for field in dataclasses.fields(_engine.BatchResult):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if y is None:
+            assert x is None, field.name
+        else:
+            assert np.array_equal(x, y), field.name
+            assert np.asarray(x).dtype == np.asarray(y).dtype, field.name
+
+
+class TestWorkers:
+    """Seed groups run in forked workers that write into shared memory; no
+    result depends on the number of workers."""
+
+    @staticmethod
+    def serial(monkeypatch, args):
+        with monkeypatch.context() as m:
+            m.setattr(_engine, "WORKERS", 1)
+            return _engine.simulate_points(*args)
+
+    @pytest.mark.parametrize("mode", rh.sim.MODES)
+    @pytest.mark.parametrize("slab_bytes", [_engine.SLAB_BYTES, 1])
+    @pytest.mark.parametrize("workers", [2, 3, 7])  # 7 is more than the seeds
+    def test_any_worker_count_equals_one(self, monkeypatch, mode, slab_bytes, workers):
+        # stacked points whose rows lock at CHUNK=4, traced and with scores
+        monkeypatch.setattr(_engine, "CHUNK", 4)
+        args = stacked_args(mode)
+        want = self.serial(monkeypatch, args)
+
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(_engine, "WORKERS", workers)
+        monkeypatch.setattr(_engine, "SLAB_BYTES", slab_bytes)
+        got = _engine.simulate_points(*args)
+        assert len(forks) == min(workers, len(args[6])) - 1
+        assert_same_batch(got, want)
+
+    @pytest.mark.parametrize("where", ["worker", "unpicklable", "killed", "caller", "fork"])
+    def test_failure_reaches_the_caller_and_leaves_no_child(self, monkeypatch, where):
+        class Unpicklable(Exception):  # a local class pickles by no import path
+            pass
+
+        caller, real = os.getpid(), _engine._simulate_slab
+
+        def failing(*args):
+            in_worker = os.getpid() != caller
+            if in_worker and where == "worker":
+                raise LookupError("slab failed in a worker")
+            if in_worker and where == "unpicklable":
+                raise Unpicklable("slab failed in a worker")
+            if in_worker and where == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if where == "caller":
+                if in_worker:
+                    time.sleep(60)  # until the caller's failure kills it
+                raise LookupError("slab failed in the caller")
+            return real(*args)
+
+        real_fork = os.fork
+        forks = []
+
+        def second_fork_fails():  # the first child is forked, the second is not
+            forks.append(1)
+            if len(forks) > 1:
+                raise BlockingIOError("no more processes")
+            return real_fork()
+
+        monkeypatch.setattr(_engine, "_simulate_slab", failing)
+        monkeypatch.setattr(_engine, "WORKERS", 3)
+        if where == "fork":
+            monkeypatch.setattr(os, "fork", second_fork_fails)
+        want = {
+            "worker": (LookupError, "^slab failed in a worker$"),
+            "unpicklable": (RuntimeError, "^Unpicklable: slab failed in a worker$"),
+            "killed": (RuntimeError, f"exit code {-signal.SIGKILL}$"),
+            "caller": (LookupError, "^slab failed in the caller$"),
+            "fork": (BlockingIOError, "^no more processes$"),
+        }[where]
+        start = time.perf_counter()
+        with pytest.raises(want[0], match=want[1]) as info:
+            _engine.simulate_points(*stacked_args("homogeneous"))
+        assert type(info.value) is want[0]
+        assert time.perf_counter() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("why", ["thread", "no fork", "memory"])
+    def test_stays_serial(self, monkeypatch, why):
+        args = stacked_args("heterogeneous")
+        want = self.serial(monkeypatch, args)
+        monkeypatch.setattr(_engine, "WORKERS", 2)
+        if why == "no fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        if why == "memory":  # one seed fits in memory, two do not
+            monkeypatch.setattr(_engine, "MEMORY_BYTES", 1)
+            with pytest.raises(ValueError, match="bytes for one seed") as info:
+                _engine.simulate_points(*args)
+            one_seed = re.search(r"about ([\d,]+) bytes", str(info.value)).group(1)
+            monkeypatch.setattr(_engine, "MEMORY_BYTES", int(one_seed.replace(",", "")))
+        if why != "thread":
+            assert_same_batch(_engine.simulate_points(*args), want)
+            return
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            got = _engine.simulate_points(*args)
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert_same_batch(got, want)
 
 
 def assert_trace_matches_reference(cfg):
