@@ -63,11 +63,15 @@ the calling process and every other in a forked child, each through the
 same slab loop, and the children write their rows in place into result
 arrays held in anonymous shared memory. Every seed's generator lives wholly
 inside one group, so results do not depend on the CPU count. The groups
-share the memory budget: each runs slabs of SLAB_BYTES / workers, and no
-more groups run at once than one seed each fits in physical memory. The
-engine stays serial, through the same group loop, where os.fork is missing,
-while the process runs a second Python thread (forking it could deadlock),
-and for one seed.
+share the memory budget of one serial batch: each runs slabs of
+SLAB_BYTES / workers, and no more groups run than one seed each fits in
+SLAB_BYTES. The engine stays serial, through the same group loop, where
+os.fork is missing, while the process runs a second Python thread, and for
+one seed. Forking a process that has another thread can deadlock the child,
+so a child waits for the caller to read the number of its OS threads after
+the fork, and when any thread lived through the fork the children end
+without running and the caller runs every group. (numpy's OpenBLAS pool
+shuts down for a fork and does not count.)
 """
 
 from __future__ import annotations
@@ -175,30 +179,31 @@ def simulate_points(
             f"S={S}, M={M}, N={n} and T={T} need about {one_seed:,} bytes for one seed, "
             f"more than the {MEMORY_BYTES:,} bytes of memory of this machine"
         )
-    # one group of seeds per worker, as many as fit in memory at once; a
-    # process with other threads stays serial, as forking it can deadlock
-    workers = min(WORKERS, r, MEMORY_BYTES // one_seed)
+    # one group of seeds per worker, as many as one slab of a seed each fits
+    # in the serial budget; a process with other threads stays serial, as
+    # forking it can deadlock
+    workers = min(WORKERS, r, max(1, SLAB_BYTES // one_seed))
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
     slab = max(1, min(r, SLAB_BYTES // workers // one_seed))
-    empty = np.empty if workers == 1 else _shared_empty
 
     def per_step(dtype):
-        return empty((k * r, T), dtype=dtype) if collect_trace else None
+        return _shared_empty((k * r, T), dtype=dtype) if collect_trace else None
 
+    scores = collect_scores and mode != "random"
     res = BatchResult(
-        avg_cost=empty(k * r),
-        congestion_ratio=empty(k * r),
-        avg_hub_users=empty(k * r),
-        std_hub_users=empty(k * r),
-        n_p=empty(k * r, dtype=np.int64),
-        ne_best=empty(k * r),
-        ne_worst=empty(k * r),
+        avg_cost=_shared_empty(k * r),
+        congestion_ratio=_shared_empty(k * r),
+        avg_hub_users=_shared_empty(k * r),
+        std_hub_users=_shared_empty(k * r),
+        n_p=_shared_empty(k * r, dtype=np.int64),
+        ne_best=_shared_empty(k * r),
+        ne_worst=_shared_empty(k * r),
         scale=first.scale,
         trace_n_in=per_step(np.int32),
         trace_h=per_step(bool),
         trace_cost=per_step(np.int64),
-        final_scores=empty((k * r, n, S)) if collect_scores and mode != "random" else None,
+        final_scores=_shared_empty((k * r, n, S)) if scores else None,
     )
 
     def run_group(g):
@@ -224,9 +229,12 @@ def _shared_empty(shape, dtype=np.float64) -> np.ndarray:
 def _run_forked(run, groups: int) -> None:
     """Call run(g) for each of the groups: run(0) here and every other in a
     forked child, which writes its results in place and reports nothing but
-    an exception. A child's exception is raised here with its type and
-    message; every child is reaped, and killed first if run(0) fails."""
+    an exception. A child runs once the caller has seen no other thread of
+    its own outlive a fork; else the children end unrun and every group
+    runs here. A child's exception is raised here with its type and message;
+    every child is reaped, and killed first if the caller fails."""
     children = []  # (pid, read end of the pipe the child reports on)
+    gate_read, gate_write = os.pipe()  # a byte lets one child run; EOF ends it
     failed = True
     try:
         for g in range(1, groups):
@@ -241,7 +249,9 @@ def _run_forked(run, groups: int) -> None:
                 code = 0
                 try:
                     os.close(read)
-                    run(g)
+                    os.close(gate_write)
+                    if os.read(gate_read, 1):
+                        run(g)
                 except BaseException as exc:
                     code = 1
                     _report(write, exc)
@@ -249,9 +259,21 @@ def _run_forked(run, groups: int) -> None:
                     os._exit(code)
             os.close(write)
             children.append((pid, read))
-        run(0)
+            if _threads() > 1:  # another thread lived through the fork
+                here = range(groups)
+                break
+        else:
+            os.write(gate_write, bytes(len(children)))
+            here = [0]
+        os.close(gate_write)
+        gate_write = None
+        for g in here:
+            run(g)
         failed = False
     finally:
+        os.close(gate_read)
+        if gate_write is not None:
+            os.close(gate_write)
         errors = []
         for pid, read in children:
             if failed:
@@ -260,6 +282,15 @@ def _run_forked(run, groups: int) -> None:
     for error in errors:
         if error is not None:
             raise error
+
+
+def _threads() -> int:
+    """The threads of this process: its OS threads where /proc lists them,
+    else its Python threads."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
 
 
 def _report(fd: int, exc: BaseException) -> None:

@@ -7,6 +7,7 @@ the engine beyond the network's scalar route functions.
 
 from __future__ import annotations
 
+import _thread
 import dataclasses
 import math
 import os
@@ -378,27 +379,91 @@ class TestWorkers:
             m.setattr(_engine, "WORKERS", 1)
             return _engine.simulate_points(*args)
 
-    @pytest.mark.parametrize("mode", rh.sim.MODES)
-    @pytest.mark.parametrize("slab_bytes", [_engine.SLAB_BYTES, 1])
-    @pytest.mark.parametrize("workers", [2, 3, 7])  # 7 is more than the seeds
-    def test_any_worker_count_equals_one(self, monkeypatch, mode, slab_bytes, workers):
-        # stacked points whose rows lock at CHUNK=4, traced and with scores
-        monkeypatch.setattr(_engine, "CHUNK", 4)
-        args = stacked_args(mode)
-        want = self.serial(monkeypatch, args)
-
-        forks = []
-        real_fork = os.fork
+    @staticmethod
+    def spy(monkeypatch, args):
+        """The forks, the seeds the calling process simulates, and a shared
+        mark on each result row a forked worker simulates."""
+        forks, seeds = [], []
+        by_worker = _engine._shared_empty(len(args[0]) * len(args[6]), dtype=bool)
+        by_worker[:] = False
+        caller, real_fork, real_slab = os.getpid(), os.fork, _engine._simulate_slab
 
         def counting_fork():
             forks.append(1)
             return real_fork()
 
+        def counting_slab(*args):
+            if os.getpid() == caller:
+                seeds.extend(args[6])
+            else:
+                by_worker[args[7]] = True
+            return real_slab(*args)
+
         monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(_engine, "_simulate_slab", counting_slab)
+        return forks, seeds, by_worker
+
+    @staticmethod
+    def one_seed(monkeypatch, args) -> int:
+        """The bytes simulate_points counts for one seed of args."""
+        with monkeypatch.context() as m:
+            m.setattr(_engine, "MEMORY_BYTES", 1)
+            with pytest.raises(ValueError, match="bytes for one seed") as info:
+                _engine.simulate_points(*args)
+        return int(re.search(r"about ([\d,]+) bytes", str(info.value)).group(1).replace(",", ""))
+
+    @pytest.mark.parametrize("mode", rh.sim.MODES)
+    @pytest.mark.parametrize("slabs", ["one", "one seed each"])
+    @pytest.mark.parametrize("workers", [2, 3, 7])  # 7 is more than the seeds
+    def test_any_worker_count_equals_one(self, monkeypatch, mode, slabs, workers):
+        # stacked points whose rows lock at CHUNK=4, traced and with scores
+        monkeypatch.setattr(_engine, "CHUNK", 4)
+        args = stacked_args(mode)
+        want = self.serial(monkeypatch, args)
+        groups = min(workers, len(args[6]))
+        if slabs == "one seed each":  # the budget of one seed for each group
+            monkeypatch.setattr(_engine, "SLAB_BYTES", groups * self.one_seed(monkeypatch, args))
+        forks, seeds, by_worker = self.spy(monkeypatch, args)
         monkeypatch.setattr(_engine, "WORKERS", workers)
-        monkeypatch.setattr(_engine, "SLAB_BYTES", slab_bytes)
         got = _engine.simulate_points(*args)
-        assert len(forks) == min(workers, len(args[6])) - 1
+        here = len(args[6]) // groups
+        assert len(forks) == groups - 1
+        assert seeds == args[6][:here]
+        assert by_worker.sum() == len(args[0]) * (len(args[6]) - here)  # the rest
+        assert_same_batch(got, want)
+
+    # from Python 3.12 os.fork warns when a thread of the process outlives it
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    def test_blas_threads_do_not_keep_the_workers_idle(self, monkeypatch):
+        a = np.ones((256, 256))
+        a @ a  # numpy's BLAS thread pool, where it has one, is running
+        args = stacked_args("homogeneous")
+        want = self.serial(monkeypatch, args)
+        forks, seeds, by_worker = self.spy(monkeypatch, args)
+        monkeypatch.setattr(_engine, "WORKERS", 2)
+        got = _engine.simulate_points(*args)
+        assert (len(forks), seeds, by_worker.sum()) == (1, args[6][:3], len(args[0]) * 3)
+        assert_same_batch(got, want)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc thread list")
+    def test_a_thread_outliving_the_fork_keeps_the_workers_idle(self, monkeypatch):
+        args = stacked_args("heterogeneous")
+        want = self.serial(monkeypatch, args)
+        forks, seeds, by_worker = self.spy(monkeypatch, args)
+        monkeypatch.setattr(_engine, "WORKERS", 3)
+        release = _thread.allocate_lock()
+        release.acquire()
+        before = _engine._threads()
+        _thread.start_new_thread(release.acquire, ())  # an OS thread threading does not list
+        try:
+            assert threading.active_count() == 1
+            got = _engine.simulate_points(*args)
+        finally:
+            release.release()
+            deadline = time.monotonic() + 30
+            while _engine._threads() > before and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert (len(forks), seeds, by_worker.any()) == (1, args[6], False)  # all here
         assert_same_batch(got, want)
 
     @pytest.mark.parametrize("where", ["worker", "unpicklable", "killed", "caller", "fork"])
@@ -450,7 +515,7 @@ class TestWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("why", ["thread", "no fork", "memory"])
+    @pytest.mark.parametrize("why", ["thread", "no fork", "budget"])
     def test_stays_serial(self, monkeypatch, why):
         args = stacked_args("heterogeneous")
         want = self.serial(monkeypatch, args)
@@ -459,12 +524,8 @@ class TestWorkers:
             monkeypatch.delattr(os, "fork")
         else:
             monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-        if why == "memory":  # one seed fits in memory, two do not
-            monkeypatch.setattr(_engine, "MEMORY_BYTES", 1)
-            with pytest.raises(ValueError, match="bytes for one seed") as info:
-                _engine.simulate_points(*args)
-            one_seed = re.search(r"about ([\d,]+) bytes", str(info.value)).group(1)
-            monkeypatch.setattr(_engine, "MEMORY_BYTES", int(one_seed.replace(",", "")))
+        if why == "budget":  # one seed fits in the serial budget, two do not
+            monkeypatch.setattr(_engine, "SLAB_BYTES", 2 * self.one_seed(monkeypatch, args) - 1)
         if why != "thread":
             assert_same_batch(_engine.simulate_points(*args), want)
             return
