@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 import ringhub as rh
+from ringhub.equilibrium import scaled_costs
 
 # Interchanges are spread as evenly as the ring allows. When the count
 # divides the ring size the spacing is exact.
@@ -26,19 +27,18 @@ print()
 
 # Price a handful of trips on the default network. The inside route is
 # attractive when the hub shortcut saves more ring walking than the access
-# legs cost.
+# legs cost. Costs come out as exact integers on the network's price scale.
 net = rh.build_network(rh.NetworkConfig(N=100, hub_links=4, L=80))
-alpha, beta = net.config.alpha, net.config.beta
-for origin, destination in [(0, 50), (3, 52), (10, 12), (40, 90)]:
-    od = rh.ODPair(origin=origin, destination=destination)
-    outside = rh.outside_cost(od, net.N)
-    route = rh.best_inside_route(od, net)
-    quiet = rh.inside_cost(route, False, alpha, beta)
-    crowded = rh.inside_cost(route, True, alpha, beta)
+scale = net.config.scale
+trips = [(0, 50), (3, 52), (10, 12), (40, 90)]
+origins, dests = zip(*trips)
+d_out, d_access, d_hub = rh.route_table(net, origins, dests)
+_, quiet, crowded = scaled_costs(net.config, (d_out, d_access, d_hub))
+for k, (origin, destination) in enumerate(trips):
     print(
-        f"trip {origin:>2} -> {destination:<2} outside={outside:>2} "
-        f"inside via ({route.h_in},{route.h_out}): "
-        f"quiet={float(quiet):.1f} crowded={float(crowded):.1f}"
+        f"trip {origin:>2} -> {destination:<2} outside={d_out[k]:>2} "
+        f"inside legs (access={d_access[k]}, hub={d_hub[k]}): "
+        f"quiet={quiet[k] / scale:.1f} crowded={crowded[k] / scale:.1f}"
     )
 
 print()
@@ -47,9 +47,8 @@ print()
 # and count the agents whose uncongested inside route beats the ring.
 rng = np.random.default_rng(7)
 od_pairs = rh.assign_destinations(net, rng)
-advantages, outside_costs, inside_costs = rh.cost_advantages(net, od_pairs)
-n_p = rh.potential_count(advantages)
-print(f"potential hub users for this trip table: {n_p} of {net.N}")
+advantages, _, _ = rh.cost_advantages(net, od_pairs)
+print(f"potential hub users for this trip table: {(advantages > 0).sum()} of {net.N}")
 
 # The same count as the hub thins out: fewer interchanges mean longer
 # access walks, so fewer trips benefit.
@@ -57,8 +56,8 @@ for lam in (2, 4, 10, 25, 50):
     thin = rh.build_network(rh.NetworkConfig(N=100, hub_links=lam, L=80))
     pairs = rh.assign_destinations(thin, np.random.default_rng(7))
     adv, _, _ = rh.cost_advantages(thin, pairs)
-    print(f"hub_links={lam:>2}: potential users={rh.potential_count(adv):>3}")
+    print(f"hub_links={lam:>2}: potential users={(adv > 0).sum():>3}")
 
 # Mean advantage of the best inside route, exact arithmetic throughout.
-mean_l = sum((a.l for a in advantages), Fraction(0)) / len(advantages)
+mean_l = Fraction(int(advantages.sum()), net.N * scale)
 print(f"\nmean cost advantage of the hub at hub_links=4: {mean_l} = {float(mean_l):.3f}")

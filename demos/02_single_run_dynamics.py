@@ -32,8 +32,7 @@ print(f"  potential hub users  {metrics.n_p:.0f}")
 # The matching equilibrium baseline for the same trip table.
 net = rh.build_network(cfg.network)
 od_pairs = rh.assign_destinations(net, np.random.default_rng(cfg.seed))
-advantages, outside, inside = rh.cost_advantages(net, od_pairs)
-ne = rh.ne_costs(advantages, outside, inside, cfg.network.L)
+ne = rh.ne_costs(cfg.network, *rh.cost_advantages(net, od_pairs))
 print(f"  equilibrium band     [{float(ne.c_best):.4f}, {float(ne.c_worst):.4f}]")
 
 # A sideways sparkline of the hub load: early exploration settles into a

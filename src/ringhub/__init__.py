@@ -21,26 +21,14 @@ from .cli import (
     read_rows,
     run_sweep,
 )
-from .equilibrium import (
-    CostAdvantage,
-    NEResult,
-    brute_force_ne,
-    cost_advantages,
-    ne_costs,
-    potential_count,
-)
+from .equilibrium import NEResult, cost_advantages, ne_costs
 from .network import (
-    InsideRoute,
     Network,
     NetworkConfig,
     ODPair,
     assign_destinations,
-    best_inside_route,
     build_network,
-    inside_cost,
     interchange_positions,
-    outside_cost,
-    ring_distance,
     route_table,
 )
 from .sim import (
@@ -66,23 +54,15 @@ __all__ = [
     "preset_specs",
     "read_rows",
     "run_sweep",
-    "CostAdvantage",
     "NEResult",
-    "brute_force_ne",
     "cost_advantages",
     "ne_costs",
-    "potential_count",
-    "InsideRoute",
     "Network",
     "NetworkConfig",
     "ODPair",
     "assign_destinations",
-    "best_inside_route",
     "build_network",
-    "inside_cost",
     "interchange_positions",
-    "outside_cost",
-    "ring_distance",
     "route_table",
     "Metrics",
     "ReplicateResult",

@@ -487,8 +487,7 @@ def _parent_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]
 def _cmd_run(args) -> int:
     cfg = config_with(SimConfig(), **_given(args))
     if args.trace and args.reps != 1:
-        print("error: --trace requires --reps 1", file=sys.stderr)
-        return 2
+        raise ValueError("--trace requires --reps 1")
     if args.out_dir is not None and not args.trace:
         raise ValueError("out-dir: --out-dir needs --trace")
     if args.reps == 1:
@@ -526,12 +525,10 @@ def _cmd_sweep(args) -> int:
         docs = [(Path(args.config).stem, _read_json(args.config))]
     elif args.sweep_variable:
         if args.values is None:
-            print("error: --values is required with --variable", file=sys.stderr)
-            return 2
+            raise ValueError("--values is required with --variable")
         docs = [("results", {})]
     else:
-        print("error: give --preset, --config, or --variable", file=sys.stderr)
-        return 2
+        raise ValueError("give --preset, --config, or --variable")
     named = [(basename, _spec_from_doc(doc, **given)) for basename, doc in docs]
 
     paths: list[Path] = []
@@ -559,8 +556,7 @@ def _cmd_ne(args) -> int:
     net = build_network(NetworkConfig(**given))
     _require_int(seed, "seed", 0, INT64_MAX)
     od_pairs = assign_destinations(net, np.random.default_rng(seed))
-    advantages, outside, inside = cost_advantages(net, od_pairs)
-    result = ne_costs(advantages, outside, inside, net.config.L)
+    result = ne_costs(net.config, *cost_advantages(net, od_pairs))
     print(f"n_p={result.n_p}")
     print(f"c_best={result.c_best} ({float(result.c_best)})")
     print(f"c_worst={result.c_worst} ({float(result.c_worst)})")

@@ -4,52 +4,33 @@ An agent is a potential hub user when its uncongested inside route strictly
 beats its outside route (advantage l > 0). In equilibrium the hub carries at
 most its capacity L, is therefore never congested, and only potential users
 enter. The closed form below evaluates the two extreme equilibria (the
-cheapest and the dearest allocation of hub slots); a brute-force enumerator
-over small instances serves as its oracle.
+cheapest and the dearest allocation of hub slots).
 
-All arithmetic is exact. Costs are priced once, as integers scaled by the
-lcm of the alpha and beta denominators (scaled_costs), and the closed form
-(ne_totals) works on those integers for the batched engine and, with Python
-integers, for the Fraction API.
+All arithmetic is exact. Costs are priced once, as int64 integers scaled by
+the lcm of the alpha and beta denominators (scaled_costs), and the closed
+form (ne_totals) works on those integers for the batched engine and for
+ringhub ne alike; NetworkConfig's check_cost_sums(1) keeps N agents' sums
+inside int64. Fractions appear only in NEResult. The brute-force enumerator
+the closed form is checked against lives with the tests, in
+tests/reference.py.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .network import (
-    Network,
-    NetworkConfig,
-    ODPair,
-    best_inside_route,
-    inside_cost,
-    outside_cost,
-    route_table,
-)
+from .network import Network, NetworkConfig, ODPair, route_table
 
 __all__ = [
-    "CostAdvantage",
     "NEResult",
     "scaled_costs",
     "ne_totals",
     "cost_advantages",
-    "potential_count",
     "ne_costs",
-    "brute_force_ne",
 ]
-
-
-@dataclass(frozen=True)
-class CostAdvantage:
-    """Agent index and its advantage l = c_out - c_in(uncongested)."""
-
-    agent: int
-    l: Fraction
 
 
 @dataclass(frozen=True)
@@ -81,9 +62,9 @@ def scaled_costs(cfg: NetworkConfig, geometry) -> tuple[np.ndarray, np.ndarray, 
 def ne_totals(l, out, inu, L) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Total costs of the best and worst equilibrium of each run.
 
-    l, out and inu are (runs, agents) arrays of advantages, outside costs and
-    uncongested inside costs on one integer scale: int64, or Python ints in
-    object arrays. L is the hub capacity, one for all runs or one per run.
+    l, out and inu are (runs, agents) int64 arrays of advantages, outside
+    costs and uncongested inside costs on one integer scale. L is the hub
+    capacity, one for all runs or one per run.
     Agents are ranked by descending advantage, ties by index. The best
     allocation seats the min(n_p, L) most-advantaged potential users (l > 0),
     the worst the least-advantaged ones; everyone else drives outside.
@@ -91,7 +72,8 @@ def ne_totals(l, out, inu, L) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The allocations are equilibria whenever beta >= 1: the ring distance obeys
     d(O,D) <= d_access + d_hub, so joining a full hub at the congested price
-    can never beat the outside route. For beta < 1 consult brute_force_ne.
+    can never beat the outside route. For beta < 1 the tests' brute-force
+    enumerator (tests/reference.py) is the judge.
     """
     order = np.argsort(-l, axis=1, kind="stable")
     seated = np.zeros((l.shape[0], l.shape[1] + 1), dtype=out.dtype)
@@ -108,116 +90,36 @@ def ne_totals(l, out, inu, L) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def cost_advantages(
     net: Network, od_pairs: list[ODPair]
-) -> tuple[list[CostAdvantage], list[int], list[Fraction]]:
-    """Per-agent advantages plus the cost arrays ne_costs consumes.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-agent (l, out, inu) on net.config.scale, the arrays ne_costs takes.
 
-    Returns (advantages, outside_costs, inside_costs_uncongested), all
-    indexed by agent.
+    Three (N,) int64 arrays indexed by agent: the advantage out - inu, the
+    outside cost and the uncongested inside cost, each times the scale.
     """
     geometry = route_table(
         net, [od.origin for od in od_pairs], [od.destination for od in od_pairs]
     )
     out, inu, _ = scaled_costs(net.config, geometry)
-    scale = net.config.scale
-    advantages = [
-        CostAdvantage(agent=n, l=Fraction(l, scale)) for n, l in enumerate((out - inu).tolist())
-    ]
-    return advantages, geometry[0].tolist(), [Fraction(c, scale) for c in inu.tolist()]
+    return out - inu, out, inu
 
 
-def potential_count(advantages: list[CostAdvantage]) -> int:
-    """Number of agents whose inside route strictly beats their outside route."""
-    return sum(1 for adv in advantages if adv.l > 0)
-
-
-def ne_costs(
-    advantages: list[CostAdvantage],
-    outside_costs: list[int | Fraction],
-    inside_costs_uncongested: list[Fraction],
-    L: int,
-) -> NEResult:
+def ne_costs(cfg: NetworkConfig, l, out, inu) -> NEResult:
     """Average cost of the best and worst equilibrium hub allocations.
 
-    Agents are ranked by descending advantage, ties by agent index; see
-    ne_totals for the allocations. The inputs are put on one common
-    denominator as Python integers, so the result is exact for any rationals.
+    l, out and inu are cost_advantages' (N,) int64 arrays on cfg.scale; see
+    ne_totals for the allocations.
     """
-    n = len(advantages)
-    if not (len(outside_costs) == n and len(inside_costs_uncongested) == n):
-        raise ValueError(
-            "inconsistent lengths: "
-            f"{n} advantages, {len(outside_costs)} outside costs, "
-            f"{len(inside_costs_uncongested)} inside costs"
-        )
-    advantage = [Fraction(0)] * n
-    for adv in advantages:
-        advantage[adv.agent] = Fraction(adv.l)
-    costs = [
-        advantage,
-        [Fraction(c) for c in outside_costs],
-        [Fraction(c) for c in inside_costs_uncongested],
-    ]
-    scale = math.lcm(*(x.denominator for xs in costs for x in xs))
-    n_p, best, worst = ne_totals(
-        *(np.array([[x.numerator * (scale // x.denominator) for x in xs]], dtype=object) for xs in costs),
-        L,
-    )
+    runs = []
+    for field, costs in (("l", l), ("out", out), ("inu", inu)):
+        costs = np.asarray(costs)
+        if costs.shape != (cfg.N,) or costs.dtype != np.int64:
+            raise ValueError(
+                f"{field} must be an int64 array of N={cfg.N} scaled costs, "
+                f"got {costs.dtype} of shape {costs.shape}"
+            )
+        runs.append(costs[None])
+    n_p, best, worst = ne_totals(*runs, cfg.L)
+    denominator = cfg.N * cfg.scale
     return NEResult(
-        n_p=int(n_p[0]), c_best=Fraction(best[0], n * scale), c_worst=Fraction(worst[0], n * scale)
+        int(n_p[0]), Fraction(int(best[0]), denominator), Fraction(int(worst[0]), denominator)
     )
-
-
-def brute_force_ne(
-    network: Network, od_pairs: list[ODPair], L: int
-) -> tuple[Fraction, Fraction]:
-    """Extreme equilibrium average costs by exhaustive enumeration.
-
-    Enumerates every subset of potential agents of size min(n_p, L) as the
-    hub population, keeps the subsets no agent wants to leave or join
-    unilaterally, and returns the (min, max) average cost over them. Only
-    feasible for small instances.
-    """
-    n = len(od_pairs)
-    if n > 16:
-        raise ValueError(f"instance too large for enumeration: N={n} > 16")
-    cfg = network.config
-    c_out: list[Fraction] = []
-    c_in_unc: list[Fraction] = []
-    c_in_con: list[Fraction] = []
-    for od in od_pairs:
-        route = best_inside_route(od, network)
-        c_out.append(Fraction(outside_cost(od, network.N)))
-        c_in_unc.append(inside_cost(route, False, cfg.alpha, cfg.beta))
-        c_in_con.append(inside_cost(route, True, cfg.alpha, cfg.beta))
-
-    potential = [a for a in range(n) if c_out[a] > c_in_unc[a]]
-    k = min(len(potential), L)
-
-    best: Fraction | None = None
-    worst: Fraction | None = None
-    for subset in itertools.combinations(potential, k):
-        inside = set(subset)
-        congested_if_joined = (k + 1) > L
-        stable = True
-        for a in range(n):
-            if a in inside:
-                if c_out[a] < c_in_unc[a]:  # leaving would pay off
-                    stable = False
-                    break
-            else:
-                joined_cost = c_in_con[a] if congested_if_joined else c_in_unc[a]
-                if joined_cost < c_out[a]:  # joining would pay off
-                    stable = False
-                    break
-        if not stable:
-            continue
-        total = sum(c_out[a] for a in range(n) if a not in inside)
-        total += sum(c_in_unc[a] for a in inside)
-        avg = total / n
-        if best is None or avg < best:
-            best = avg
-        if worst is None or avg > worst:
-            worst = avg
-    if best is None or worst is None:
-        raise ValueError("no equilibrium among capacity-respecting allocations")
-    return best, worst

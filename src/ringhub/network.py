@@ -20,15 +20,10 @@ __all__ = [
     "NetworkConfig",
     "Network",
     "ODPair",
-    "InsideRoute",
     "build_network",
     "interchange_positions",
-    "ring_distance",
     "draw_destinations",
     "assign_destinations",
-    "outside_cost",
-    "best_inside_route",
-    "inside_cost",
     "route_table",
 ]
 
@@ -131,26 +126,6 @@ class ODPair:
             raise ValueError("origin and destination must differ")
 
 
-@dataclass(frozen=True)
-class InsideRoute:
-    """Least-cost hub route: entry interchange, exit interchange, leg lengths.
-
-    d_access is d(O, h_in) + d(h_out, D); d_hub is d(h_in, h_out). The hub
-    crossing is the only leg whose price depends on congestion.
-    """
-
-    h_in: int
-    h_out: int
-    d_access: int
-    d_hub: int
-
-    def __post_init__(self) -> None:
-        if self.h_in == self.h_out:
-            raise ValueError("inside route must use two distinct interchanges")
-        if self.d_access < 0 or self.d_hub < 1:
-            raise ValueError("leg lengths out of range")
-
-
 def interchange_positions(N: int, hub_links: int) -> tuple[int, ...]:
     """Evenly spaced interchange nodes: round(i*N/hub_links), half up.
 
@@ -168,14 +143,6 @@ def build_network(cfg: NetworkConfig) -> Network:
     return Network(config=cfg, interchanges=interchange_positions(cfg.N, cfg.hub_links))
 
 
-def ring_distance(i: int, j: int, N: int) -> int:
-    """Shortest path length between nodes i and j along the ring."""
-    if not (0 <= i < N and 0 <= j < N):
-        raise IndexError(f"node index out of range for N={N}: ({i}, {j})")
-    d = abs(i - j)
-    return min(d, N - d)
-
-
 def draw_destinations(N: int, rng: np.random.Generator) -> np.ndarray:
     """One destination per agent, uniform over the other N-1 nodes.
 
@@ -191,58 +158,16 @@ def assign_destinations(net: Network, rng: np.random.Generator) -> list[ODPair]:
     return [ODPair(o, d) for o, d in enumerate(draw_destinations(net.N, rng).tolist())]
 
 
-def outside_cost(od: ODPair, N: int) -> int:
-    """Ring-route cost: the peripheral distance from origin to destination."""
-    return ring_distance(od.origin, od.destination, N)
-
-
-def best_inside_route(od: ODPair, net: Network, alpha: Fraction | None = None) -> InsideRoute:
-    """Cheapest hub route for od under the uncongested price alpha.
-
-    Scans all ordered pairs of distinct interchanges; ties go to the
-    lexicographically smallest (h_in, h_out). The route is fixed for a whole
-    run and only re-priced when the hub congests.
-    """
-    if alpha is None:
-        alpha = net.config.alpha
-    alpha = _as_fraction(alpha, "alpha")
-    n = net.N
-    best: InsideRoute | None = None
-    best_cost: Fraction | None = None
-    for h_in in net.interchanges:
-        d_in = ring_distance(od.origin, h_in, n)
-        for h_out in net.interchanges:
-            if h_out == h_in:
-                continue
-            d_hub = ring_distance(h_in, h_out, n)
-            d_access = d_in + ring_distance(h_out, od.destination, n)
-            cost = d_access + alpha * d_hub
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best = InsideRoute(h_in, h_out, d_access, d_hub)
-    assert best is not None  # guaranteed by hub_links >= 2
-    return best
-
-
-def inside_cost(
-    route: InsideRoute,
-    congested: bool,
-    alpha: Fraction = Fraction(1, 2),
-    beta: Fraction = Fraction(3, 2),
-) -> Fraction:
-    """Realized hub-route cost: access legs plus the priced hub crossing."""
-    factor = _as_fraction(beta if congested else alpha, "beta" if congested else "alpha")
-    return route.d_access + factor * route.d_hub
-
-
 def route_table(net: Network, origins, dests) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized route geometry for the given (origin, destination) pairs.
 
     origins and dests are integer arrays that broadcast to one shape; the
-    result is (d_out, d_access, d_hub), three int64 arrays of that shape.
-    Each pair gets the route best_inside_route picks, including its
-    lexicographic tie-break; a pair with origin == destination carries no
-    meaning.
+    result is (d_out, d_access, d_hub), three int64 arrays of that shape:
+    the ring distance from origin to destination, and the legs of the
+    cheapest hub route under the uncongested price alpha. d_access is
+    d(O, h_in) + d(h_out, D) and d_hub is d(h_in, h_out), over ordered pairs
+    of distinct interchanges; ties go to the lexicographically smallest
+    (h_in, h_out). A pair with origin == destination carries no meaning.
 
     The argmin runs on integer costs scaled by alpha's denominator, so route
     selection is exact. Stage 1 finds the best exit per (entry, destination)

@@ -1,20 +1,156 @@
-"""Slow scalar reference simulator used as the oracle for the batched engine.
+"""Scalar oracles for the vectorized package: route geometry, the
+equilibrium band and a slow reference simulator.
 
-A self-contained loop over agents and steps that shares no code with the
-engine beyond the network's scalar route functions. It consumes random
-samples in the draw order documented in ringhub._engine (destinations, bias
-draws, tables, history bits, then per-step draws agent-major), so a correct
-engine must reproduce its output bit for bit.
+ring_distance, best_inside_route and inside_cost price one trip at a time,
+brute_force_ne enumerates hub allocations, and reference_run is a
+self-contained loop over agents and steps. They share no geometry, cost or
+equilibrium code with ringhub, only its configs, build_network and
+assign_destinations. reference_run consumes random samples in the draw
+order documented in ringhub._engine (destinations, bias draws, tables,
+history bits, then per-step draws agent-major), so a correct engine must
+reproduce its output bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 import ringhub as rh
+
+
+def ring_distance(i: int, j: int, N: int) -> int:
+    """Shortest path length between nodes i and j along the ring."""
+    if not (0 <= i < N and 0 <= j < N):
+        raise IndexError(f"node index out of range for N={N}: ({i}, {j})")
+    d = abs(i - j)
+    return min(d, N - d)
+
+
+def outside_cost(od: rh.ODPair, N: int) -> int:
+    """Ring-route cost: the peripheral distance from origin to destination."""
+    return ring_distance(od.origin, od.destination, N)
+
+
+@dataclass(frozen=True)
+class InsideRoute:
+    """Least-cost hub route: entry interchange, exit interchange, leg lengths.
+
+    d_access is d(O, h_in) + d(h_out, D); d_hub is d(h_in, h_out). The hub
+    crossing is the only leg whose price depends on congestion.
+    """
+
+    h_in: int
+    h_out: int
+    d_access: int
+    d_hub: int
+
+    def __post_init__(self) -> None:
+        if self.h_in == self.h_out:
+            raise ValueError("inside route must use two distinct interchanges")
+        if self.d_access < 0 or self.d_hub < 1:
+            raise ValueError("leg lengths out of range")
+
+
+def best_inside_route(od: rh.ODPair, net: rh.Network) -> InsideRoute:
+    """Cheapest hub route for od under the uncongested price alpha.
+
+    Scans all ordered pairs of distinct interchanges; ties go to the
+    lexicographically smallest (h_in, h_out).
+    """
+    alpha = net.config.alpha
+    n = net.N
+    best: InsideRoute | None = None
+    best_cost: Fraction | None = None
+    for h_in in net.interchanges:
+        d_in = ring_distance(od.origin, h_in, n)
+        for h_out in net.interchanges:
+            if h_out == h_in:
+                continue
+            d_hub = ring_distance(h_in, h_out, n)
+            d_access = d_in + ring_distance(h_out, od.destination, n)
+            cost = d_access + alpha * d_hub
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best = InsideRoute(h_in, h_out, d_access, d_hub)
+    assert best is not None  # guaranteed by hub_links >= 2
+    return best
+
+
+def inside_cost(route: InsideRoute, congested: bool, alpha: Fraction, beta: Fraction) -> Fraction:
+    """Realized hub-route cost: access legs plus the priced hub crossing."""
+    return route.d_access + (beta if congested else alpha) * route.d_hub
+
+
+def scalar_costs(net: rh.Network, od_pairs: list[rh.ODPair]):
+    """Per-agent (outside, inside uncongested, inside congested) cost lists."""
+    alpha, beta = net.config.alpha, net.config.beta
+    c_out: list[int] = []
+    c_in_unc: list[Fraction] = []
+    c_in_con: list[Fraction] = []
+    for od in od_pairs:
+        route = best_inside_route(od, net)
+        c_out.append(outside_cost(od, net.N))
+        c_in_unc.append(inside_cost(route, False, alpha, beta))
+        c_in_con.append(inside_cost(route, True, alpha, beta))
+    return c_out, c_in_unc, c_in_con
+
+
+def potential_users(net: rh.Network, od_pairs: list[rh.ODPair]) -> int:
+    """Agents whose uncongested inside route strictly beats the ring."""
+    c_out, c_in_unc, _ = scalar_costs(net, od_pairs)
+    return sum(1 for out, inu in zip(c_out, c_in_unc) if out > inu)
+
+
+def brute_force_ne(
+    network: rh.Network, od_pairs: list[rh.ODPair], L: int
+) -> tuple[Fraction, Fraction]:
+    """Extreme equilibrium average costs by exhaustive enumeration.
+
+    Enumerates every subset of potential agents of size min(n_p, L) as the
+    hub population, keeps the subsets no agent wants to leave or join
+    unilaterally, and returns the (min, max) average cost over them. Only
+    feasible for small instances.
+    """
+    n = len(od_pairs)
+    if n > 16:
+        raise ValueError(f"instance too large for enumeration: N={n} > 16")
+    c_out, c_in_unc, c_in_con = scalar_costs(network, od_pairs)
+
+    potential = [a for a in range(n) if c_out[a] > c_in_unc[a]]
+    k = min(len(potential), L)
+
+    best: Fraction | None = None
+    worst: Fraction | None = None
+    for subset in itertools.combinations(potential, k):
+        inside = set(subset)
+        congested_if_joined = (k + 1) > L
+        stable = True
+        for a in range(n):
+            if a in inside:
+                if c_out[a] < c_in_unc[a]:  # leaving would pay off
+                    stable = False
+                    break
+            else:
+                joined_cost = c_in_con[a] if congested_if_joined else c_in_unc[a]
+                if joined_cost < c_out[a]:  # joining would pay off
+                    stable = False
+                    break
+        if not stable:
+            continue
+        total = sum(c_out[a] for a in range(n) if a not in inside)
+        total += sum(c_in_unc[a] for a in inside)
+        avg = Fraction(total) / n
+        if best is None or avg < best:
+            best = avg
+        if worst is None or avg > worst:
+            worst = avg
+    if best is None or worst is None:
+        raise ValueError("no equilibrium among capacity-respecting allocations")
+    return best, worst
 
 
 @dataclass
@@ -66,18 +202,10 @@ def credit(table: np.ndarray, scores: np.ndarray, mu: int, c_out, c_in) -> None:
 
 def reference_run(cfg: rh.SimConfig) -> ReferenceTrace:
     net = rh.build_network(cfg.network)
-    alpha, beta = cfg.network.alpha, cfg.network.beta
     rng = np.random.default_rng(cfg.seed)
     od_pairs = rh.assign_destinations(net, rng)
 
-    c_out: list[int] = []
-    c_in_unc: list[Fraction] = []
-    c_in_con: list[Fraction] = []
-    for od in od_pairs:
-        route = rh.best_inside_route(od, net)
-        c_out.append(rh.outside_cost(od, net.N))
-        c_in_unc.append(rh.inside_cost(route, False, alpha, beta))
-        c_in_con.append(rh.inside_cost(route, True, alpha, beta))
+    c_out, c_in_unc, c_in_con = scalar_costs(net, od_pairs)
     n_p = sum(1 for n in range(net.N) if c_out[n] > c_in_unc[n])
 
     adaptive = cfg.mode != "random"

@@ -19,6 +19,8 @@ import ringhub as rh
 from ringhub import _engine, cli
 from ringhub.sim import config_with
 
+from reference import brute_force_ne, ring_distance
+
 BASE = rh.SimConfig(seed=1)  # N=100, hub_links=4, L=80, M=2, S=8, T=1000, warmup=500
 BASELINE_R = 200  # replications per point of the baseline lambda sweep
 
@@ -285,11 +287,11 @@ def test_criterion_8_equilibrium_oracle_equivalence(criterion):
         n = int(rng.integers(4, 13))
         lam = int(rng.integers(2, n + 1))
         cap = int(rng.integers(1, n + 1))
-        net = rh.build_network(rh.NetworkConfig(N=n, hub_links=lam, L=cap))
+        cfg = rh.NetworkConfig(N=n, hub_links=lam, L=cap)
+        net = rh.build_network(cfg)
         od_pairs = rh.assign_destinations(net, rng)
-        advantages, outs, ins = rh.cost_advantages(net, od_pairs)
-        closed = rh.ne_costs(advantages, outs, ins, cap)
-        best, worst = rh.brute_force_ne(net, od_pairs, cap)
+        closed = rh.ne_costs(cfg, *rh.cost_advantages(net, od_pairs))
+        best, worst = brute_force_ne(net, od_pairs, cap)
         if (closed.c_best, closed.c_worst) != (best, worst):
             mismatches.append(f"N={n} lambda={lam} L={cap}")
     passed = not mismatches
@@ -330,33 +332,39 @@ def test_criterion_9_property_suite(criterion):
     if float(np.abs(batch.final_scores).max()) > 60:
         failures.append("a virtual score exceeded the step count")
 
-    # ring distance is a metric
+    # ring distance (route_table's d_out) is a metric and equals the oracle's
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(4, 60))
         i, j, k = (int(x) for x in rng.integers(0, n, size=3))
-        dij = rh.ring_distance(i, j, n)
-        if rh.ring_distance(i, i, n) != 0:
+        net = rh.build_network(rh.NetworkConfig(N=n, hub_links=2, L=1))
+        dij, dii, dji, dik, djk = (
+            int(d) for d in rh.route_table(net, [i, i, j, i, j], [j, i, i, k, k])[0]
+        )
+        if dii != 0:
             failures.append(f"d({i},{i}) != 0 on N={n}")
-        if dij != rh.ring_distance(j, i, n):
+        if dij != dji:
             failures.append(f"asymmetric distance on N={n}")
         if (i != j) == (dij == 0):
             failures.append(f"zero distance iff equal violated on N={n}")
-        if rh.ring_distance(i, k, n) > dij + rh.ring_distance(j, k, n):
+        if dik > dij + djk:
             failures.append(f"triangle inequality violated on N={n}")
+        if [dij, dik, djk] != [ring_distance(*pair, n) for pair in ((i, j), (i, k), (j, k))]:
+            failures.append(f"route_table distance differs from the oracle on N={n}")
 
-    # chosen hub route is optimal among all interchange pairs
+    # route_table's hub route is optimal among all interchange pairs
     for _ in range(40):
         n = int(rng.integers(4, 21))
         lam = int(rng.integers(2, n + 1))
         net = rh.build_network(rh.NetworkConfig(N=n, hub_links=lam, L=1))
-        for od in rh.assign_destinations(net, rng):
-            route = rh.best_inside_route(od, net)
-            got = rh.inside_cost(route, False, net.config.alpha, net.config.beta)
+        od_pairs = rh.assign_destinations(net, rng)
+        _, d_access, d_hub = rh.route_table(net, np.arange(n), [od.destination for od in od_pairs])
+        for od, access, hub in zip(od_pairs, d_access.tolist(), d_hub.tolist()):
+            got = access + net.config.alpha * hub
             best = min(
-                rh.ring_distance(od.origin, a, n)
-                + rh.ring_distance(b, od.destination, n)
-                + net.config.alpha * rh.ring_distance(a, b, n)
+                ring_distance(od.origin, a, n)
+                + ring_distance(b, od.destination, n)
+                + net.config.alpha * ring_distance(a, b, n)
                 for a in net.interchanges
                 for b in net.interchanges
                 if a != b

@@ -12,6 +12,8 @@ import pytest
 import ringhub as rh
 from ringhub import _engine, cli
 
+from reference import brute_force_ne, potential_users
+
 
 def tiny_base(**overrides) -> rh.SimConfig:
     net = rh.NetworkConfig(N=12, hub_links=3, L=5)
@@ -347,11 +349,10 @@ class TestMain:
         cfg = tiny_base()
         net = rh.build_network(cfg.network)
         od_pairs = rh.assign_destinations(net, np.random.default_rng(cfg.seed))
-        advantages, outs, ins = rh.cost_advantages(net, od_pairs)
-        want = rh.ne_costs(advantages, outs, ins, cfg.network.L)
-        assert f"n_p={want.n_p}" in out
-        assert f"c_best={want.c_best}" in out
-        assert f"c_worst={want.c_worst}" in out
+        best, worst = brute_force_ne(net, od_pairs, cfg.network.L)
+        assert f"n_p={potential_users(net, od_pairs)}" in out.splitlines()
+        assert f"c_best={best} ({float(best)})" in out.splitlines()
+        assert f"c_worst={worst} ({float(worst)})" in out.splitlines()
 
     def test_ne_takes_prices_too_fine_for_a_simulation(self, capsys):
         # T=1000 steps of these prices' cost sums could pass int64, but ne

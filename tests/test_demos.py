@@ -1,4 +1,6 @@
-"""Smoke tests for the demos that call the public scalar API."""
+"""Smoke tests for the demos that call the route geometry and the
+equilibrium API directly (route_table, scaled_costs, cost_advantages,
+ne_costs)."""
 
 from __future__ import annotations
 

@@ -9,42 +9,46 @@ import numpy as np
 import pytest
 
 import ringhub as rh
+from ringhub.equilibrium import ne_totals
+
+from reference import brute_force_ne, potential_users
 
 
-def synthetic(ls, outs, ins=None):
-    """Build the ne_costs argument triple from plain numbers."""
-    advantages = [rh.CostAdvantage(agent=i, l=Fraction(l)) for i, l in enumerate(ls)]
-    if ins is None:
-        ins = [Fraction(o) - Fraction(l) for o, l in zip(outs, ls)]
-    return advantages, list(outs), [Fraction(c) for c in ins]
+def closed_form(ls, outs, L, scale=1):
+    """ne_totals on one run of integer advantages and outside costs, in units
+    of 1/scale: (n_p, best average, worst average) as exact Fractions."""
+    l = np.array([ls], dtype=np.int64)
+    out = np.array([outs], dtype=np.int64)
+    n_p, best, worst = ne_totals(l, out, out - l, L)
+    denominator = l.shape[1] * scale
+    return int(n_p[0]), Fraction(int(best[0]), denominator), Fraction(int(worst[0]), denominator)
 
 
 class TestPotentialCount:
     def test_strictly_positive_advantage_counts(self):
-        advantages, _, _ = synthetic([Fraction(13, 2), 0, -2], [18, 10, 5])
-        assert rh.potential_count(advantages) == 1
+        # advantages 13/2, 0, -2 on scale 2
+        n_p, _, _ = closed_form([13, 0, -4], [36, 20, 10], L=3, scale=2)
+        assert n_p == 1
 
     def test_zero_advantage_excluded(self):
-        advantages, _, _ = synthetic([0, 0], [4, 4])
-        assert rh.potential_count(advantages) == 0
+        n_p, _, _ = closed_form([0, 0], [4, 4], L=2)
+        assert n_p == 0
 
     def test_all_dominated(self):
-        advantages, _, _ = synthetic([-1, -3, -2], [4, 4, 4])
-        assert rh.potential_count(advantages) == 0
+        n_p, _, _ = closed_form([-1, -3, -2], [4, 4, 4], L=3)
+        assert n_p == 0
 
 
 class TestNECosts:
     def test_no_potential_users_means_everyone_outside(self):
-        advantages, outs, ins = synthetic([-1, 0, -5, -2], [7, 3, 9, 4])
-        result = rh.ne_costs(advantages, outs, ins, L=2)
-        assert result.n_p == 0
-        assert result.c_best == result.c_worst == Fraction(7 + 3 + 9 + 4, 4)
+        n_p, best, worst = closed_form([-1, 0, -5, -2], [7, 3, 9, 4], L=2)
+        assert n_p == 0
+        assert best == worst == Fraction(7 + 3 + 9 + 4, 4)
 
     def test_everyone_fits_makes_extremes_coincide(self):
-        advantages, outs, ins = synthetic([5, 3, 1], [10, 10, 10])
-        result = rh.ne_costs(advantages, outs, ins, L=3)
-        assert result.n_p == 3
-        assert result.c_best == result.c_worst == Fraction(5 + 7 + 9, 3)
+        n_p, best, worst = closed_form([5, 3, 1], [10, 10, 10], L=3)
+        assert n_p == 3
+        assert best == worst == Fraction(5 + 7 + 9, 3)
 
     def test_eight_agents_three_potential_two_slots(self):
         # agents 0..2 have advantages 5, 3, 1; five more are outside-bound.
@@ -52,20 +56,18 @@ class TestNECosts:
         # frozen expectations verified below by enumerating all three seatings.
         ls = [5, 3, 1, -1, -1, -1, -1, -1]
         outs = [10, 10, 10, 5, 5, 5, 5, 5]
-        advantages, outs, ins = synthetic(ls, outs)
-        result = rh.ne_costs(advantages, outs, ins, L=2)
-        assert result.n_p == 3
-        assert result.c_best == Fraction(47, 8)
-        assert result.c_worst == Fraction(51, 8)
+        ins = [o - l for o, l in zip(outs, ls)]
+        n_p, best, worst = closed_form(ls, outs, L=2)
+        assert n_p == 3
+        assert best == Fraction(47, 8)
+        assert worst == Fraction(51, 8)
 
         averages = []
         for seated in itertools.combinations([0, 1, 2], 2):
-            total = sum(
-                ins[a] if a in seated else Fraction(outs[a]) for a in range(8)
-            )
-            averages.append(total / 8)
-        assert result.c_best == min(averages)
-        assert result.c_worst == max(averages)
+            total = sum(ins[a] if a in seated else outs[a] for a in range(8))
+            averages.append(Fraction(total, 8))
+        assert best == min(averages)
+        assert worst == max(averages)
 
     def test_best_never_exceeds_worst_or_outside_mean(self):
         rng = np.random.default_rng(4)
@@ -73,41 +75,47 @@ class TestNECosts:
             n = int(rng.integers(2, 12))
             ls = [int(x) for x in rng.integers(-4, 6, size=n)]
             outs = [int(x) for x in rng.integers(1, 20, size=n)]
-            advantages, outs, ins = synthetic(ls, outs)
-            result = rh.ne_costs(advantages, outs, ins, L=int(rng.integers(1, n + 1)))
+            n_p, best, worst = closed_form(ls, outs, L=int(rng.integers(1, n + 1)))
             mean_out = Fraction(sum(outs), n)
-            assert result.c_best <= result.c_worst
-            assert result.c_best <= mean_out
-            if result.n_p == 0:
-                assert result.c_best == mean_out
+            assert best <= worst
+            assert best <= mean_out
+            if n_p == 0:
+                assert best == mean_out
 
     def test_tied_advantages_are_order_invariant(self):
         ls = [2, 2, 2, -1]
         outs = [9, 9, 9, 4]
-        advantages, o, i = synthetic(ls, outs)
-        base = rh.ne_costs(advantages, o, i, L=2)
+        base = closed_form(ls, outs, L=2)
         for perm in itertools.permutations(range(3)):
             order = list(perm) + [3]
-            adv2 = [rh.CostAdvantage(agent=k, l=advantages[j].l) for k, j in enumerate(order)]
-            o2 = [o[j] for j in order]
-            i2 = [i[j] for j in order]
-            other = rh.ne_costs(adv2, o2, i2, L=2)
-            assert (other.c_best, other.c_worst) == (base.c_best, base.c_worst)
+            other = closed_form([ls[j] for j in order], [outs[j] for j in order], L=2)
+            assert other[1:] == base[1:]
 
-    def test_exact_with_denominators_beyond_int64(self):
-        d = Fraction(1, 2**70 + 1)
-        ls = [5, 3, 1, -1, -1, -1, -1, -1]
-        outs = [10, 10, 10, 5, 5, 5, 5, 5]
-        advantages, outs, ins = synthetic([l * d for l in ls], [o * d for o in outs])
-        result = rh.ne_costs(advantages, outs, ins, L=2)
-        assert result.n_p == 3
-        assert result.c_best == Fraction(47, 8) * d
-        assert result.c_worst == Fraction(51, 8) * d
+    def test_exact_with_fine_price_denominators(self):
+        # scale 2 * (2**50 + 1): every total is exact in int64 only because
+        # check_cost_sums(1) admits these prices at N <= 12
+        alpha = Fraction(2**49, 2**50 + 1)
+        rng = np.random.default_rng(70)
+        for _ in range(20):
+            n = int(rng.integers(4, 13))
+            lam = int(rng.integers(2, n + 1))
+            cap = int(rng.integers(1, n + 1))
+            cfg = rh.NetworkConfig(N=n, hub_links=lam, L=cap, alpha=alpha, beta=Fraction(3, 2))
+            assert cfg.scale > 2**50
+            net = rh.build_network(cfg)
+            od_pairs = rh.assign_destinations(net, rng)
+            result = rh.ne_costs(cfg, *rh.cost_advantages(net, od_pairs))
+            assert result.n_p == potential_users(net, od_pairs)
+            assert (result.c_best, result.c_worst) == brute_force_ne(net, od_pairs, cap)
 
     def test_inconsistent_lengths_rejected(self):
-        advantages, outs, ins = synthetic([1, 2], [5, 5])
-        with pytest.raises(ValueError, match="inconsistent"):
-            rh.ne_costs(advantages, outs[:1], ins, L=1)
+        cfg = rh.NetworkConfig(N=8, hub_links=2, L=4)
+        net = rh.build_network(cfg)
+        l, out, inu = rh.cost_advantages(net, rh.assign_destinations(net, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="out must be an int64 array of N=8"):
+            rh.ne_costs(cfg, l, out[:1], inu)
+        with pytest.raises(ValueError, match="inu must be an int64 array of N=8"):
+            rh.ne_costs(cfg, l, out, inu.astype(object))
 
 
 class TestBruteForce:
@@ -116,13 +124,13 @@ class TestBruteForce:
         net = rh.build_network(cfg)
         od_pairs = rh.assign_destinations(net, np.random.default_rng(0))
         with pytest.raises(ValueError, match="too large"):
-            rh.brute_force_ne(net, od_pairs, 5)
+            brute_force_ne(net, od_pairs, 5)
 
     def test_single_allocation_when_everyone_fits(self):
         cfg = rh.NetworkConfig(N=8, hub_links=2, L=8)
         net = rh.build_network(cfg)
         od_pairs = rh.assign_destinations(net, np.random.default_rng(1))
-        best, worst = rh.brute_force_ne(net, od_pairs, 8)
+        best, worst = brute_force_ne(net, od_pairs, 8)
         assert best == worst
 
     def test_matches_closed_form_on_random_instances(self):
@@ -131,33 +139,32 @@ class TestBruteForce:
             n = int(rng.integers(4, 13))
             lam = int(rng.integers(2, n + 1))
             cap = int(rng.integers(1, n + 1))
-            net = rh.build_network(rh.NetworkConfig(N=n, hub_links=lam, L=cap))
+            cfg = rh.NetworkConfig(N=n, hub_links=lam, L=cap)
+            net = rh.build_network(cfg)
             od_pairs = rh.assign_destinations(net, rng)
-            advantages, outs, ins = rh.cost_advantages(net, od_pairs)
-            closed = rh.ne_costs(advantages, outs, ins, cap)
-            best, worst = rh.brute_force_ne(net, od_pairs, cap)
+            closed = rh.ne_costs(cfg, *rh.cost_advantages(net, od_pairs))
+            best, worst = brute_force_ne(net, od_pairs, cap)
             assert closed.c_best == best
             assert closed.c_worst == worst
 
     def test_hub_population_never_exceeds_capacity(self):
         # n_p > L forces exactly L inside for both extremes
-        advantages, outs, ins = synthetic([6, 5, 4, 3], [20, 20, 20, 20])
-        result = rh.ne_costs(advantages, outs, ins, L=2)
-        assert result.n_p == 4
+        n_p, best, worst = closed_form([6, 5, 4, 3], [20, 20, 20, 20], L=2)
+        assert n_p == 4
         # best seats 6,5 -> inside costs 14,15; worst seats 4,3 -> 16,17
-        assert result.c_best == Fraction(14 + 15 + 20 + 20, 4)
-        assert result.c_worst == Fraction(16 + 17 + 20 + 20, 4)
+        assert best == Fraction(14 + 15 + 20 + 20, 4)
+        assert worst == Fraction(16 + 17 + 20 + 20, 4)
 
 
 class TestEngineAgreement:
     def test_per_run_baselines_match_exact_arithmetic(self):
         # the vectorized per-run equilibrium inside the engine must agree
-        # with the Fraction implementation on every draw
+        # with exhaustive enumeration on every draw
         from ringhub import _engine
 
         rng = np.random.default_rng(31)
         for _ in range(25):
-            n = int(rng.integers(6, 30))
+            n = int(rng.integers(6, 13))
             lam = int(rng.integers(2, n + 1))
             cap = int(rng.integers(1, n + 1))
             cfg = rh.NetworkConfig(N=n, hub_links=lam, L=cap)
@@ -165,8 +172,7 @@ class TestEngineAgreement:
             seed = int(rng.integers(0, 10_000))
             batch = _engine.simulate_batch(net, 2, 2, "homogeneous", 2, 1, [seed])
             od_pairs = rh.assign_destinations(net, np.random.default_rng(seed))
-            advantages, outs, ins = rh.cost_advantages(net, od_pairs)
-            exact = rh.ne_costs(advantages, outs, ins, cap)
-            assert int(batch.n_p[0]) == exact.n_p
-            assert batch.ne_best[0] == pytest.approx(float(exact.c_best), abs=1e-12)
-            assert batch.ne_worst[0] == pytest.approx(float(exact.c_worst), abs=1e-12)
+            best, worst = brute_force_ne(net, od_pairs, cap)
+            assert int(batch.n_p[0]) == potential_users(net, od_pairs)
+            assert batch.ne_best[0] == pytest.approx(float(best), abs=1e-12)
+            assert batch.ne_worst[0] == pytest.approx(float(worst), abs=1e-12)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import ringhub as rh
 from ringhub import network
 
+from reference import InsideRoute, best_inside_route, inside_cost, outside_cost, ring_distance
+
 # frozen expectations, computed by hand from the half-up rounding rule
 KNOWN_INTERCHANGES = {
     (8, 4): (0, 2, 4, 6),
@@ -108,11 +110,11 @@ class TestRingDistance:
         "i,j,n,expected", [(0, 3, 8, 3), (0, 6, 8, 2), (5, 5, 8, 0), (0, 50, 100, 50)]
     )
     def test_examples(self, i, j, n, expected):
-        assert rh.ring_distance(i, j, n) == expected
+        assert ring_distance(i, j, n) == expected
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            rh.ring_distance(0, 8, 8)
+            ring_distance(0, 8, 8)
 
     @given(
         st.integers(min_value=4, max_value=200).flatmap(
@@ -122,7 +124,7 @@ class TestRingDistance:
     @settings(max_examples=200, deadline=None)
     def test_metric_axioms(self, quad):
         n, a, b, c = quad
-        d = rh.ring_distance
+        d = ring_distance
         assert d(a, b, n) == d(b, a, n)
         assert (d(a, b, n) == 0) == (a == b)
         assert d(a, c, n) <= d(a, b, n) + d(b, c, n)
@@ -148,25 +150,26 @@ class TestDestinations:
         samples = []
         for _ in range(60):
             for od in rh.assign_destinations(net, rng):
-                samples.append(rh.outside_cost(od, net.N))
+                samples.append(outside_cost(od, net.N))
         samples = np.asarray(samples, dtype=float)
         se = samples.std(ddof=1) / np.sqrt(len(samples))
         assert abs(samples.mean() - float(MEAN_RING_DISTANCE_100)) < 4 * se
 
 
 def brute_force_route(od: rh.ODPair, net: rh.Network, alpha: Fraction) -> tuple:
-    """Independent exhaustive scan over ordered interchange pairs."""
+    """Independent exhaustive scan over ordered interchange pairs:
+    (cost, h_in, h_out, d_access, d_hub) of the lexicographic minimum."""
     best = None
     for h_in in net.interchanges:
         for h_out in net.interchanges:
             if h_in == h_out:
                 continue
-            d_access = rh.ring_distance(od.origin, h_in, net.N) + rh.ring_distance(
+            d_access = ring_distance(od.origin, h_in, net.N) + ring_distance(
                 h_out, od.destination, net.N
             )
-            d_hub = rh.ring_distance(h_in, h_out, net.N)
+            d_hub = ring_distance(h_in, h_out, net.N)
             cost = d_access + alpha * d_hub
-            key = (cost, h_in, h_out)
+            key = (cost, h_in, h_out, d_access, d_hub)
             if best is None or key < best:
                 best = key
     return best
@@ -174,28 +177,31 @@ def brute_force_route(od: rh.ODPair, net: rh.Network, alpha: Fraction) -> tuple:
 
 class TestRoutes:
     def test_outside_cost_is_ring_distance(self):
-        assert rh.outside_cost(rh.ODPair(0, 18), 100) == 18
-        assert rh.outside_cost(rh.ODPair(4, 5), 100) == 1
+        assert outside_cost(rh.ODPair(0, 18), 100) == 18
+        assert outside_cost(rh.ODPair(4, 5), 100) == 1
 
     def test_inside_cost_examples(self):
-        route = rh.InsideRoute(h_in=0, h_out=25, d_access=5, d_hub=13)
-        assert rh.inside_cost(route, congested=False) == Fraction(23, 2)
-        assert float(rh.inside_cost(route, congested=False)) == 11.5
-        assert rh.inside_cost(route, congested=True) == Fraction(49, 2)
-        near = rh.InsideRoute(h_in=0, h_out=2, d_access=0, d_hub=2)
-        assert rh.inside_cost(near, congested=False) == 1
+        prices = rh.NetworkConfig().alpha, rh.NetworkConfig().beta
+        route = InsideRoute(h_in=0, h_out=25, d_access=5, d_hub=13)
+        assert inside_cost(route, False, *prices) == Fraction(23, 2)
+        assert float(inside_cost(route, False, *prices)) == 11.5
+        assert inside_cost(route, True, *prices) == Fraction(49, 2)
+        near = InsideRoute(h_in=0, h_out=2, d_access=0, d_hub=2)
+        assert inside_cost(near, False, *prices) == 1
 
     def test_congested_exceeds_uncongested_by_gap_times_hub_leg(self):
-        route = rh.InsideRoute(h_in=0, h_out=25, d_access=7, d_hub=9)
+        route = InsideRoute(h_in=0, h_out=25, d_access=7, d_hub=9)
         cfg = rh.NetworkConfig()
-        gap = rh.inside_cost(route, True) - rh.inside_cost(route, False)
+        gap = inside_cost(route, True, cfg.alpha, cfg.beta) - inside_cost(
+            route, False, cfg.alpha, cfg.beta
+        )
         assert gap == (cfg.beta - cfg.alpha) * route.d_hub
 
     def test_route_validation(self):
         with pytest.raises(ValueError):
-            rh.InsideRoute(h_in=3, h_out=3, d_access=0, d_hub=1)
+            InsideRoute(h_in=3, h_out=3, d_access=0, d_hub=1)
         with pytest.raises(ValueError):
-            rh.InsideRoute(h_in=0, h_out=1, d_access=0, d_hub=0)
+            InsideRoute(h_in=0, h_out=1, d_access=0, d_hub=0)
 
     @given(
         st.integers(min_value=4, max_value=24).flatmap(
@@ -214,15 +220,18 @@ class TestRoutes:
             d = (d + 1) % n
         net = rh.build_network(rh.NetworkConfig(N=n, hub_links=lam, L=1))
         od = rh.ODPair(o, d)
-        route = rh.best_inside_route(od, net)
-        cost, h_in, h_out = brute_force_route(od, net, net.config.alpha)
-        assert rh.inside_cost(route, False) == cost
+        d_out, d_access, d_hub = rh.route_table(net, o, d)
+        cost, h_in, h_out, want_access, want_hub = brute_force_route(od, net, net.config.alpha)
+        assert d_access + net.config.alpha * d_hub == cost
+        assert (d_out, d_access, d_hub) == (ring_distance(o, d, n), want_access, want_hub)
+        route = best_inside_route(od, net)
         assert (route.h_in, route.h_out) == (h_in, h_out)
 
     def test_all_interchanges_gives_zero_access_entry(self):
         net = rh.build_network(rh.NetworkConfig(N=12, hub_links=12, L=4))
-        route = rh.best_inside_route(rh.ODPair(7, 1), net)
-        assert rh.ring_distance(7, route.h_in, 12) == 0
+        _, d_access, _ = rh.route_table(net, 7, 1)
+        assert d_access == 0
+        assert ring_distance(7, best_inside_route(rh.ODPair(7, 1), net).h_in, 12) == 0
 
     def test_more_interchanges_never_worse(self):
         # nested placements: {0,50} within {0,25,50,75} within the lam=8 set
@@ -231,12 +240,15 @@ class TestRoutes:
         for a, b in zip(nets, nets[1:]):
             assert set(a.interchanges) <= set(b.interchanges)
         rng = np.random.default_rng(2)
-        od_pairs = rh.assign_destinations(nets[0], rng)
-        for od in od_pairs[:40]:
-            costs = [
-                rh.inside_cost(rh.best_inside_route(od, net), False) for net in nets
-            ]
-            assert costs[0] >= costs[1] >= costs[2]
+        od_pairs = rh.assign_destinations(nets[0], rng)[:40]
+        origins = [od.origin for od in od_pairs]
+        dests = [od.destination for od in od_pairs]
+        costs = []
+        for net in nets:
+            _, d_access, d_hub = rh.route_table(net, origins, dests)
+            costs.append([a + net.config.alpha * h for a, h in zip(d_access, d_hub)])
+        for a, b, c in zip(*costs):
+            assert a >= b >= c
 
 
 class TestRouteTable:
@@ -251,8 +263,8 @@ class TestRouteTable:
                 if o == d:
                     continue
                 od = rh.ODPair(o, d)
-                assert d_out[o, d] == rh.outside_cost(od, n)
-                route = rh.best_inside_route(od, net)
+                assert d_out[o, d] == outside_cost(od, n)
+                route = best_inside_route(od, net)
                 assert d_access[o, d] == route.d_access
                 assert d_hub[o, d] == route.d_hub
 
@@ -277,6 +289,6 @@ class TestRouteTable:
             for d in range(20):
                 if o == d:
                     continue
-                route = rh.best_inside_route(rh.ODPair(o, d), net)
+                route = best_inside_route(rh.ODPair(o, d), net)
                 priced = d_access[o, d] + cfg.alpha * d_hub[o, d]
-                assert priced == rh.inside_cost(route, False, cfg.alpha, cfg.beta)
+                assert priced == inside_cost(route, False, cfg.alpha, cfg.beta)

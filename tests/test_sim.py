@@ -1,8 +1,8 @@
 """Simulator driver tests.
 
 The batched engine must agree bit for bit with the scalar reference loop in
-tests/reference.py, a self-contained per-agent loop that shares no code with
-the engine beyond the network's scalar route functions.
+tests/reference.py, a self-contained per-agent loop with its own scalar route
+geometry, which shares no geometry or cost code with the engine.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import ringhub as rh
 from ringhub import _engine
 from ringhub.equilibrium import scaled_costs
 
-from reference import reference_run
+from reference import best_inside_route, inside_cost, outside_cost, reference_run
 
 
 def small_config(mode="homogeneous", S=2, L=5, T=40, warmup=10, seed=99):
@@ -126,11 +126,11 @@ class TestExactCosts:
             if o == d:
                 continue
             od = rh.ODPair(int(o), int(d))
-            route = rh.best_inside_route(od, net)
+            route = best_inside_route(od, net)
             want = [
-                rh.outside_cost(od, n),
-                rh.inside_cost(route, False, net.config.alpha, net.config.beta),
-                rh.inside_cost(route, True, net.config.alpha, net.config.beta),
+                outside_cost(od, n),
+                inside_cost(route, False, net.config.alpha, net.config.beta),
+                inside_cost(route, True, net.config.alpha, net.config.beta),
             ]
             got = [Fraction(int(c[o, d]), scale) for c in costs]
             assert got == want
