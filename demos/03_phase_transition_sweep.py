@@ -5,7 +5,7 @@ settle onto the equilibrium allocation: costs sit inside the analytic band
 and the hub almost never overflows. Adding interchanges recruits more
 potential users than the hub can seat, and past a threshold the population
 overshoots capacity persistently. This script runs the sweep at a reduced
-replication count and writes the CSV table plus SVG charts.
+replication count and writes the CSV table.
 
 Runtime is a couple of minutes; raise REPS for smoother curves.
 """
@@ -28,8 +28,7 @@ spec = cli.SweepSpec(
     modes=("homogeneous", "random"),
 )
 rows = cli.run_sweep(spec)
-paths = cli.emit_outputs(rows, "csv", OUT, basename="phase_transition")
-paths += cli.emit_outputs(rows, "svg", OUT, basename="phase_transition")
+path = cli.emit_outputs(rows, OUT, basename="phase_transition")
 
 print(f"{'lambda':>6} {'avg_cost':>9} {'r':>6} {'hub users':>9} {'NE band':>17}")
 for row in rows:
@@ -46,5 +45,4 @@ transition = next(
     None,
 )
 print(f"\ncongestion ratio first exceeds 0.5 at hub_links={transition}")
-for p in paths:
-    print(f"wrote {p}")
+print(f"wrote {path}")

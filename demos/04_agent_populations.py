@@ -40,7 +40,7 @@ for m in (2, 4, 8):
     )
 
 # Hub-load volatility across the whole sweep, biased learners vs coin
-# flippers, written as CSV + charts.
+# flippers, written as CSV.
 spec = cli.SweepSpec(
     base=rh.sim.config_with(base, M=8),
     sweep_variable="lambda",
@@ -50,8 +50,7 @@ spec = cli.SweepSpec(
     modes=("heterogeneous", "random"),
 )
 rows = cli.run_sweep(spec)
-paths = cli.emit_outputs(rows, "csv", OUT, basename="agent_populations")
-paths += cli.emit_outputs(rows, "svg", OUT, basename="agent_populations")
+path = cli.emit_outputs(rows, OUT, basename="agent_populations")
 het = {r.value: r.std_hub_users for r in rows if r.mode == "heterogeneous"}
 rnd = {r.value: r.std_hub_users for r in rows if r.mode == "random"}
 calmer = sum(1 for v in het if het[v] < rnd[v])
@@ -60,5 +59,4 @@ print(
     f"{calmer}/{len(het)} sweep points "
     f"(max sigma {max(het.values()):.2f} vs {max(rnd.values()):.2f})"
 )
-for p in paths:
-    print(f"wrote {p}")
+print(f"wrote {path}")

@@ -40,7 +40,7 @@ for ratio in spec.values:
         ne_baseline=False,
     )
     rows = cli.run_sweep(sub)
-    cli.emit_outputs(rows, "csv", OUT, basename=f"cost_vs_links_L{base.network.L}")
+    cli.emit_outputs(rows, OUT, basename=f"cost_vs_links_L{base.network.L}")
     best = min(rows, key=lambda r: (r.avg_cost, r.value))
     print(f"capacity L={base.network.L} (ratio {ratio}):")
     for row in rows[:8]:

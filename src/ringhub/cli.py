@@ -3,7 +3,7 @@
 Subcommands:
     run    simulate one configuration and print its metrics
     sweep  run a parameter sweep (preset, config file, or ad-hoc flags) and
-           write CSV tables or SVG charts
+           write its CSV table
     ne     print the equilibrium baseline for one configuration and seed
 
 A sweep varies one of {lambda, M, N, capacity_ratio} over a value list,
@@ -210,26 +210,17 @@ def optimal_lambda(
 # ---------------------------------------------------------------- output --
 
 
-def emit_outputs(rows: list[SweepRow], format: str, out_dir, basename: str = "results") -> list[Path]:
-    """Write sweep rows as a CSV table or as one SVG chart per metric.
+def emit_outputs(rows: list[SweepRow], out_dir, basename: str = "results") -> Path:
+    """Write sweep rows as the CSV table out_dir/basename.csv; returns its path.
 
-    Returns the created paths. Refuses empty input before touching disk.
+    Refuses empty input before touching disk.
     """
     if not rows:
         raise ValueError("rows is empty; nothing to emit")
-    if format not in ("csv", "svg"):
-        raise ValueError(f"format must be 'csv' or 'svg', got {format!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if format == "csv":
-        table = ([getattr(row, col) for col in CSV_HEADER] for row in rows)
-        return [write_csv(out_dir / f"{basename}.csv", CSV_HEADER, table)]
-    paths: list[Path] = []
-    for metric in METRIC_NAMES:
-        path = out_dir / f"{basename}-{metric}.svg"
-        path.write_text(_chart_svg(rows, metric), encoding="utf-8")
-        paths.append(path)
-    return paths
+    table = ([getattr(row, col) for col in CSV_HEADER] for row in rows)
+    return write_csv(out_dir / f"{basename}.csv", CSV_HEADER, table)
 
 
 def _parse_value(text: str):
@@ -239,123 +230,36 @@ def _parse_value(text: str):
         return float(text)
 
 
+def _cell(column: str, text: str, line: int):
+    """One CSV cell as its SweepRow field; a blank NE cell is None."""
+    if column == "mode":
+        return text
+    if not text and column in ("ne_best", "ne_worst"):
+        return None
+    try:
+        return _parse_value(text) if column == "value" else float(text)
+    except ValueError:
+        raise ValueError(f"line {line}, column {column}: {text!r} is not a number") from None
+
+
 def read_rows(path) -> list[SweepRow]:
-    """Parse a CSV file produced by emit_outputs back into SweepRows."""
+    """Parse a CSV file produced by emit_outputs back into SweepRows.
+
+    A malformed file is refused with a ValueError naming the line, and the
+    column where there is one.
+    """
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected header: {header!r}")
+            raise ValueError(f"line 1: unexpected header {header!r}")
         rows = []
         for raw in reader:
-            cells = dict(zip(header, raw))
-            rows.append(
-                SweepRow(
-                    **{name: float(cells[name]) for name in METRIC_NAMES},
-                    value=_parse_value(cells["value"]),
-                    mode=cells["mode"],
-                    ne_best=float(cells["ne_best"]) if cells["ne_best"] else None,
-                    ne_worst=float(cells["ne_worst"]) if cells["ne_worst"] else None,
-                )
-            )
+            line = reader.line_num
+            if len(raw) != len(CSV_HEADER):
+                raise ValueError(f"line {line}: {len(raw)} cells, expected {len(CSV_HEADER)}")
+            rows.append(SweepRow(**{c: _cell(c, t, line) for c, t in zip(CSV_HEADER, raw)}))
     return rows
-
-
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def _chart_svg(rows: list[SweepRow], metric: str) -> str:
-    """A small deterministic line chart: one series per mode, NE references
-    dashed on the cost chart."""
-    modes: list[str] = []
-    for row in rows:
-        if row.mode not in modes:
-            modes.append(row.mode)
-    series: list[tuple[str, list[float], list[float], bool]] = []
-    for mode in modes:
-        pts = [(float(r.value), float(getattr(r, metric))) for r in rows if r.mode == mode]
-        xs, ys = zip(*pts)
-        series.append((mode, list(xs), list(ys), False))
-    if metric == "avg_cost":
-        for name in ("ne_best", "ne_worst"):
-            pts = [
-                (float(r.value), float(getattr(r, name)))
-                for r in rows
-                if r.mode == modes[0] and getattr(r, name) is not None
-            ]
-            if pts:
-                xs, ys = zip(*pts)
-                series.append((name, list(xs), list(ys), True))
-
-    width, height = 640, 400
-    mleft, mright, mtop, mbottom = 60, 20, 36, 44
-    all_x = [x for _, xs, _, _ in series for x in xs]
-    all_y = [y for _, _, ys, _ in series for y in ys]
-    x0, x1 = min(all_x), max(all_x)
-    y0, y1 = min(all_y), max(all_y)
-    if x0 == x1:
-        x0, x1 = x0 - 1.0, x1 + 1.0
-    if y0 == y1:
-        y0, y1 = y0 - 1.0, y1 + 1.0
-    pad = 0.05 * (y1 - y0)
-    y0, y1 = y0 - pad, y1 + pad
-    inner_w = width - mleft - mright
-    inner_h = height - mtop - mbottom
-
-    def px(x: float) -> float:
-        return mleft + (x - x0) / (x1 - x0) * inner_w
-
-    def py(y: float) -> float:
-        return mtop + (y1 - y) / (y1 - y0) * inner_h
-
-    def ticks(a: float, b: float, count: int = 5) -> list[float]:
-        return [a + (b - a) * i / (count - 1) for i in range(count)]
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" font-size="14">{metric}</text>',
-        f'<line x1="{mleft}" y1="{mtop}" x2="{mleft}" y2="{height - mbottom}" stroke="black"/>',
-        f'<line x1="{mleft}" y1="{height - mbottom}" x2="{width - mright}" '
-        f'y2="{height - mbottom}" stroke="black"/>',
-    ]
-    for tx in ticks(x0, x1):
-        parts.append(
-            f'<line x1="{px(tx):.1f}" y1="{height - mbottom}" x2="{px(tx):.1f}" '
-            f'y2="{height - mbottom + 4}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px(tx):.1f}" y="{height - mbottom + 18}" '
-            f'text-anchor="middle">{tx:g}</text>'
-        )
-    for ty in ticks(y0, y1):
-        parts.append(
-            f'<line x1="{mleft - 4}" y1="{py(ty):.1f}" x2="{mleft}" '
-            f'y2="{py(ty):.1f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{mleft - 8}" y="{py(ty) + 4:.1f}" text-anchor="end">{ty:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{width / 2:.1f}" y="{height - 8}" text-anchor="middle">sweep value</text>'
-    )
-    for k, (label, xs, ys, dashed) in enumerate(series):
-        color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        dash = ' stroke-dasharray="6 3"' if dashed else ""
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{pts}"/>'
-        )
-        ly = mtop + 14 + 16 * k
-        lx = width - mright - 150
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"{dash}/>'
-        )
-        parts.append(f'<text x="{lx + 28}" y="{ly}">{label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 # --------------------------------------------------------------- presets --
@@ -534,15 +438,12 @@ def _cmd_sweep(args) -> int:
     paths: list[Path] = []
     for basename, spec in named:
         if args.preset == "optimal-lambda":
-            if args.format != "csv":
-                raise ValueError("format: the optimal-lambda table is CSV only")
             out = Path(args.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             header = ["capacity_ratio", "optimal_lambda"]
             paths.append(write_csv(out / f"{basename}.csv", header, optimal_lambda(spec)))
             continue
-        rows = run_sweep(spec)
-        paths.extend(emit_outputs(rows, args.format, args.out_dir, basename=basename))
+        paths.append(emit_outputs(run_sweep(spec), args.out_dir, basename=basename))
     for path in paths:
         print(path)
     return 0
@@ -591,7 +492,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--fast", action="store_true",
                          help=f"{_FAST_REPLICATIONS} replications unless --reps (smoke test)")
     p_sweep.add_argument("--out-dir", default=".", help="output directory")
-    p_sweep.add_argument("--format", choices=("csv", "svg"), default="csv")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ne = sub.add_parser("ne", parents=[network], help="equilibrium baseline")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +12,10 @@ import ringhub as rh
 from ringhub import _engine, cli
 
 from reference import brute_force_ne, potential_users
+
+
+HEADER_LINE = ("value,mode,avg_cost,congestion_ratio,avg_hub_users,"
+               "std_hub_users,n_p,ne_best,ne_worst\n")
 
 
 def tiny_base(**overrides) -> rh.SimConfig:
@@ -216,23 +219,22 @@ class TestOptimalLambda:
 class TestOutputs:
     def test_csv_schema_and_round_trip(self, tmp_path):
         rows = cli.run_sweep(tiny_spec(modes=("homogeneous", "random")))
-        paths = cli.emit_outputs(rows, "csv", tmp_path, basename="sweep")
-        assert paths == [tmp_path / "sweep.csv"]
-        text = paths[0].read_text(encoding="utf-8")
-        assert text.startswith("value,mode,avg_cost,congestion_ratio,avg_hub_users,"
-                               "std_hub_users,n_p,ne_best,ne_worst\n")
+        path = cli.emit_outputs(rows, tmp_path, basename="sweep")
+        assert path == tmp_path / "sweep.csv"
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith(HEADER_LINE)
         assert "\r" not in text
-        assert cli.read_rows(paths[0]) == rows
+        assert cli.read_rows(path) == rows
 
     def test_csv_emission_is_byte_identical(self, tmp_path):
         rows = cli.run_sweep(tiny_spec())
-        a = cli.emit_outputs(rows, "csv", tmp_path / "a")[0]
-        b = cli.emit_outputs(rows, "csv", tmp_path / "b")[0]
+        a = cli.emit_outputs(rows, tmp_path / "a")
+        b = cli.emit_outputs(rows, tmp_path / "b")
         assert a.read_bytes() == b.read_bytes()
 
     def test_blank_ne_cells_round_trip_as_none(self, tmp_path):
         rows = cli.run_sweep(tiny_spec(values=(3,), ne_baseline=False))
-        path = cli.emit_outputs(rows, "csv", tmp_path)[0]
+        path = cli.emit_outputs(rows, tmp_path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[1].endswith(",,")
         assert cli.read_rows(path)[0].ne_best is None
@@ -240,13 +242,8 @@ class TestOutputs:
     def test_empty_rows_refused_before_writing(self, tmp_path):
         target = tmp_path / "never"
         with pytest.raises(ValueError, match="empty"):
-            cli.emit_outputs([], "csv", target)
+            cli.emit_outputs([], target)
         assert not target.exists()
-
-    def test_unknown_format_refused(self, tmp_path):
-        rows = cli.run_sweep(tiny_spec(values=(3,)))
-        with pytest.raises(ValueError, match="format"):
-            cli.emit_outputs(rows, "png", tmp_path)
 
     def test_read_rows_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "other.csv"
@@ -254,27 +251,22 @@ class TestOutputs:
         with pytest.raises(ValueError, match="header"):
             cli.read_rows(path)
 
-    def test_svg_per_metric_and_well_formed(self, tmp_path):
-        rows = cli.run_sweep(tiny_spec(modes=("homogeneous", "random")))
-        paths = cli.emit_outputs(rows, "svg", tmp_path, basename="sweep")
-        names = {p.name for p in paths}
-        assert names == {
-            "sweep-avg_cost.svg",
-            "sweep-congestion_ratio.svg",
-            "sweep-avg_hub_users.svg",
-            "sweep-std_hub_users.svg",
-            "sweep-n_p.svg",
-        }
-        ns = "{http://www.w3.org/2000/svg}"
-        for path in paths:
-            root = ET.fromstring(path.read_text(encoding="utf-8"))
-            assert root.tag == f"{ns}svg"
-            polylines = root.findall(f"{ns}polyline")
-            # two mode series everywhere, plus two dashed baselines on cost
-            want = 4 if path.name == "sweep-avg_cost.svg" else 2
-            assert len(polylines) == want
-            for poly in polylines:
-                assert len(poly.get("points").split()) == 3
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "line 1: unexpected header []"),
+            (HEADER_LINE + "3,homogeneous,17.5,0.0\n", "line 2: 4 cells, expected 9"),
+            (HEADER_LINE + "3,homogeneous,17.5,0.0,70.0,x,68.0,,\n",
+             "line 2, column std_hub_users: 'x' is not a number"),
+        ],
+        ids=["empty", "short-row", "non-numeric"],
+    )
+    def test_read_rows_refuses_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            cli.read_rows(path)
+        assert str(exc.value).startswith(message)
 
 
 class TestPresets:
@@ -382,13 +374,15 @@ class TestMain:
         assert [r.value for r in rows] == [2, 3, 4]
         assert rows == cli.run_sweep(tiny_spec())
 
-    def test_sweep_svg_format(self, tmp_path):
-        code = cli.main([
-            "sweep", *TINY_FLAGS, "--variable", "lambda", "--values", "2,3",
-            "--reps", "1", "--out-dir", str(tmp_path), "--format", "svg",
-        ])
-        assert code == 0
-        assert len(list(tmp_path.glob("*.svg"))) == 5
+    def test_sweep_has_no_format_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "sweep", *TINY_FLAGS, "--variable", "lambda", "--values", "2,3",
+                "--reps", "1", "--out-dir", str(tmp_path), "--format", "csv",
+            ])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_sweep_config_file(self, tmp_path, capsys):
         doc = {
@@ -463,7 +457,7 @@ class TestMain:
         "flags,message",
         [
             (["--preset", "multi-scale", "--nodes", "10"], "L must be"),
-            (["--preset", "optimal-lambda", "--format", "svg"], "format"),
+            (["--preset", "optimal-lambda", "--modes", "homogeneous,random"], "one mode"),
             (["--variable", "M", "--values", "2", "--mode", "random",
               "--modes", "homogeneous"], "modes"),
         ],
