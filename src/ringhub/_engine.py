@@ -28,9 +28,16 @@ strategy's suggestion is read from the gathered suggestions by flat index,
 saving l = out - inu of each agent inside (k = out - inc when congested),
 with out_sum the row's total outside cost: an exact int64 identity within
 the bound NetworkConfig.check_cost_sums enforces. Step records cover the
-measured window only, unless a trace asks for every step, and random play,
-which carries nothing from step to step, skips its warm-up steps after
-drawing their keys.
+measured window only, unless a trace asks for every step.
+
+Random play carries nothing from step to step, so it runs a chunk at a
+time. Its actions are each seed's coins of the chunk's recorded steps, a
+(seeds, steps, N) array shared by the points; a step's n_in is a per-seed
+sum and h = n_in > L per row. The savings of the agents inside are integer
+matrix products of the actions with l and with k, and a step costs out_sum
+less the k savings when congested, else the l savings: the same int64 sums
+as a single step's, added in another order, so exact within the same
+bound. Warm-up steps draw their coins and record nothing.
 
 A run whose remaining steps are all alike stops stepping. At each chunk
 boundary after the first, a run is locked when, at its current history mu:
@@ -167,11 +174,13 @@ def simulate_points(
     seeds = np.asarray(seeds, dtype=np.int64)
     k, r, n, p = len(nets), len(seeds), first.N, 1 << M
     lam = max(net.config.hub_links for net in nets)
-    # per seed: strategy tables, one chunk of keys and the pair-wise route
-    # temporaries of one point; per row: scores, the step's keys, suggestions
-    # and score increments, costs, and the step records, which cover the
-    # measured window unless a trace asks for every step
-    per_seed = n * S * (2 * p + 8 * CHUNK) + 24 * n * lam
+    # per seed: strategy tables, one chunk of keys, random play's actions of
+    # one chunk (bool, and the int64 copy np.matmul makes) and the two
+    # (N, lambda) arrays of route_table's stage 2 for one point; per row:
+    # scores, the step's keys, suggestions and score increments, costs, and
+    # the step records, which cover the measured window unless a trace asks
+    # for every step
+    per_seed = n * S * (2 * p + 8 * CHUNK) + 9 * n * CHUNK + 16 * n * lam
     per_row = 18 * n * S + 64 * n + 13 * (T if collect_trace else T - warmup)
     one_seed = per_seed + k * per_row
     if one_seed > MEMORY_BYTES:
@@ -398,6 +407,8 @@ def _simulate_slab(
         draw_shape = (n, S)  # one tie-break key per strategy
     else:
         draw_shape = (n,)  # one coin per agent
+        # each row's savings l and k side by side, as (points, seeds, N, 2)
+        lk = np.stack([l, k], axis=-1).reshape(len(nets), n_seeds, n, 2)
     draws = np.empty((n_seeds, CHUNK, *draw_shape), dtype=np.float64)
     final = np.empty((n_rows, n, S)) if res.final_scores is not None else None
     # slab rows still stepping: a slice until a row locks, so records are
@@ -443,31 +454,39 @@ def _simulate_slab(
         c = min(CHUNK, T - t)
         for i in np.flatnonzero(np.bincount(slot, minlength=n_seeds)):
             rngs[i].random(out=draws[i, :c])
+        if not adaptive:
+            # random play never locks, so rows stay the grid, and carries
+            # nothing from step to step: the chunk's recorded steps at once
+            lo = max(off - t, 0)  # the chunk's first recorded step
+            if lo < c:
+                acts = draws[:, lo:c] < 0.5  # (seeds, steps, N), True taking the hub
+                nin = acts.sum(axis=2)[slot]
+                h = nin > L[:, None]
+                save = np.matmul(acts, lk).reshape(n_rows, c - lo, 2)
+                steps = slice(t + lo - off, t + c - off)
+                nin_rec[:, steps] = nin
+                h_rec[:, steps] = h
+                cost_rec[:, steps] = out_sum[:, None] - np.where(h, save[..., 1], save[..., 0])
+            continue
         for j in range(c):
-            if not adaptive and t + j < off:
-                continue  # random play carries nothing into the next step
-            if adaptive:
-                tmu = signed[mu, slot]  # (rows, N, S) suggestions as +-1
-                if isinstance(live, slice):
-                    # rows are the (points, seeds) grid: each seed's keys
-                    # broadcast over the points
-                    grid = (-1, n_seeds, n, S)
-                    np.add(scores2.reshape(grid), draws[:, j], out=keys.reshape(grid))
-                else:
-                    # gathered by slot; mode="clip" skips take's copy of
-                    # the result, and slot is always in range
-                    draws[:, j].take(slot, axis=0, out=keys, mode="clip")
-                    keys += scores2
-                sel = keys.argmax(axis=2)
-                acts = tmu.reshape(-1).take(sel.ravel() + flat).reshape(-1, n) > 0
-            else:  # random play never locks, so rows stay the grid
-                acts = np.tile(draws[:, j] < 0.5, (len(nets), 1))
+            tmu = signed[mu, slot]  # (rows, N, S) suggestions as +-1
+            if isinstance(live, slice):
+                # rows are the (points, seeds) grid: each seed's keys
+                # broadcast over the points
+                grid = (-1, n_seeds, n, S)
+                np.add(scores2.reshape(grid), draws[:, j], out=keys.reshape(grid))
+            else:
+                # gathered by slot; mode="clip" skips take's copy of
+                # the result, and slot is always in range
+                draws[:, j].take(slot, axis=0, out=keys, mode="clip")
+                keys += scores2
+            sel = keys.argmax(axis=2)
+            acts = tmu.reshape(-1).take(sel.ravel() + flat).reshape(-1, n) > 0
             nin, h, cost = outcome(acts, out_sum, l, k, L)
-            if adaptive:
-                sgn2 = np.where(h[:, None], sgn_c2, sgn_u2)
-                np.multiply(sgn2[:, :, None], tmu, out=inc2)
-                scores2 += inc2
-                mu = ((mu << 1) | h) & (p - 1)
+            sgn2 = np.where(h[:, None], sgn_c2, sgn_u2)
+            np.multiply(sgn2[:, :, None], tmu, out=inc2)
+            scores2 += inc2
+            mu = ((mu << 1) | h) & (p - 1)
             if t + j >= off:
                 nin_rec[live, t + j - off] = nin
                 h_rec[live, t + j - off] = h

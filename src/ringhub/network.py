@@ -169,13 +169,35 @@ def route_table(net: Network, origins, dests) -> tuple[np.ndarray, np.ndarray, n
     of distinct interchanges; ties go to the lexicographically smallest
     (h_in, h_out). A pair with origin == destination carries no meaning.
 
-    The argmin runs on integer costs scaled by alpha's denominator, so route
-    selection is exact. Stage 1 finds the best exit per (entry, destination)
-    over all nodes, one block of entries at a time, a (block, lambda, N)
-    array under _ROUTE_BLOCK_BYTES (2 MiB; at least one entry per block, so
-    a larger array only when lambda * N exceeds 256Ki); stage 2 the best
-    entry per pair, a (pairs, lambda) array. np.argmin takes the first minimum, which composes
-    to the lexicographic (h_in, h_out) order because interchanges are sorted.
+    Routes are priced in integers scaled by alpha = p/q, q per access step
+    and p per hub step, so route selection is exact. Stage 1 finds the best
+    exit b for each (entry a, destination D) as one key per pair,
+    (p*d(h_a, h_b) + q*d(h_b, D)) * lam + b over b != a, whose minimum
+    holds the cheapest cost and, among equal costs, the smallest b. It is a
+    distance transform on the ring (Felzenszwalb and Huttenlocher, Theory
+    of Computing 8, 2012): each exit's key p*d(h_a, h_b)*lam + b sits at
+    h_b and grows by w = q*lam per step, so the minimum over exits is one
+    running minimum clockwise and one counter-clockwise. Clockwise, the
+    ring is unrolled to the line -(N-1)..N-1 with each exit at h_b and, for
+    h_b > 0, at h_b - N, and the key at y is stored as key - w*y;
+    counter-clockwise is the clockwise pass on the mirrored ring. Stage 1
+    runs one block of entries at a time, its arrays of about 8N int64 per
+    entry under _ROUTE_BLOCK_BYTES (2 MiB; at least one entry per block).
+    Stage 2 picks the best entry per pair from a (pairs, lambda) array by
+    np.argmin, which takes the first minimum; with the stage 1 ties this
+    gives the lexicographic (h_in, h_out) order because interchanges are
+    sorted.
+
+    No int64 value of stage 1 wraps. With s = config.scale, q <= s and
+    p <= alpha*s <= beta*s - 1, as alpha*s < beta*s are integers; and
+    lam <= N. A key is at most K = lam*(p*(N//2) + 1) - 1, a stored value
+    lies in [-w*(N-1), K + w*(N-1)], and a read-out, being a minimum, is
+    at most the nearest exit's key plus w times its clockwise distance,
+    which is below N as the N positions up to a node hold every exit once.
+    So every value is at most
+    K + w*(N-1) <= N*(N//2)*(beta*s - 1) + N + s*N*2*(N//2)
+    < N*(N//2)*(2*s + beta*s) for N >= 4, the bound that
+    NetworkConfig.check_cost_sums(1) keeps within int64.
     """
     n = net.N
     hubs = np.asarray(net.interchanges, dtype=np.int64)
@@ -188,22 +210,37 @@ def route_table(net: Network, origins, dests) -> tuple[np.ndarray, np.ndarray, n
         diff = np.abs(a - b)
         return np.minimum(diff, n - diff)
 
-    # stage 1: cheapest exit for each (entry a, destination), price q*d + p*hub,
-    # over blocks of entries so the (block, b, D) temporary stays small
+    # stage 1: both passes run clockwise on lines y = -(N-1)..N-1, the
+    # second on the mirrored ring, whose node x is node -x mod N here. A
+    # pass holds each exit at its node pos and at pos - N, which is minus
+    # its mirrored node (so 0 again when pos = 0); src is each copy's exit,
+    # y its place and col its column in a block's flattened
+    # (entries, 2, 2N-1) lines
     lam = len(hubs)
-    exit_legs = q * ring(hubs[:, None], np.arange(n))  # (b, D)
-    b_star = np.empty((lam, n), dtype=np.int64)
-    s1 = np.empty((lam, n), dtype=np.int64)
-    block = max(1, _ROUTE_BLOCK_BYTES // (8 * lam * n))
+    w = q * lam  # a key's growth per ring step
+    span = 2 * n - 1
+    cw, ccw = hubs, (-hubs) % n
+    src = np.arange(4 * lam) % lam
+    y = np.concatenate([cw, -ccw, ccw, -cw])
+    col = y + (n - 1)
+    col[2 * lam :] += span
+    mirror = (-np.arange(n)) % n
+    s1 = np.empty((n, lam), dtype=np.int64)  # (D, a), the layout stage 2 gathers
+    b_star = np.empty((n, lam), dtype=np.int64)
+    block = max(1, _ROUTE_BLOCK_BYTES // (64 * n))  # about 8N int64 an entry
     for lo in range(0, lam, block):
         a = np.arange(lo, min(lo + block, lam))
-        cand = p * ring(hubs[a, None, None], hubs[None, :, None]) + exit_legs  # (a, b, D)
-        cand[np.arange(len(a)), a, :] = INT64_MAX
-        b_star[a] = np.argmin(cand, axis=1)
-        s1[a] = np.take_along_axis(cand, b_star[a, None, :], axis=1)[:, 0, :]
+        key = p * lam * ring(hubs[a, None], hubs[src]) + src
+        lines = np.full((len(a), 2, span), INT64_MAX)
+        # no exit at the entry itself
+        lines.reshape(len(a), -1)[:, col] = np.where(a[:, None] != src, key - w * y, INT64_MAX)
+        np.minimum.accumulate(lines, axis=2, out=lines)
+        spread = lines[:, :, n - 1 :] + w * np.arange(n)  # read at y = D = 0..N-1
+        best = np.minimum(spread[:, 0], spread[:, 1, mirror])
+        s1[:, a], b_star[:, a] = (x.T for x in np.divmod(best, lam))
 
     # stage 2: cheapest entry for each pair
-    a_star = np.argmin(q * ring(origins[..., None], hubs) + s1.T[dests], axis=-1)
+    a_star = np.argmin(q * ring(origins[..., None], hubs) + s1[dests], axis=-1)
     h_in = hubs[a_star]
-    h_out = hubs[b_star[a_star, dests]]
+    h_out = hubs[b_star[dests, a_star]]
     return ring(origins, dests), ring(origins, h_in) + ring(h_out, dests), ring(h_in, h_out)

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,7 +568,6 @@ class TestMain:
         """
         import importlib
         from importlib.metadata import PackageNotFoundError, distribution
-        from pathlib import Path
 
         target = "ringhub.cli:main"
         try:
@@ -585,3 +588,18 @@ class TestMain:
         assert scripts.get("ringhub") == target
         module, attr = scripts["ringhub"].split(":")
         assert getattr(importlib.import_module(module), attr) is cli.main
+
+    def test_module_entry_point(self):
+        """`python -m ringhub` runs cli.main and warns of nothing: with
+        -W error, a warning such as runpy's about a module imported twice
+        would end it with a traceback."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ringhub", "--help"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: ringhub ")
+        assert proc.stderr == ""

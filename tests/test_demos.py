@@ -1,7 +1,8 @@
 """Smoke tests for the demos that call the package's API directly: the
 route geometry and the equilibrium (route_table, scaled_costs,
 cost_advantages, ne_costs) in 01 and 02, and the sweep harness with its CSV
-output (run_sweep, emit_outputs, optimal_lambda) in 03 to 05."""
+output (run_sweep, emit_outputs, optimal_lambda) in 03 to 05. The tables of
+demos 03 and 04 are deleted before each runs, so only a fresh one passes."""
 
 from __future__ import annotations
 
@@ -32,13 +33,15 @@ SWEEP_TABLES = {
     ],
 )
 def test_demo_runs(script):
+    table = ROOT / "demos" / "output" / SWEEP_TABLES[script] if script in SWEEP_TABLES else None
+    if table:
+        table.unlink(missing_ok=True)  # a table left by an earlier run must not pass
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / script)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    if script in SWEEP_TABLES:
-        path = ROOT / "demos" / "output" / SWEEP_TABLES[script]
-        assert f"wrote {path}" in proc.stdout.splitlines()
-        assert read_rows(path)
+    if table:
+        assert f"wrote {table}" in proc.stdout.splitlines()
+        assert read_rows(table)

@@ -268,6 +268,53 @@ class TestRouteTable:
                 assert d_access[o, d] == route.d_access
                 assert d_hub[o, d] == route.d_hub
 
+    # prices(D) -> (alpha, beta): alpha below 1, near 1, near 2 and at 2 and
+    # 7/5; route_table prices by alpha's numerator and denominator alone
+    PRICE_FAMILIES = {
+        "1/D": lambda d: (Fraction(1, d), Fraction(2, d)),
+        "(D-1)/D": lambda d: (Fraction(d - 1, d), 1),
+        "(2D-1)/D": lambda d: (Fraction(2 * d - 1, d), 2),
+        "2": lambda d: (2, 2 + Fraction(1, d)),
+        "7/5": lambda d: (Fraction(7, 5), Fraction(7, 5) + Fraction(1, d)),
+    }
+    # (N, lambda) -> (origins, destinations): the oracle takes 63 ms a pair
+    # at lambda=100, so the larger rings check the pairs of a few origins
+    ORACLE_PAIRS = {
+        (10, 5): (range(10), range(10)),
+        (30, 30): ((0, 1, 15, 29), range(30)),
+        (100, 100): ((0, 99), (1, 33, 50, 67, 98)),
+    }
+
+    @pytest.mark.parametrize("n,lam", sorted(ORACLE_PAIRS))
+    @pytest.mark.parametrize("family", sorted(PRICE_FAMILIES))
+    def test_matches_oracle_at_the_largest_accepted_scale(self, n, lam, family):
+        # the ring transform's keys come closest to int64 at the largest
+        # scale NetworkConfig accepts for N
+        prices = self.PRICE_FAMILIES[family]
+
+        def config(d):
+            alpha, beta = prices(d)
+            try:
+                return rh.NetworkConfig(N=n, hub_links=lam, L=1, alpha=alpha, beta=beta)
+            except ValueError:
+                return None
+
+        lo, hi = 2, 2**63  # config(lo) is accepted, config(hi) refused
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if config(mid) else (lo, mid)
+        cfg = config(lo)
+        assert config(lo + 1) is None
+        net = rh.build_network(cfg)
+        origins, dests = self.ORACLE_PAIRS[n, lam]
+        pairs = [(o, d) for o in origins for d in dests if o != d]
+        d_out, d_access, d_hub = rh.route_table(net, *zip(*pairs))
+        for i, (o, d) in enumerate(pairs):
+            route = best_inside_route(rh.ODPair(o, d), net)
+            assert (d_out[i], d_access[i], d_hub[i]) == (
+                outside_cost(rh.ODPair(o, d), n), route.d_access, route.d_hub
+            ), (o, d)
+
     @pytest.mark.parametrize("n,lam", [(20, 7), (30, 30), (101, 37)])
     @pytest.mark.parametrize("entries", [1, 2])
     def test_blocks_of_entries_equal_one_block(self, monkeypatch, n, lam, entries):

@@ -617,6 +617,46 @@ class TestEngineMatchesReference:
         assert [rec.t for rec in records] == list(range(1, cfg.T + 1))
 
 
+class TestRandomChunks:
+    """Random play runs a chunk of steps at once. Measured windows that start
+    one step either side of a chunk boundary, with a last chunk of one step,
+    keep the reference's metrics untraced, and a lambda stack equals its
+    points run alone."""
+
+    T = 2 * _engine.CHUNK + 1
+    NET = rh.NetworkConfig(N=10, hub_links=4, L=3, alpha=Fraction(1, 3), beta=Fraction(7, 5))
+    SEEDS = [31, 32, 33]
+
+    @pytest.mark.parametrize("warmup", [_engine.CHUNK - 1, _engine.CHUNK + 1])
+    def test_untraced_window_matches_reference(self, warmup):
+        nets = [
+            rh.build_network(dataclasses.replace(self.NET, hub_links=lam, L=L))
+            for lam, L in [(4, 3), (2, 3), (10, 8), (7, 1)]
+        ]
+        args = (2, 1, "random", self.T, warmup, self.SEEDS)
+        batch = _engine.simulate_points(nets, *args)
+        assert batch.trace_n_in is None
+        r = len(self.SEEDS)
+        for k, net in enumerate(nets):
+            alone = _engine.simulate_batch(net, *args)
+            for name in rh.sim.METRIC_NAMES + ("n_p", "ne_best", "ne_worst"):
+                got = getattr(batch, name)[k * r : (k + 1) * r]
+                assert np.array_equal(got, getattr(alone, name)), (k, name)
+        steps = self.T - warmup
+        for i, seed in enumerate(self.SEEDS):  # nets[0] is NET
+            cfg = rh.SimConfig(
+                network=self.NET, M=2, S=1, mode="random", T=self.T, warmup=warmup, seed=seed
+            )
+            ref = reference_run(cfg)
+            n_in, h = ref.n_in[warmup:], ref.h[warmup:]
+            # the engine's reductions, correctly rounded from exact sums
+            assert batch.avg_cost[i] == float(sum(ref.total_cost[warmup:]) / (10 * steps))
+            assert batch.congestion_ratio[i] == float(Fraction(sum(h), steps))
+            assert batch.avg_hub_users[i] == float(Fraction(sum(n_in), steps))
+            assert batch.std_hub_users[i] == np.array(n_in, dtype=np.float64).std()
+            assert batch.n_p[i] == ref.n_p
+
+
 class TestDeterminism:
     def test_same_seed_same_metrics(self):
         cfg = small_config(seed=42)
