@@ -27,8 +27,9 @@ strategy's suggestion is read from the gathered suggestions by flat index,
 (row * N + agent) * S + argmax. A step's total cost is out_sum less the
 saving l = out - inu of each agent inside (k = out - inc when congested),
 with out_sum the row's total outside cost: an exact int64 identity within
-the bound NetworkConfig.check_cost_sums enforces. Step records cover the
-measured window only, unless a trace asks for every step.
+the bound NetworkConfig.check_cost_sums enforces. A step records its n_in
+and cost, the hub state being n_in > L, and records cover the measured
+window only, unless a trace asks for every step.
 
 Random play carries nothing from step to step, so it runs a chunk at a
 time. Its actions are each seed's coins of the chunk's recorded steps, a
@@ -181,7 +182,7 @@ def simulate_points(
     # the step records, which cover the measured window unless a trace asks
     # for every step
     per_seed = n * S * (2 * p + 8 * CHUNK) + 9 * n * CHUNK + 16 * n * lam
-    per_row = 18 * n * S + 64 * n + 13 * (T if collect_trace else T - warmup)
+    per_row = 18 * n * S + 64 * n + 12 * (T if collect_trace else T - warmup)
     one_seed = per_seed + k * per_row
     if one_seed > MEMORY_BYTES:
         raise ValueError(
@@ -373,9 +374,12 @@ def _simulate_slab(
         mu0[i] = acc
 
     # per-row state: slot is the row's seed, L its network's capacity; a
-    # step costs out_sum less l (k when congested) for each agent inside
+    # step costs out_sum less l (k when congested) for each agent inside.
+    # _compact overwrites L in place, so the hub states recorded n_in
+    # implies are read against cap
     slot = np.tile(np.arange(n_seeds), len(nets))
     L = np.repeat([net.config.L for net in nets], n_seeds)
+    cap = L.copy()
     out, inu, k = (np.empty((n_rows, n), dtype=np.int64) for _ in range(3))
     for q, net in enumerate(nets):
         part = slice(q * n_seeds, (q + 1) * n_seeds)
@@ -392,7 +396,6 @@ def _simulate_slab(
     # records start at the measured window unless the trace wants every step
     off = 0 if res.trace_n_in is not None else warmup
     nin_rec = np.empty((n_rows, T - off), dtype=np.int32)
-    h_rec = np.empty((n_rows, T - off), dtype=bool)
     cost_rec = np.empty((n_rows, T - off), dtype=np.int64)
     mu = mu0[slot]
     if adaptive:
@@ -431,7 +434,6 @@ def _simulate_slab(
                 done = at[hit]
                 fill = max(t - off, 0)
                 nin_rec[done, fill:] = nin[:, None]
-                h_rec[done, fill:] = h[:, None]
                 cost_rec[done, fill:] = cost[:, None]
                 if final is not None:
                     step2 = np.where(h[:, None], sgn_c2[hit], sgn_u2[hit])[:, :, None]
@@ -465,7 +467,6 @@ def _simulate_slab(
                 save = np.matmul(acts, lk).reshape(n_rows, c - lo, 2)
                 steps = slice(t + lo - off, t + c - off)
                 nin_rec[:, steps] = nin
-                h_rec[:, steps] = h
                 cost_rec[:, steps] = out_sum[:, None] - np.where(h, save[..., 1], save[..., 0])
             continue
         for j in range(c):
@@ -489,7 +490,6 @@ def _simulate_slab(
             mu = ((mu << 1) | h) & (p - 1)
             if t + j >= off:
                 nin_rec[live, t + j - off] = nin
-                h_rec[live, t + j - off] = h
                 cost_rec[live, t + j - off] = cost
 
     # a block of rows' float64 records at a time; each row's reductions
@@ -500,11 +500,12 @@ def _simulate_slab(
         part, at = slice(b, b + block), rows[b : b + block]
         nin_m = nin_rec[part, ms].astype(np.float64)
         res.avg_cost[at] = cost_rec[part, ms].sum(axis=1) / float(cfg.scale * n * (T - warmup))
-        res.congestion_ratio[at] = h_rec[part, ms].mean(axis=1)
+        res.congestion_ratio[at] = (nin_rec[part, ms] > cap[part, None]).mean(axis=1)
         res.avg_hub_users[at] = nin_m.mean(axis=1)
         res.std_hub_users[at] = nin_m.std(axis=1)
     if res.trace_n_in is not None:
-        res.trace_n_in[rows], res.trace_h[rows], res.trace_cost[rows] = nin_rec, h_rec, cost_rec
+        res.trace_n_in[rows], res.trace_cost[rows] = nin_rec, cost_rec
+        res.trace_h[rows] = nin_rec > cap[:, None]
     if final is not None:
         final[live] = scores2 / 2.0
         res.final_scores[rows] = final

@@ -41,7 +41,6 @@ from .sim import (
     replicate,
     replicate_points,
     run,
-    stack_key,
     write_csv,
     write_trace_csv,
 )
@@ -146,31 +145,25 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     All points share the spec's base seed, so modes at the same value see
     identical OD draws and the whole table is reproducible byte for byte.
-    Per mode, points whose configs differ only in hub_links and L (every
-    point of a lambda or capacity_ratio sweep) run as one engine batch; each
-    row equals what replicate gives for that point alone.
+    The points run through one replicate_points call, which stacks those
+    that differ only in hub_links and L (per mode, every point of a lambda
+    or capacity_ratio sweep); each row equals what replicate gives for that
+    point alone.
     """
-    points = {
-        (i, mode): replace(config_at(spec, value), mode=mode)
-        for i, value in enumerate(spec.values)
-        for mode in spec.modes
-    }
-    groups: dict[SimConfig, list] = {}
-    for point, cfg in points.items():
-        groups.setdefault(stack_key(cfg), []).append(point)
-    results = {}
-    for members in groups.values():
-        cfgs = [points[point] for point in members]
-        results.update(zip(members, replicate_points(cfgs, spec.replications)))
+    points = [(value, mode) for value in spec.values for mode in spec.modes]
+    results = replicate_points(
+        [replace(config_at(spec, value), mode=mode) for value, mode in points],
+        spec.replications,
+    )
     return [
         SweepRow(
-            **vars(results[i, mode].mean),
-            value=spec.values[i],
+            **vars(result.mean),
+            value=value,
             mode=mode,
-            ne_best=results[i, mode].ne_best if spec.ne_baseline else None,
-            ne_worst=results[i, mode].ne_worst if spec.ne_baseline else None,
+            ne_best=result.ne_best if spec.ne_baseline else None,
+            ne_worst=result.ne_worst if spec.ne_baseline else None,
         )
-        for i, mode in points
+        for (value, mode), result in zip(points, results)
     ]
 
 
@@ -180,7 +173,7 @@ def optimal_lambda(
     """Hub-link count minimizing mean cost, per capacity ratio.
 
     spec must be a capacity_ratio sweep; each ratio expands into a full
-    lambda sweep (2..N unless lambda_values narrows it). Ties go to the
+    lambda sweep (2..N, or the non-empty lambda_values). Ties go to the
     smaller lambda. Returns (ratio, best lambda) pairs.
     """
     if spec.sweep_variable != "capacity_ratio":
@@ -190,16 +183,14 @@ def optimal_lambda(
         )
     if len(spec.modes) != 1:
         raise ValueError(f"modes: optimal_lambda needs one mode, got {spec.modes}")
-    grid = tuple(lambda_values) if lambda_values else tuple(range(2, spec.base.network.N + 1))
+    grid = tuple(range(2, spec.base.network.N + 1) if lambda_values is None else lambda_values)
+    if not grid:
+        raise ValueError("lambda_values must be a non-empty list or None")
     table: list[tuple[float, int]] = []
     for ratio in spec.values:
-        sub = SweepSpec(
-            base=config_at(spec, ratio),
-            sweep_variable="lambda",
-            values=grid,
-            replications=spec.replications,
-            ne_baseline=False,
-            modes=spec.modes,
+        sub = replace(
+            spec, base=config_at(spec, ratio), sweep_variable="lambda",
+            values=grid, ne_baseline=False,
         )
         rows = run_sweep(sub)
         best = min(rows, key=lambda row: (row.avg_cost, row.value))
@@ -297,17 +288,13 @@ PRESET_DOCS = {
     ],
 }
 PRESETS = tuple(PRESET_DOCS)
-_FAST_REPLICATIONS = 50
 
 
-def preset_specs(name: str, fast: bool = False) -> list[tuple[str, SweepSpec]]:
-    """Named experiment presets as (output basename, spec) pairs.
-
-    fast drops replications to 50 for smoke runs.
-    """
+def preset_specs(name: str, **overrides) -> list[tuple[str, SweepSpec]]:
+    """Named experiment presets as (output basename, spec) pairs, with
+    overrides applied to each document as _spec_from_doc applies them."""
     if name not in PRESET_DOCS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    overrides = {"replications": _FAST_REPLICATIONS} if fast else {}
     return [(basename, _spec_from_doc(doc, **overrides)) for basename, doc in PRESET_DOCS[name]]
 
 
@@ -381,11 +368,19 @@ def _parent_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]
     group.add_argument("--memory", dest="M", type=int, help=f"history bits (default {d.M})")
     group.add_argument("--strategies", dest="S", type=int,
                        help=f"strategies per agent (default {d.S})")
-    group.add_argument("--mode", choices=MODES, help=f"agent population (default {d.mode})")
     group.add_argument("--steps", dest="T", type=int, help=f"total steps (default {d.T})")
     group.add_argument("--warmup", type=int,
                        help=f"steps excluded from metrics (default {d.warmup})")
     return network, agents
+
+
+def _output(write, *args, **kwargs):
+    """write(*args, **kwargs), which makes or writes the output directory;
+    an OSError becomes the ValueError main reports."""
+    try:
+        return write(*args, **kwargs)
+    except OSError as exc:
+        raise ValueError(f"out-dir: {exc}") from exc
 
 
 def _cmd_run(args) -> int:
@@ -396,10 +391,10 @@ def _cmd_run(args) -> int:
         raise ValueError("out-dir: --out-dir needs --trace")
     if args.reps == 1:
         if args.trace:
-            metrics, records = run(cfg, trace=True)
             out = Path(args.out_dir or ".")
-            out.mkdir(parents=True, exist_ok=True)
-            path = write_trace_csv(records, out / "trace.csv")
+            _output(out.mkdir, parents=True, exist_ok=True)
+            metrics, records = run(cfg, trace=True)
+            path = _output(write_trace_csv, records, out / "trace.csv")
             print(f"trace: {path}")
         else:
             metrics = run(cfg)
@@ -416,34 +411,26 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     given = _given(args)
-    if args.fast:
-        given.setdefault("replications", _FAST_REPLICATIONS)
-    if args.mode is not None:
-        # a sweep runs its modes, so --mode alone is the one-mode list
-        if args.modes is not None:
-            raise ValueError("modes: give --mode or --modes, not both")
-        given["modes"] = [args.mode]
     if args.preset:
-        docs = PRESET_DOCS[args.preset]
+        named = preset_specs(args.preset, **given)
     elif args.config:
-        docs = [(Path(args.config).stem, _read_json(args.config))]
+        named = [(Path(args.config).stem, _spec_from_doc(_read_json(args.config), **given))]
     elif args.sweep_variable:
         if args.values is None:
             raise ValueError("--values is required with --variable")
-        docs = [("results", {})]
+        named = [("results", _spec_from_doc({}, **given))]
     else:
         raise ValueError("give --preset, --config, or --variable")
-    named = [(basename, _spec_from_doc(doc, **given)) for basename, doc in docs]
+    out = Path(args.out_dir)
+    _output(out.mkdir, parents=True, exist_ok=True)
 
     paths: list[Path] = []
     for basename, spec in named:
         if args.preset == "optimal-lambda":
-            out = Path(args.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            header = ["capacity_ratio", "optimal_lambda"]
-            paths.append(write_csv(out / f"{basename}.csv", header, optimal_lambda(spec)))
-            continue
-        paths.append(emit_outputs(run_sweep(spec), args.out_dir, basename=basename))
+            table, header = optimal_lambda(spec), ["capacity_ratio", "optimal_lambda"]
+            paths.append(_output(write_csv, out / f"{basename}.csv", header, table))
+        else:
+            paths.append(_output(emit_outputs, run_sweep(spec), out, basename=basename))
     for path in paths:
         print(path)
     return 0
@@ -473,6 +460,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", parents=[network, agents], help="single configuration")
+    p_run.add_argument("--mode", choices=MODES,
+                       help=f"agent population (default {SimConfig.mode})")
     p_run.add_argument("--reps", type=int, default=1, help="average this many runs")
     p_run.add_argument("--out-dir", help="directory for --trace output (default .)")
     p_run.add_argument("--trace", action="store_true", help="write the full step trace CSV")
@@ -489,8 +478,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="comma-separated agent modes")
     p_sweep.add_argument("--reps", dest="replications", type=int, metavar="REPS",
                          help="replications per point")
-    p_sweep.add_argument("--fast", action="store_true",
-                         help=f"{_FAST_REPLICATIONS} replications unless --reps (smoke test)")
     p_sweep.add_argument("--out-dir", default=".", help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -158,10 +158,19 @@ def assign_destinations(net: Network, rng: np.random.Generator) -> list[ODPair]:
     return [ODPair(o, d) for o, d in enumerate(draw_destinations(net.N, rng).tolist())]
 
 
+def _nodes(values, n: int, field: str) -> np.ndarray:
+    """values as an int64 array of nodes; refuses anything but integers in [0, n)."""
+    arr = np.asarray(values)
+    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n):
+        raise ValueError(f"{field} must be integer nodes in [0, {n})")
+    return arr.astype(np.int64, copy=False)
+
+
 def route_table(net: Network, origins, dests) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized route geometry for the given (origin, destination) pairs.
 
-    origins and dests are integer arrays that broadcast to one shape; the
+    origins and dests are integer arrays of nodes in [0, N), refused with a
+    ValueError naming them otherwise, that broadcast to one shape; the
     result is (d_out, d_access, d_hub), three int64 arrays of that shape:
     the ring distance from origin to destination, and the legs of the
     cheapest hub route under the uncongested price alpha. d_access is
@@ -203,8 +212,7 @@ def route_table(net: Network, origins, dests) -> tuple[np.ndarray, np.ndarray, n
     hubs = np.asarray(net.interchanges, dtype=np.int64)
     p = int(net.config.alpha.numerator)
     q = int(net.config.alpha.denominator)
-    origins = np.asarray(origins, dtype=np.int64)
-    dests = np.asarray(dests, dtype=np.int64)
+    origins, dests = (_nodes(x, n, name) for x, name in ((origins, "origins"), (dests, "dests")))
 
     def ring(a, b):
         diff = np.abs(a - b)

@@ -171,27 +171,26 @@ def replicate(cfg: SimConfig, R: int) -> ReplicateResult:
     return _summary(_batch(cfg, _seeds(cfg, R)), 0, R)
 
 
-def stack_key(cfg: SimConfig) -> SimConfig:
-    """What configs must share to replicate as one engine batch: all but
-    the network's hub_links and L."""
-    return config_with(cfg, hub_links=2, L=1)
-
-
 def replicate_points(cfgs: list[SimConfig], R: int) -> list[ReplicateResult]:
-    """replicate(cfg, R) for each of cfgs, as one engine batch.
+    """replicate(cfg, R) for each of cfgs, in input order.
 
-    The configs may differ only in network.hub_links and network.L (equal
-    stack_key), so every point shares the R seeds' draws; each result equals
-    replicate's for that config exactly.
+    Configs that differ only in network.hub_links and network.L run as one
+    engine batch, so they share the R seeds' draws; the batches run in
+    order of first appearance. Each result equals replicate's for its
+    config exactly.
     """
-    if len({stack_key(cfg) for cfg in cfgs}) != 1:
-        raise ValueError("cfgs: stacked points may differ only in hub_links and L")
-    first = cfgs[0]
-    batch = _engine.simulate_points(
-        [build_network(cfg.network) for cfg in cfgs],
-        first.M, first.S, first.mode, first.T, first.warmup, _seeds(first, R),
-    )
-    return [_summary(batch, k, R) for k in range(len(cfgs))]
+    groups: dict[SimConfig, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(config_with(cfg, hub_links=2, L=1), []).append(i)
+    results = [None] * len(cfgs)
+    for key, members in groups.items():
+        batch = _engine.simulate_points(
+            [build_network(cfgs[i].network) for i in members],
+            key.M, key.S, key.mode, key.T, key.warmup, _seeds(key, R),
+        )
+        for k, i in enumerate(members):
+            results[i] = _summary(batch, k, R)
+    return results
 
 
 def write_csv(path, header, rows) -> Path:

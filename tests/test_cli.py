@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -180,6 +181,12 @@ class TestOptimalLambda:
         with pytest.raises(ValueError, match="modes"):
             cli.optimal_lambda(spec, lambda_values=(4,))
 
+    def test_refuses_an_empty_grid(self, monkeypatch):
+        monkeypatch.setattr(cli, "run_sweep", None)  # refused before any sweep
+        spec = tiny_spec(sweep_variable="capacity_ratio", values=(0.5,))
+        with pytest.raises(ValueError, match="lambda_values"):
+            cli.optimal_lambda(spec, lambda_values=())
+
     def test_degenerate_grid(self):
         spec = tiny_spec(sweep_variable="capacity_ratio", values=(0.5,))
         table = cli.optimal_lambda(spec, lambda_values=(4,))
@@ -283,10 +290,11 @@ class TestPresets:
             assert basename
             assert spec.replications == 1000
 
-    def test_fast_flag_shrinks_replications(self):
+    def test_overrides_apply_to_every_spec(self):
         for name in cli.PRESETS:
-            for _, spec in cli.preset_specs(name, fast=True):
+            for _, spec in cli.preset_specs(name, replications=50, seed=3):
                 assert spec.replications == 50
+                assert spec.base.seed == 3
 
     def test_multi_scale_covers_four_ring_sizes(self):
         named = cli.preset_specs("multi-scale")
@@ -388,6 +396,13 @@ class TestMain:
         assert "--format" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_sweep_has_no_fast_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--preset", "multi-scale", "--fast", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--fast" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_sweep_config_file(self, tmp_path, capsys):
         doc = {
             "base": {
@@ -421,8 +436,9 @@ class TestMain:
         assert cli.read_rows(tmp_path / "quick.csv") == cli.run_sweep(want)
 
     def test_sweep_flags_override_config_base(self, tmp_path):
-        """--capacity, --memory and --mode act as if written into the file's
-        base; the file has no modes, so --mode also sets the modes run."""
+        """--capacity and --memory act as if written into the file's base.
+        argparse reads --mode as an abbreviation of --modes, which here sets
+        the modes run, as the base mode of a file with no modes would."""
         flagged = tmp_path / "flagged.json"
         flagged.write_text(json.dumps({"base": TINY_DOC, "values": [2, 3]}), encoding="utf-8")
         written = tmp_path / "written.json"
@@ -453,17 +469,15 @@ class TestMain:
         cfg_path = tmp_path / f"{basename}.json"
         cfg_path.write_text(json.dumps(doc), encoding="utf-8")
         for source in (["--preset", name], ["--config", str(cfg_path)]):
-            assert cli.main(["sweep", *source, "--fast", "--out-dir", str(tmp_path)]) == 0
+            assert cli.main(["sweep", *source, "--reps", "50", "--out-dir", str(tmp_path)]) == 0
         from_preset, from_config = seen[index], seen[-1]
-        assert from_preset == from_config == cli.preset_specs(name, fast=True)[index][1]
+        assert from_preset == from_config == cli.preset_specs(name, replications=50)[index][1]
 
     @pytest.mark.parametrize(
         "flags,message",
         [
             (["--preset", "multi-scale", "--nodes", "10"], "L must be"),
             (["--preset", "optimal-lambda", "--modes", "homogeneous,random"], "one mode"),
-            (["--variable", "M", "--values", "2", "--mode", "random",
-              "--modes", "homogeneous"], "modes"),
         ],
     )
     def test_sweep_flag_errors_exit_cleanly(self, tmp_path, capsys, flags, message):
@@ -526,6 +540,23 @@ class TestMain:
         assert "out-dir" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_dir_that_is_a_file_exits_cleanly(self, tmp_path, monkeypatch, capsys, command):
+        """The output directory is made before anything is simulated, and
+        its OSError is reported as an error naming out-dir."""
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated before the output directory was made")
+
+        monkeypatch.setattr(cli, "run", simulate)
+        monkeypatch.setattr(cli, "run_sweep", simulate)
+        flags = ["--trace"] if command == "run" else ["--variable", "lambda", "--values", "2"]
+        assert cli.main([command, *TINY_FLAGS, *flags, "--out-dir", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out-dir: ") and str(taken) in err
+
     def test_run_trace_defaults_to_cwd(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["run", *TINY_FLAGS, "--trace"]) == 0
@@ -552,7 +583,7 @@ class TestMain:
             cli, "optimal_lambda", lambda spec: [(0.3, 30), (0.9, 12)]
         )
         code = cli.main([
-            "sweep", "--preset", "optimal-lambda", "--fast",
+            "sweep", "--preset", "optimal-lambda", "--reps", "50",
             "--out-dir", str(tmp_path),
         ])
         assert code == 0
@@ -603,3 +634,18 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: ringhub ")
         assert proc.stderr == ""
+
+
+def test_readme_command_lines_parse(monkeypatch):
+    """Every `ringhub ...` line of the README's command-line block parses,
+    so that a removed flag cannot linger in the docs."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("### Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words and words[0] == "ringhub"]
+    assert len(commands) >= 5
+    for name in ("_cmd_run", "_cmd_sweep", "_cmd_ne"):
+        monkeypatch.setattr(cli, name, lambda args: 0)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv

@@ -339,3 +339,29 @@ class TestRouteTable:
                 route = best_inside_route(rh.ODPair(o, d), net)
                 priced = d_access[o, d] + cfg.alpha * d_hub[o, d]
                 assert priced == inside_cost(route, False, cfg.alpha, cfg.beta)
+
+    @pytest.mark.parametrize(
+        "origins,dests,field",
+        [
+            ([250], [3], "origins"),  # past the ring
+            ([1.7], [3], "origins"),  # not truncated to node 1
+            ([1], [-1], "dests"),  # not wrapped to node N-1
+            ([1], [20], "dests"),  # node N
+            ([True], [3], "origins"),
+            ([2**70], [3], "origins"),
+            ([1], np.array([3.0]), "dests"),
+        ],
+    )
+    def test_refuses_values_that_are_not_nodes(self, origins, dests, field):
+        net = rh.build_network(rh.NetworkConfig(N=20, hub_links=5, L=1))
+        with pytest.raises(ValueError, match=field):
+            rh.route_table(net, origins, dests)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint32, np.uint64, np.int64])
+    def test_takes_any_integer_dtype(self, dtype):
+        net = rh.build_network(rh.NetworkConfig(N=20, hub_links=5, L=1))
+        origins, dests = [0, 7, 19], [19, 3, 0]
+        want = rh.route_table(net, origins, dests)
+        got = rh.route_table(net, np.array(origins, dtype=dtype), np.array(dests, dtype=dtype))
+        for a, b in zip(want, got):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)

@@ -343,9 +343,31 @@ class TestStackedPoints:
         with pytest.raises(ValueError, match="nets"):
             _engine.simulate_points(nets, 2, 2, "homogeneous", 10, 0, [1])
 
-    def test_replicate_points_refuses_configs_that_differ_in_more(self):
-        with pytest.raises(ValueError, match="cfgs"):
-            rh.sim.replicate_points([small_config(), small_config(S=3)], 2)
+    def test_replicate_points_groups_mixed_configs(self, monkeypatch):
+        """Configs equal but for hub_links and L share one engine batch, the
+        others run in batches of their own, and each result is replicate's,
+        in input order."""
+        lam3 = small_config()
+        cfgs = [
+            lam3,
+            dataclasses.replace(small_config(mode="random"), network=lam3.network),
+            rh.sim.config_with(lam3, hub_links=5, L=8),
+            dataclasses.replace(lam3, M=3),
+            small_config(seed=7),
+        ]
+        calls = []
+        stack = _engine.simulate_points
+
+        def spy(nets, *args, **kwargs):
+            calls.append([(net.config.hub_links, net.config.L) for net in nets])
+            return stack(nets, *args, **kwargs)
+
+        monkeypatch.setattr(_engine, "simulate_points", spy)
+        got = rh.sim.replicate_points(cfgs, 3)
+        assert calls == [[(3, 5), (5, 8)], [(3, 5)], [(3, 5)], [(3, 5)]]
+        monkeypatch.setattr(_engine, "simulate_points", stack)
+        assert got == [rh.replicate(cfg, 3) for cfg in cfgs]
+        assert rh.sim.replicate_points([], 2) == []
 
 
 def stacked_args(mode, traced=True):
