@@ -45,17 +45,16 @@ print()
 
 # How many travelers would even consider the hub? Draw a random trip table
 # and count the agents whose uncongested inside route beats the ring.
-rng = np.random.default_rng(7)
-od_pairs = rh.assign_destinations(net, rng)
-advantages, _, _ = rh.cost_advantages(net, od_pairs)
+# Agent n travels from node n to node dests[n].
+dests = rh.draw_destinations(net.N, np.random.default_rng(7))
+advantages, _, _ = rh.cost_advantages(net, dests)
 print(f"potential hub users for this trip table: {(advantages > 0).sum()} of {net.N}")
 
 # The same count as the hub thins out: fewer interchanges mean longer
 # access walks, so fewer trips benefit.
 for lam in (2, 4, 10, 25, 50):
     thin = rh.build_network(rh.NetworkConfig(N=100, hub_links=lam, L=80))
-    pairs = rh.assign_destinations(thin, np.random.default_rng(7))
-    adv, _, _ = rh.cost_advantages(thin, pairs)
+    adv, _, _ = rh.cost_advantages(thin, dests)
     print(f"hub_links={lam:>2}: potential users={(adv > 0).sum():>3}")
 
 # Mean advantage of the best inside route, exact arithmetic throughout.

@@ -31,8 +31,8 @@ print(f"  potential hub users  {metrics.n_p:.0f}")
 
 # The matching equilibrium baseline for the same trip table.
 net = rh.build_network(cfg.network)
-od_pairs = rh.assign_destinations(net, np.random.default_rng(cfg.seed))
-ne = rh.ne_costs(cfg.network, *rh.cost_advantages(net, od_pairs))
+dests = rh.draw_destinations(net.N, np.random.default_rng(cfg.seed))
+ne = rh.ne_costs(cfg.network, *rh.cost_advantages(net, dests))
 print(f"  equilibrium band     [{float(ne.c_best):.4f}, {float(ne.c_worst):.4f}]")
 
 # A sideways sparkline of the hub load: early exploration settles into a

@@ -46,7 +46,6 @@ spec = cli.SweepSpec(
     sweep_variable="lambda",
     values=tuple(range(2, 101, 4)),
     replications=REPS,
-    ne_baseline=False,
     modes=("heterogeneous", "random"),
 )
 rows = cli.run_sweep(spec)

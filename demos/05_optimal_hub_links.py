@@ -27,7 +27,6 @@ spec = cli.SweepSpec(
     sweep_variable="capacity_ratio",
     values=(0.3, 0.9),
     replications=REPS,
-    ne_baseline=False,
 )
 
 for ratio in spec.values:
@@ -37,7 +36,6 @@ for ratio in spec.values:
         sweep_variable="lambda",
         values=GRID,
         replications=REPS,
-        ne_baseline=False,
     )
     rows = cli.run_sweep(sub)
     cli.emit_outputs(rows, OUT, basename=f"cost_vs_links_L{base.network.L}")

@@ -25,9 +25,8 @@ from .equilibrium import NEResult, cost_advantages, ne_costs
 from .network import (
     Network,
     NetworkConfig,
-    ODPair,
-    assign_destinations,
     build_network,
+    draw_destinations,
     interchange_positions,
     route_table,
 )
@@ -59,9 +58,8 @@ __all__ = [
     "ne_costs",
     "Network",
     "NetworkConfig",
-    "ODPair",
-    "assign_destinations",
     "build_network",
+    "draw_destinations",
     "interchange_positions",
     "route_table",
     "Metrics",

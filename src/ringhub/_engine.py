@@ -123,9 +123,7 @@ class BatchResult:
     n_p: np.ndarray
     ne_best: np.ndarray
     ne_worst: np.ndarray
-    scale: int
-    trace_n_in: np.ndarray | None = None
-    trace_h: np.ndarray | None = None
+    trace_n_in: np.ndarray | None = None  # hub users per step; h is trace_n_in > L
     trace_cost: np.ndarray | None = None  # scaled integer totals per step
     final_scores: np.ndarray | None = None  # (R, N, S) virtual scores
 
@@ -209,9 +207,7 @@ def simulate_points(
         n_p=_shared_empty(k * r, dtype=np.int64),
         ne_best=_shared_empty(k * r),
         ne_worst=_shared_empty(k * r),
-        scale=first.scale,
         trace_n_in=per_step(np.int32),
-        trace_h=per_step(bool),
         trace_cost=per_step(np.int64),
         final_scores=_shared_empty((k * r, n, S)) if scores else None,
     )
@@ -505,7 +501,6 @@ def _simulate_slab(
         res.std_hub_users[at] = nin_m.std(axis=1)
     if res.trace_n_in is not None:
         res.trace_n_in[rows], res.trace_cost[rows] = nin_rec, cost_rec
-        res.trace_h[rows] = nin_rec > cap[:, None]
     if final is not None:
         final[live] = scores2 / 2.0
         res.final_scores[rows] = final

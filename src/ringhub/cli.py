@@ -68,15 +68,14 @@ class SweepSpec:
 
     modes lists the agent populations to run at every point; it defaults to
     the base configuration's mode. replications is the run count per
-    (value, mode) point. With ne_baseline on, each point also reports the
-    equilibrium averages of its runs' OD draws.
+    (value, mode) point. Each point also reports the equilibrium averages of
+    its runs' trip tables.
     """
 
     base: SimConfig = SimConfig()
     sweep_variable: str = "lambda"
     values: tuple = ()
     replications: int = 1000
-    ne_baseline: bool = True
     modes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -104,12 +103,12 @@ class SweepSpec:
 @dataclass(frozen=True)
 class SweepRow(Metrics):
     """Across-run means of the Metrics at one sweep point for one agent mode,
-    with the point's equilibrium band when the sweep computes it."""
+    with the point's equilibrium band."""
 
     value: int | float
     mode: str
-    ne_best: float | None
-    ne_worst: float | None
+    ne_best: float
+    ne_worst: float
 
 
 def config_at(spec: SweepSpec, value) -> SimConfig:
@@ -144,7 +143,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Replicate every (value, mode) point and return one row per point.
 
     All points share the spec's base seed, so modes at the same value see
-    identical OD draws and the whole table is reproducible byte for byte.
+    identical trip tables and the whole table is reproducible byte for byte.
     The points run through one replicate_points call, which stacks those
     that differ only in hub_links and L (per mode, every point of a lambda
     or capacity_ratio sweep); each row equals what replicate gives for that
@@ -160,8 +159,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             **vars(result.mean),
             value=value,
             mode=mode,
-            ne_best=result.ne_best if spec.ne_baseline else None,
-            ne_worst=result.ne_worst if spec.ne_baseline else None,
+            ne_best=result.ne_best,
+            ne_worst=result.ne_worst,
         )
         for (value, mode), result in zip(points, results)
     ]
@@ -183,16 +182,17 @@ def optimal_lambda(
         )
     if len(spec.modes) != 1:
         raise ValueError(f"modes: optimal_lambda needs one mode, got {spec.modes}")
-    grid = tuple(range(2, spec.base.network.N + 1) if lambda_values is None else lambda_values)
-    if not grid:
-        raise ValueError("lambda_values must be a non-empty list or None")
+    n = spec.base.network.N
+    grid = tuple(range(2, n + 1)) if lambda_values is None else lambda_values
+    if not isinstance(grid, (list, tuple)) or not grid:
+        raise ValueError(f"lambda_values must be a non-empty list or None, got {grid!r}")
+    for lam in grid:
+        _require_int(lam, "lambda_values", 2, n)
     table: list[tuple[float, int]] = []
     for ratio in spec.values:
-        sub = replace(
-            spec, base=config_at(spec, ratio), sweep_variable="lambda",
-            values=grid, ne_baseline=False,
+        rows = run_sweep(
+            replace(spec, base=config_at(spec, ratio), sweep_variable="lambda", values=grid)
         )
-        rows = run_sweep(sub)
         best = min(rows, key=lambda row: (row.avg_cost, row.value))
         table.append((float(ratio), int(best.value)))
     return table
@@ -222,11 +222,9 @@ def _parse_value(text: str):
 
 
 def _cell(column: str, text: str, line: int):
-    """One CSV cell as its SweepRow field; a blank NE cell is None."""
+    """One CSV cell as its SweepRow field."""
     if column == "mode":
         return text
-    if not text and column in ("ne_best", "ne_worst"):
-        return None
     try:
         return _parse_value(text) if column == "value" else float(text)
     except ValueError:
@@ -283,7 +281,6 @@ PRESET_DOCS = {
         ("optimal-lambda", {
             "sweep_variable": "capacity_ratio",
             "values": [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-            "ne_baseline": False,
         }),
     ],
 }
@@ -443,8 +440,8 @@ def _cmd_ne(args) -> int:
     seed = given.pop("seed", SimConfig.seed)
     net = build_network(NetworkConfig(**given))
     _require_int(seed, "seed", 0, INT64_MAX)
-    od_pairs = assign_destinations(net, np.random.default_rng(seed))
-    result = ne_costs(net.config, *cost_advantages(net, od_pairs))
+    dests = assign_destinations(net, np.random.default_rng(seed))
+    result = ne_costs(net.config, *cost_advantages(net, dests))
     print(f"n_p={result.n_p}")
     print(f"c_best={result.c_best} ({float(result.c_best)})")
     print(f"c_worst={result.c_worst} ({float(result.c_worst)})")

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import Network, NetworkConfig, ODPair, route_table
+from .network import Network, NetworkConfig, route_table
 
 __all__ = [
     "NEResult",
@@ -88,17 +88,20 @@ def ne_totals(l, out, inu, L) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n_p, best, worst
 
 
-def cost_advantages(
-    net: Network, od_pairs: list[ODPair]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cost_advantages(net: Network, dests) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-agent (l, out, inu) on net.config.scale, the arrays ne_costs takes.
 
-    Three (N,) int64 arrays indexed by agent: the advantage out - inu, the
-    outside cost and the uncongested inside cost, each times the scale.
+    dests is a trip table as draw_destinations returns it: agent n travels
+    from node n to node dests[n], which must differ from n. Returns three
+    (N,) int64 arrays indexed by agent: the advantage out - inu, the outside
+    cost and the uncongested inside cost, each times the scale.
     """
-    geometry = route_table(
-        net, [od.origin for od in od_pairs], [od.destination for od in od_pairs]
-    )
+    origins, dests = np.arange(net.N), np.asarray(dests)
+    if dests.shape != origins.shape:
+        raise ValueError(f"dests must have shape ({net.N},), got {dests.shape}")
+    geometry = route_table(net, origins, dests)  # refuses dests that are not nodes
+    if np.any(dests == origins):
+        raise ValueError("dests: every agent's destination must differ from its own node")
     out, inu, _ = scaled_costs(net.config, geometry)
     return out - inu, out, inu
 

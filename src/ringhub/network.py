@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "NetworkConfig",
     "Network",
-    "ODPair",
     "build_network",
     "interchange_positions",
     "draw_destinations",
@@ -114,18 +113,6 @@ class Network:
         return self.config.N
 
 
-@dataclass(frozen=True)
-class ODPair:
-    """An agent's fixed origin and destination nodes."""
-
-    origin: int
-    destination: int
-
-    def __post_init__(self) -> None:
-        if self.origin == self.destination:
-            raise ValueError("origin and destination must differ")
-
-
 def interchange_positions(N: int, hub_links: int) -> tuple[int, ...]:
     """Evenly spaced interchange nodes: round(i*N/hub_links), half up.
 
@@ -133,8 +120,8 @@ def interchange_positions(N: int, hub_links: int) -> tuple[int, ...]:
     positions i*N/hub_links lie at least one node apart, so the rounded ones
     are distinct, increasing and below N.
     """
-    if not 2 <= hub_links <= N:
-        raise ValueError(f"hub_links must be in [2, N={N}], got {hub_links!r}")
+    _require_int(N, "N", 2)
+    _require_int(hub_links, "hub_links", 2, N)
     return tuple((2 * i * N + hub_links) // (2 * hub_links) for i in range(hub_links))
 
 
@@ -153,9 +140,10 @@ def draw_destinations(N: int, rng: np.random.Generator) -> np.ndarray:
     return draws + (draws >= np.arange(N))
 
 
-def assign_destinations(net: Network, rng: np.random.Generator) -> list[ODPair]:
-    """draw_destinations as OD pairs, agent n travelling from node n."""
-    return [ODPair(o, d) for o, d in enumerate(draw_destinations(net.N, rng).tolist())]
+def assign_destinations(net: Network, rng: np.random.Generator) -> np.ndarray:
+    """draw_destinations for net's ring. `ringhub ne` draws its trip table
+    here, the call site perfbench/tracer.py times."""
+    return draw_destinations(net.N, rng)
 
 
 def _nodes(values, n: int, field: str) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Game loop driver: single runs, replication batches, metrics, traces.
 
-A run is fully determined by its SimConfig: the seed fixes the OD
-assignment, the strategy tables, the initial history, and every per-step
+A run is fully determined by its SimConfig: the seed fixes the trip
+table, the strategy tables, the initial history, and every per-step
 draw, in the order documented in ringhub._engine; that order is part of the
 determinism contract. Replications use seeds seed+0 .. seed+R-1 and average
 each metric.
@@ -91,8 +91,8 @@ METRIC_NAMES = tuple(f.name for f in fields(Metrics))
 class ReplicateResult:
     """Across-run mean and standard error of each metric, plus NE baselines.
 
-    ne_best and ne_worst are the equilibrium averages of each run's own OD
-    draw, averaged across runs.
+    ne_best and ne_worst are the equilibrium averages of each run's own trip
+    table, averaged across runs.
     """
 
     mean: Metrics
@@ -119,14 +119,12 @@ def run(cfg: SimConfig, trace: bool = False):
     metrics = Metrics(**{name: getattr(batch, name)[0].item() for name in METRIC_NAMES})
     if not trace:
         return metrics
+    L, scale = cfg.network.L, cfg.network.scale
     records = [
-        StepRecord(
-            t=t + 1,
-            n_in=int(batch.trace_n_in[0, t]),
-            h=int(batch.trace_h[0, t]),
-            total_cost=Fraction(int(batch.trace_cost[0, t]), batch.scale),
+        StepRecord(t=t + 1, n_in=n_in, h=int(n_in > L), total_cost=Fraction(cost, scale))
+        for t, (n_in, cost) in enumerate(
+            zip(batch.trace_n_in[0].tolist(), batch.trace_cost[0].tolist())
         )
-        for t in range(cfg.T)
     ]
     return metrics, records
 
@@ -218,7 +216,11 @@ def write_trace_csv(records: list[StepRecord], path) -> Path:
 
 def config_with(cfg: SimConfig, **changes) -> SimConfig:
     """replace() that also reaches one level into the network config."""
-    net_fields = {k: v for k, v in changes.items() if k in NetworkConfig.__dataclass_fields__}
+    net_names = NetworkConfig.__dataclass_fields__
+    unknown = sorted(set(changes) - set(net_names) - set(SimConfig.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown field(s) {', '.join(unknown)}")
+    net_fields = {k: v for k, v in changes.items() if k in net_names}
     sim_fields = {k: v for k, v in changes.items() if k not in net_fields}
     if net_fields:
         sim_fields["network"] = replace(cfg.network, **net_fields)

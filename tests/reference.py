@@ -1,12 +1,15 @@
 """Scalar oracles for the vectorized package: route geometry, the
 equilibrium band and a slow reference simulator.
 
-ring_distance, best_inside_route and inside_cost price one trip at a time,
-brute_force_ne enumerates hub allocations, and reference_run is a
-self-contained loop over agents and steps. They share no geometry, cost or
-equilibrium code with ringhub, only its configs, build_network and
-assign_destinations. reference_run consumes random samples in the draw
-order documented in ringhub._engine (destinations, bias draws, tables,
+ring_distance, outside_cost, best_inside_route and inside_cost price one
+trip, an (origin, destination) node pair, at a time. scalar_costs,
+potential_users and brute_force_ne take a trip table as a sequence dests
+with agent n travelling from node n to dests[n], the form
+ringhub.draw_destinations returns; brute_force_ne enumerates hub
+allocations. reference_run is a self-contained loop over agents and steps.
+They share no draw, geometry, cost or equilibrium code with ringhub, only
+its configs and build_network. reference_run consumes random samples in the
+draw order documented in ringhub._engine (destinations, bias draws, tables,
 history bits, then per-step draws agent-major), so a correct engine must
 reproduce its output bit for bit.
 """
@@ -30,9 +33,9 @@ def ring_distance(i: int, j: int, N: int) -> int:
     return min(d, N - d)
 
 
-def outside_cost(od: rh.ODPair, N: int) -> int:
-    """Ring-route cost: the peripheral distance from origin to destination."""
-    return ring_distance(od.origin, od.destination, N)
+def outside_cost(o: int, d: int, N: int) -> int:
+    """Ring-route cost: the peripheral distance from origin o to destination d."""
+    return ring_distance(o, d, N)
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,8 @@ class InsideRoute:
             raise ValueError("leg lengths out of range")
 
 
-def best_inside_route(od: rh.ODPair, net: rh.Network) -> InsideRoute:
-    """Cheapest hub route for od under the uncongested price alpha.
+def best_inside_route(o: int, d: int, net: rh.Network) -> InsideRoute:
+    """Cheapest hub route from node o to node d under the uncongested price alpha.
 
     Scans all ordered pairs of distinct interchanges; ties go to the
     lexicographically smallest (h_in, h_out).
@@ -66,12 +69,12 @@ def best_inside_route(od: rh.ODPair, net: rh.Network) -> InsideRoute:
     best: InsideRoute | None = None
     best_cost: Fraction | None = None
     for h_in in net.interchanges:
-        d_in = ring_distance(od.origin, h_in, n)
+        d_in = ring_distance(o, h_in, n)
         for h_out in net.interchanges:
             if h_out == h_in:
                 continue
             d_hub = ring_distance(h_in, h_out, n)
-            d_access = d_in + ring_distance(h_out, od.destination, n)
+            d_access = d_in + ring_distance(h_out, d, n)
             cost = d_access + alpha * d_hub
             if best_cost is None or cost < best_cost:
                 best_cost = cost
@@ -85,29 +88,29 @@ def inside_cost(route: InsideRoute, congested: bool, alpha: Fraction, beta: Frac
     return route.d_access + (beta if congested else alpha) * route.d_hub
 
 
-def scalar_costs(net: rh.Network, od_pairs: list[rh.ODPair]):
+def scalar_costs(net: rh.Network, dests):
     """Per-agent (outside, inside uncongested, inside congested) cost lists."""
     alpha, beta = net.config.alpha, net.config.beta
     c_out: list[int] = []
     c_in_unc: list[Fraction] = []
     c_in_con: list[Fraction] = []
-    for od in od_pairs:
-        route = best_inside_route(od, net)
-        c_out.append(outside_cost(od, net.N))
+    for o, d in enumerate(map(int, dests)):
+        if o == d:
+            raise ValueError(f"dests: agent {o} travels to its own node")
+        route = best_inside_route(o, d, net)
+        c_out.append(outside_cost(o, d, net.N))
         c_in_unc.append(inside_cost(route, False, alpha, beta))
         c_in_con.append(inside_cost(route, True, alpha, beta))
     return c_out, c_in_unc, c_in_con
 
 
-def potential_users(net: rh.Network, od_pairs: list[rh.ODPair]) -> int:
+def potential_users(net: rh.Network, dests) -> int:
     """Agents whose uncongested inside route strictly beats the ring."""
-    c_out, c_in_unc, _ = scalar_costs(net, od_pairs)
+    c_out, c_in_unc, _ = scalar_costs(net, dests)
     return sum(1 for out, inu in zip(c_out, c_in_unc) if out > inu)
 
 
-def brute_force_ne(
-    network: rh.Network, od_pairs: list[rh.ODPair], L: int
-) -> tuple[Fraction, Fraction]:
+def brute_force_ne(network: rh.Network, dests, L: int) -> tuple[Fraction, Fraction]:
     """Extreme equilibrium average costs by exhaustive enumeration.
 
     Enumerates every subset of potential agents of size min(n_p, L) as the
@@ -115,10 +118,10 @@ def brute_force_ne(
     unilaterally, and returns the (min, max) average cost over them. Only
     feasible for small instances.
     """
-    n = len(od_pairs)
+    n = len(dests)
     if n > 16:
         raise ValueError(f"instance too large for enumeration: N={n} > 16")
-    c_out, c_in_unc, c_in_con = scalar_costs(network, od_pairs)
+    c_out, c_in_unc, c_in_con = scalar_costs(network, dests)
 
     potential = [a for a in range(n) if c_out[a] > c_in_unc[a]]
     k = min(len(potential), L)
@@ -163,6 +166,12 @@ class ReferenceTrace:
     n_p: int
 
 
+def draw_dests(N: int, rng) -> list[int]:
+    """Agent n's destination, uniform over the N-1 other nodes: one draw on
+    0..N-2 per agent in a single call, shifted up by one at or past node n."""
+    return [d + (d >= n) for n, d in enumerate(rng.integers(0, N - 1, size=N).tolist())]
+
+
 def draw_biases(mode: str, M: int, N: int, S: int, rng) -> list[list[int]]:
     """Bias K of each agent's strategies: P/2 for homogeneous agents, else
     uniform on the P+1 integers 0..P, one scalar draw each, agent-major."""
@@ -203,9 +212,7 @@ def credit(table: np.ndarray, scores: np.ndarray, mu: int, c_out, c_in) -> None:
 def reference_run(cfg: rh.SimConfig) -> ReferenceTrace:
     net = rh.build_network(cfg.network)
     rng = np.random.default_rng(cfg.seed)
-    od_pairs = rh.assign_destinations(net, rng)
-
-    c_out, c_in_unc, c_in_con = scalar_costs(net, od_pairs)
+    c_out, c_in_unc, c_in_con = scalar_costs(net, draw_dests(net.N, rng))
     n_p = sum(1 for n in range(net.N) if c_out[n] > c_in_unc[n])
 
     adaptive = cfg.mode != "random"

@@ -61,7 +61,6 @@ def stability_sigmas():
         sweep_variable="lambda",
         values=tuple(range(2, 11)),
         replications=500,
-        ne_baseline=False,
     )
     return {row.value: row.std_hub_users for row in cli.run_sweep(spec)}
 
@@ -77,8 +76,7 @@ def multi_scale_curves():
             sweep_variable="lambda",
             values=tuple(range(2, n + 1, step)),
             replications=100,
-            ne_baseline=False,
-        )
+            )
         curves[n] = {row.value: row.congestion_ratio for row in cli.run_sweep(spec)}
     return curves
 
@@ -100,7 +98,6 @@ def sigma_grid_m8():
         sweep_variable="lambda",
         values=tuple(range(2, 101, 2)),
         replications=100,
-        ne_baseline=False,
         modes=("heterogeneous", "random"),
     )
     out = {"heterogeneous": {}, "random": {}}
@@ -118,7 +115,6 @@ def optimal_lambda_table():
         sweep_variable="capacity_ratio",
         values=(0.3, 0.9),
         replications=200,
-        ne_baseline=False,
     )
     return dict(cli.optimal_lambda(spec, lambda_values=grid))
 
@@ -289,9 +285,9 @@ def test_criterion_8_equilibrium_oracle_equivalence(criterion):
         cap = int(rng.integers(1, n + 1))
         cfg = rh.NetworkConfig(N=n, hub_links=lam, L=cap)
         net = rh.build_network(cfg)
-        od_pairs = rh.assign_destinations(net, rng)
-        closed = rh.ne_costs(cfg, *rh.cost_advantages(net, od_pairs))
-        best, worst = brute_force_ne(net, od_pairs, cap)
+        dests = rh.draw_destinations(n, rng)
+        closed = rh.ne_costs(cfg, *rh.cost_advantages(net, dests))
+        best, worst = brute_force_ne(net, dests, cap)
         if (closed.c_best, closed.c_worst) != (best, worst):
             mismatches.append(f"N={n} lambda={lam} L={cap}")
     passed = not mismatches
@@ -357,20 +353,20 @@ def test_criterion_9_property_suite(criterion):
         n = int(rng.integers(4, 21))
         lam = int(rng.integers(2, n + 1))
         net = rh.build_network(rh.NetworkConfig(N=n, hub_links=lam, L=1))
-        od_pairs = rh.assign_destinations(net, rng)
-        _, d_access, d_hub = rh.route_table(net, np.arange(n), [od.destination for od in od_pairs])
-        for od, access, hub in zip(od_pairs, d_access.tolist(), d_hub.tolist()):
+        dests = rh.draw_destinations(n, rng)
+        _, d_access, d_hub = rh.route_table(net, np.arange(n), dests)
+        for o, d, access, hub in zip(range(n), dests.tolist(), d_access.tolist(), d_hub.tolist()):
             got = access + net.config.alpha * hub
             best = min(
-                ring_distance(od.origin, a, n)
-                + ring_distance(b, od.destination, n)
+                ring_distance(o, a, n)
+                + ring_distance(b, d, n)
                 + net.config.alpha * ring_distance(a, b, n)
                 for a in net.interchanges
                 for b in net.interchanges
                 if a != b
             )
             if got != best:
-                failures.append(f"suboptimal route for {od} on N={n} lambda={lam}")
+                failures.append(f"suboptimal route for ({o}, {d}) on N={n} lambda={lam}")
 
     # coin-flip agents load the hub at N/2 on average
     rep = rh.replicate(config_with(BASE, mode="random"), 30)

@@ -117,12 +117,10 @@ class TestRunSweep:
             (v, m) for v in (2, 3, 4) for m in ("homogeneous", "random")
         ]
 
-    def test_ne_baseline_toggle(self):
-        with_ne = cli.run_sweep(tiny_spec(values=(3,)))[0]
-        assert with_ne.ne_best is not None and with_ne.ne_worst is not None
-        assert with_ne.ne_best <= with_ne.ne_worst
-        without = cli.run_sweep(tiny_spec(values=(3,), ne_baseline=False))[0]
-        assert without.ne_best is None and without.ne_worst is None
+    def test_rows_carry_the_ne_band(self):
+        for row in cli.run_sweep(tiny_spec(modes=("homogeneous", "random"))):
+            assert isinstance(row.ne_best, float) and isinstance(row.ne_worst, float)
+            assert row.ne_best <= row.ne_worst
 
     def test_sweep_is_deterministic(self):
         spec = tiny_spec()
@@ -187,6 +185,13 @@ class TestOptimalLambda:
         with pytest.raises(ValueError, match="lambda_values"):
             cli.optimal_lambda(spec, lambda_values=())
 
+    @pytest.mark.parametrize("grid", [(200,), (1,), (3.5,), 5, "4"])
+    def test_refuses_a_bad_grid(self, monkeypatch, grid):
+        monkeypatch.setattr(cli, "run_sweep", None)  # refused before any sweep
+        spec = tiny_spec(sweep_variable="capacity_ratio", values=(0.5,))
+        with pytest.raises(ValueError, match="lambda_values"):
+            cli.optimal_lambda(spec, lambda_values=grid)
+
     def test_degenerate_grid(self):
         spec = tiny_spec(sweep_variable="capacity_ratio", values=(0.5,))
         table = cli.optimal_lambda(spec, lambda_values=(4,))
@@ -198,7 +203,7 @@ class TestOptimalLambda:
                 cli.SweepRow(
                     value=v, mode="homogeneous", avg_cost=5.0,
                     congestion_ratio=0.0, avg_hub_users=1.0, std_hub_users=0.0,
-                    n_p=3.0, ne_best=None, ne_worst=None,
+                    n_p=3.0, ne_best=0.0, ne_worst=0.0,
                 )
                 for v in sub.values
             ]
@@ -216,7 +221,7 @@ class TestOptimalLambda:
                 cli.SweepRow(
                     value=v, mode="homogeneous", avg_cost=costs[v],
                     congestion_ratio=0.0, avg_hub_users=1.0, std_hub_users=0.0,
-                    n_p=3.0, ne_best=None, ne_worst=None,
+                    n_p=3.0, ne_best=0.0, ne_worst=0.0,
                 )
                 for v in sub.values
             ]
@@ -243,13 +248,6 @@ class TestOutputs:
         b = cli.emit_outputs(rows, tmp_path / "b")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_blank_ne_cells_round_trip_as_none(self, tmp_path):
-        rows = cli.run_sweep(tiny_spec(values=(3,), ne_baseline=False))
-        path = cli.emit_outputs(rows, tmp_path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[1].endswith(",,")
-        assert cli.read_rows(path)[0].ne_best is None
-
     def test_empty_rows_refused_before_writing(self, tmp_path):
         target = tmp_path / "never"
         with pytest.raises(ValueError, match="empty"):
@@ -267,10 +265,12 @@ class TestOutputs:
         [
             ("", "line 1: unexpected header []"),
             (HEADER_LINE + "3,homogeneous,17.5,0.0\n", "line 2: 4 cells, expected 9"),
-            (HEADER_LINE + "3,homogeneous,17.5,0.0,70.0,x,68.0,,\n",
+            (HEADER_LINE + "3,homogeneous,17.5,0.0,70.0,x,68.0,17.0,17.5\n",
              "line 2, column std_hub_users: 'x' is not a number"),
+            (HEADER_LINE + "3,homogeneous,17.5,0.0,70.0,1.5,68.0,,\n",
+             "line 2, column ne_best: '' is not a number"),
         ],
-        ids=["empty", "short-row", "non-numeric"],
+        ids=["empty", "short-row", "non-numeric", "blank-ne"],
     )
     def test_read_rows_refuses_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -307,6 +307,10 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="preset"):
             cli.preset_specs("nonsense")
+
+    def test_unknown_override_names_the_field(self):
+        with pytest.raises(ValueError, match="foo"):
+            cli.preset_specs("baseline-homogeneous", foo=1)
 
 
 TINY_DOC = {
@@ -352,9 +356,9 @@ class TestMain:
         out = capsys.readouterr().out
         cfg = tiny_base()
         net = rh.build_network(cfg.network)
-        od_pairs = rh.assign_destinations(net, np.random.default_rng(cfg.seed))
-        best, worst = brute_force_ne(net, od_pairs, cfg.network.L)
-        assert f"n_p={potential_users(net, od_pairs)}" in out.splitlines()
+        dests = rh.draw_destinations(net.N, np.random.default_rng(cfg.seed))
+        best, worst = brute_force_ne(net, dests, cfg.network.L)
+        assert f"n_p={potential_users(net, dests)}" in out.splitlines()
         assert f"c_best={best} ({float(best)})" in out.splitlines()
         assert f"c_worst={worst} ({float(worst)})" in out.splitlines()
 
@@ -507,6 +511,7 @@ class TestMain:
             ({"base": {"seed": True}, "values": [3]}, "seed"),
             ({"values": 5}, "values must be a list"),
             ({"values": [3], "modes": "random"}, "modes must be a list"),
+            ({"values": [3], "ne_baseline": False}, "unknown key(s) ne_baseline"),
         ],
     )
     def test_sweep_config_errors_exit_cleanly(self, tmp_path, capsys, doc, message):

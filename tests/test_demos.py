@@ -1,8 +1,9 @@
 """Smoke tests for the demos that call the package's API directly: the
-route geometry and the equilibrium (route_table, scaled_costs,
-cost_advantages, ne_costs) in 01 and 02, and the sweep harness with its CSV
-output (run_sweep, emit_outputs, optimal_lambda) in 03 to 05. The tables of
-demos 03 and 04 are deleted before each runs, so only a fresh one passes."""
+trip table, the route geometry and the equilibrium (draw_destinations,
+route_table, scaled_costs, cost_advantages, ne_costs) in 01 and 02, and the
+sweep harness with its CSV output (run_sweep, emit_outputs, optimal_lambda)
+in 03 to 05. The tables of demos 03 and 04 are deleted before each runs, so
+only a fresh one passes."""
 
 from __future__ import annotations
 

@@ -11,7 +11,7 @@ import pytest
 import ringhub as rh
 from ringhub.equilibrium import ne_totals
 
-from reference import brute_force_ne, potential_users
+from reference import brute_force_ne, draw_dests, potential_users
 
 
 def closed_form(ls, outs, L, scale=1):
@@ -103,34 +103,45 @@ class TestNECosts:
             cfg = rh.NetworkConfig(N=n, hub_links=lam, L=cap, alpha=alpha, beta=Fraction(3, 2))
             assert cfg.scale > 2**50
             net = rh.build_network(cfg)
-            od_pairs = rh.assign_destinations(net, rng)
-            result = rh.ne_costs(cfg, *rh.cost_advantages(net, od_pairs))
-            assert result.n_p == potential_users(net, od_pairs)
-            assert (result.c_best, result.c_worst) == brute_force_ne(net, od_pairs, cap)
+            dests = rh.draw_destinations(net.N, rng)
+            result = rh.ne_costs(cfg, *rh.cost_advantages(net, dests))
+            assert result.n_p == potential_users(net, dests)
+            assert (result.c_best, result.c_worst) == brute_force_ne(net, dests, cap)
 
     def test_inconsistent_lengths_rejected(self):
         cfg = rh.NetworkConfig(N=8, hub_links=2, L=4)
         net = rh.build_network(cfg)
-        l, out, inu = rh.cost_advantages(net, rh.assign_destinations(net, np.random.default_rng(0)))
+        l, out, inu = rh.cost_advantages(net, rh.draw_destinations(8, np.random.default_rng(0)))
         with pytest.raises(ValueError, match="out must be an int64 array of N=8"):
             rh.ne_costs(cfg, l, out[:1], inu)
         with pytest.raises(ValueError, match="inu must be an int64 array of N=8"):
             rh.ne_costs(cfg, l, out, inu.astype(object))
+
+    def test_cost_advantages_refuses_a_bad_trip_table(self):
+        net = rh.build_network(rh.NetworkConfig(N=8, hub_links=2, L=4))
+        for dests in (
+            [1, 1, 0, 0, 0, 0, 0, 0],  # agent 1 travels to its own node
+            [1, 0, 0, 0, 0, 0, 0],  # one destination short
+            [1, 0, 0, 0, 0, 0, 0, 0, 0],  # one too many
+            np.ones((2, 8), dtype=np.int64),  # not one destination per agent
+        ):
+            with pytest.raises(ValueError, match="dests"):
+                rh.cost_advantages(net, dests)
 
 
 class TestBruteForce:
     def test_instance_too_large(self):
         cfg = rh.NetworkConfig(N=20, hub_links=4, L=5)
         net = rh.build_network(cfg)
-        od_pairs = rh.assign_destinations(net, np.random.default_rng(0))
+        dests = rh.draw_destinations(net.N, np.random.default_rng(0))
         with pytest.raises(ValueError, match="too large"):
-            brute_force_ne(net, od_pairs, 5)
+            brute_force_ne(net, dests, 5)
 
     def test_single_allocation_when_everyone_fits(self):
         cfg = rh.NetworkConfig(N=8, hub_links=2, L=8)
         net = rh.build_network(cfg)
-        od_pairs = rh.assign_destinations(net, np.random.default_rng(1))
-        best, worst = brute_force_ne(net, od_pairs, 8)
+        dests = rh.draw_destinations(net.N, np.random.default_rng(1))
+        best, worst = brute_force_ne(net, dests, 8)
         assert best == worst
 
     def test_matches_closed_form_on_random_instances(self):
@@ -141,9 +152,9 @@ class TestBruteForce:
             cap = int(rng.integers(1, n + 1))
             cfg = rh.NetworkConfig(N=n, hub_links=lam, L=cap)
             net = rh.build_network(cfg)
-            od_pairs = rh.assign_destinations(net, rng)
-            closed = rh.ne_costs(cfg, *rh.cost_advantages(net, od_pairs))
-            best, worst = brute_force_ne(net, od_pairs, cap)
+            dests = rh.draw_destinations(net.N, rng)
+            closed = rh.ne_costs(cfg, *rh.cost_advantages(net, dests))
+            best, worst = brute_force_ne(net, dests, cap)
             assert closed.c_best == best
             assert closed.c_worst == worst
 
@@ -171,8 +182,8 @@ class TestEngineAgreement:
             net = rh.build_network(cfg)
             seed = int(rng.integers(0, 10_000))
             batch = _engine.simulate_batch(net, 2, 2, "homogeneous", 2, 1, [seed])
-            od_pairs = rh.assign_destinations(net, np.random.default_rng(seed))
-            best, worst = brute_force_ne(net, od_pairs, cap)
-            assert int(batch.n_p[0]) == potential_users(net, od_pairs)
+            dests = draw_dests(n, np.random.default_rng(seed))
+            best, worst = brute_force_ne(net, dests, cap)
+            assert int(batch.n_p[0]) == potential_users(net, dests)
             assert batch.ne_best[0] == pytest.approx(float(best), abs=1e-12)
             assert batch.ne_worst[0] == pytest.approx(float(worst), abs=1e-12)

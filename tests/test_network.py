@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 import ringhub as rh
 from ringhub import network
 
-from reference import InsideRoute, best_inside_route, inside_cost, outside_cost, ring_distance
+from reference import (
+    InsideRoute,
+    best_inside_route,
+    draw_dests,
+    inside_cost,
+    outside_cost,
+    ring_distance,
+)
 
 # frozen expectations, computed by hand from the half-up rounding rule
 KNOWN_INTERCHANGES = {
@@ -67,10 +74,6 @@ class TestConfig:
         assert cfg.alpha == Fraction(1, 4)
         assert cfg.beta == Fraction(5, 4)
 
-    def test_od_pair_requires_distinct_nodes(self):
-        with pytest.raises(ValueError):
-            rh.ODPair(3, 3)
-
 
 class TestInterchanges:
     @pytest.mark.parametrize("key", sorted(KNOWN_INTERCHANGES))
@@ -104,6 +107,14 @@ class TestInterchanges:
             }
             assert gaps == {n // lam}
 
+    @pytest.mark.parametrize(
+        "n,lam,field",
+        [(10, 2.5, "hub_links"), (10.0, 3, "N"), (10, 11, "hub_links"), (10, True, "hub_links")],
+    )
+    def test_refuses_non_integer_arguments(self, n, lam, field):
+        with pytest.raises(ValueError, match=field):
+            rh.interchange_positions(n, lam)
+
 
 class TestRingDistance:
     @pytest.mark.parametrize(
@@ -134,29 +145,35 @@ class TestRingDistance:
 class TestDestinations:
     def test_origin_is_agent_index_and_never_destination(self):
         net = rh.build_network(rh.NetworkConfig())
-        od = rh.assign_destinations(net, np.random.default_rng(5))
-        assert [pair.origin for pair in od] == list(range(100))
-        assert all(pair.origin != pair.destination for pair in od)
+        dests = rh.draw_destinations(net.N, np.random.default_rng(5))
+        assert dests.shape == (100,) and dests.dtype == np.int64
+        assert dests.min() >= 0 and dests.max() < 100
+        assert np.all(dests != np.arange(100))
 
     def test_same_seed_same_assignment(self):
         net = rh.build_network(rh.NetworkConfig(N=31, hub_links=5, L=20))
-        a = rh.assign_destinations(net, np.random.default_rng(9))
-        b = rh.assign_destinations(net, np.random.default_rng(9))
-        assert a == b
+        a = rh.draw_destinations(net.N, np.random.default_rng(9))
+        b = rh.draw_destinations(net.N, np.random.default_rng(9))
+        assert np.array_equal(a, b)
 
     def test_mean_distance_matches_uniform_expectation(self):
         net = rh.build_network(rh.NetworkConfig())
         rng = np.random.default_rng(123)
         samples = []
         for _ in range(60):
-            for od in rh.assign_destinations(net, rng):
-                samples.append(outside_cost(od, net.N))
+            for o, d in enumerate(rh.draw_destinations(net.N, rng).tolist()):
+                samples.append(outside_cost(o, d, net.N))
         samples = np.asarray(samples, dtype=float)
         se = samples.std(ddof=1) / np.sqrt(len(samples))
         assert abs(samples.mean() - float(MEAN_RING_DISTANCE_100)) < 4 * se
 
+    @pytest.mark.parametrize("n,seed", [(4, 0), (5, 1), (12, 7), (100, 2), (101, 2024)])
+    def test_oracle_draw_equals_draw_destinations(self, n, seed):
+        got = rh.draw_destinations(n, np.random.default_rng(seed))
+        assert got.tolist() == draw_dests(n, np.random.default_rng(seed))
 
-def brute_force_route(od: rh.ODPair, net: rh.Network, alpha: Fraction) -> tuple:
+
+def brute_force_route(o: int, d: int, net: rh.Network, alpha: Fraction) -> tuple:
     """Independent exhaustive scan over ordered interchange pairs:
     (cost, h_in, h_out, d_access, d_hub) of the lexicographic minimum."""
     best = None
@@ -164,9 +181,7 @@ def brute_force_route(od: rh.ODPair, net: rh.Network, alpha: Fraction) -> tuple:
         for h_out in net.interchanges:
             if h_in == h_out:
                 continue
-            d_access = ring_distance(od.origin, h_in, net.N) + ring_distance(
-                h_out, od.destination, net.N
-            )
+            d_access = ring_distance(o, h_in, net.N) + ring_distance(h_out, d, net.N)
             d_hub = ring_distance(h_in, h_out, net.N)
             cost = d_access + alpha * d_hub
             key = (cost, h_in, h_out, d_access, d_hub)
@@ -177,8 +192,8 @@ def brute_force_route(od: rh.ODPair, net: rh.Network, alpha: Fraction) -> tuple:
 
 class TestRoutes:
     def test_outside_cost_is_ring_distance(self):
-        assert outside_cost(rh.ODPair(0, 18), 100) == 18
-        assert outside_cost(rh.ODPair(4, 5), 100) == 1
+        assert outside_cost(0, 18, 100) == 18
+        assert outside_cost(4, 5, 100) == 1
 
     def test_inside_cost_examples(self):
         prices = rh.NetworkConfig().alpha, rh.NetworkConfig().beta
@@ -219,19 +234,18 @@ class TestRoutes:
         if o == d:
             d = (d + 1) % n
         net = rh.build_network(rh.NetworkConfig(N=n, hub_links=lam, L=1))
-        od = rh.ODPair(o, d)
         d_out, d_access, d_hub = rh.route_table(net, o, d)
-        cost, h_in, h_out, want_access, want_hub = brute_force_route(od, net, net.config.alpha)
+        cost, h_in, h_out, want_access, want_hub = brute_force_route(o, d, net, net.config.alpha)
         assert d_access + net.config.alpha * d_hub == cost
         assert (d_out, d_access, d_hub) == (ring_distance(o, d, n), want_access, want_hub)
-        route = best_inside_route(od, net)
+        route = best_inside_route(o, d, net)
         assert (route.h_in, route.h_out) == (h_in, h_out)
 
     def test_all_interchanges_gives_zero_access_entry(self):
         net = rh.build_network(rh.NetworkConfig(N=12, hub_links=12, L=4))
         _, d_access, _ = rh.route_table(net, 7, 1)
         assert d_access == 0
-        assert ring_distance(7, best_inside_route(rh.ODPair(7, 1), net).h_in, 12) == 0
+        assert ring_distance(7, best_inside_route(7, 1, net).h_in, 12) == 0
 
     def test_more_interchanges_never_worse(self):
         # nested placements: {0,50} within {0,25,50,75} within the lam=8 set
@@ -240,9 +254,8 @@ class TestRoutes:
         for a, b in zip(nets, nets[1:]):
             assert set(a.interchanges) <= set(b.interchanges)
         rng = np.random.default_rng(2)
-        od_pairs = rh.assign_destinations(nets[0], rng)[:40]
-        origins = [od.origin for od in od_pairs]
-        dests = [od.destination for od in od_pairs]
+        origins = np.arange(40)
+        dests = rh.draw_destinations(nets[0].N, rng)[:40]
         costs = []
         for net in nets:
             _, d_access, d_hub = rh.route_table(net, origins, dests)
@@ -262,9 +275,8 @@ class TestRouteTable:
             for d in range(n):
                 if o == d:
                     continue
-                od = rh.ODPair(o, d)
-                assert d_out[o, d] == outside_cost(od, n)
-                route = best_inside_route(od, net)
+                assert d_out[o, d] == outside_cost(o, d, n)
+                route = best_inside_route(o, d, net)
                 assert d_access[o, d] == route.d_access
                 assert d_hub[o, d] == route.d_hub
 
@@ -310,9 +322,9 @@ class TestRouteTable:
         pairs = [(o, d) for o in origins for d in dests if o != d]
         d_out, d_access, d_hub = rh.route_table(net, *zip(*pairs))
         for i, (o, d) in enumerate(pairs):
-            route = best_inside_route(rh.ODPair(o, d), net)
+            route = best_inside_route(o, d, net)
             assert (d_out[i], d_access[i], d_hub[i]) == (
-                outside_cost(rh.ODPair(o, d), n), route.d_access, route.d_hub
+                outside_cost(o, d, n), route.d_access, route.d_hub
             ), (o, d)
 
     @pytest.mark.parametrize("n,lam", [(20, 7), (30, 30), (101, 37)])
@@ -336,7 +348,7 @@ class TestRouteTable:
             for d in range(20):
                 if o == d:
                     continue
-                route = best_inside_route(rh.ODPair(o, d), net)
+                route = best_inside_route(o, d, net)
                 priced = d_access[o, d] + cfg.alpha * d_hub[o, d]
                 assert priced == inside_cost(route, False, cfg.alpha, cfg.beta)
 

@@ -74,6 +74,7 @@ class TestConfigValidation:
             ({"beta": 0.9}, "beta"),
             # accepted for one step, but T=40 steps of cost sums pass int64
             ({"N": 100, "L": 80, "alpha": Fraction(1, 2**44)}, "alpha"),
+            ({"foo": 1}, "foo"),  # no such field
         ],
     )
     def test_rejection_names_the_field(self, changes, field):
@@ -125,10 +126,9 @@ class TestExactCosts:
         for o, d in zip(origins.ravel(), dests.ravel()):
             if o == d:
                 continue
-            od = rh.ODPair(int(o), int(d))
-            route = best_inside_route(od, net)
+            route = best_inside_route(int(o), int(d), net)
             want = [
-                outside_cost(od, n),
+                outside_cost(int(o), int(d), n),
                 inside_cost(route, False, net.config.alpha, net.config.beta),
                 inside_cost(route, True, net.config.alpha, net.config.beta),
             ]
@@ -137,7 +137,7 @@ class TestExactCosts:
             assert min(got) >= 0
 
         batch = _engine.simulate_batch(net, 2, 2, "homogeneous", T, 0, [3], collect_trace=True)
-        totals = [Fraction(int(c), batch.scale) for c in batch.trace_cost[0]]
+        totals = [Fraction(int(c), scale) for c in batch.trace_cost[0]]
         assert totals == reference_run(cfg).total_cost
         assert min(totals) >= 0
 
@@ -266,8 +266,8 @@ class TestLockedRuns:
             cfg = rh.SimConfig(network=net, M=2, S=S, mode=mode, T=T, warmup=10, seed=seed)
             ref = reference_run(cfg)
             assert list(batch.trace_n_in[i]) == ref.n_in, seed
-            assert list(batch.trace_h[i]) == ref.h, seed
-            costs = [Fraction(int(c), batch.scale) for c in batch.trace_cost[i]]
+            assert list(batch.trace_n_in[i] > net.L) == ref.h, seed
+            costs = [Fraction(int(c), net.scale) for c in batch.trace_cost[i]]
             assert costs == ref.total_cost, seed
             want = np.stack(ref.final_scores).astype(np.float64)
             assert np.array_equal(batch.final_scores[i], want), seed
@@ -314,9 +314,7 @@ class TestStackedPoints:
             alone = _engine.simulate_batch(net, *args, collect_trace=True, collect_scores=True)
             for field in dataclasses.fields(_engine.BatchResult):
                 a, b = getattr(stacked, field.name), getattr(alone, field.name)
-                if field.name == "scale":
-                    assert a == b
-                elif b is None:
+                if b is None:
                     assert a is None and mode == "random" and field.name == "final_scores"
                 else:
                     assert np.array_equal(a[k * r : (k + 1) * r], b), (self.POINTS[k], field.name)
@@ -570,8 +568,8 @@ def assert_trace_matches_reference(cfg):
         cfg.warmup, [cfg.seed], collect_trace=True, collect_scores=True,
     )
     assert list(batch.trace_n_in[0]) == ref.n_in
-    assert list(batch.trace_h[0]) == ref.h
-    costs = [Fraction(int(c), batch.scale) for c in batch.trace_cost[0]]
+    assert list(batch.trace_n_in[0] > cfg.network.L) == ref.h
+    costs = [Fraction(int(c), cfg.network.scale) for c in batch.trace_cost[0]]
     assert costs == ref.total_cost
     assert int(batch.n_p[0]) == ref.n_p
     if cfg.mode != "random":
@@ -613,7 +611,7 @@ class TestEngineMatchesReference:
             rh.build_network(net), cfg.M, cfg.S, cfg.mode, cfg.T, cfg.warmup,
             [cfg.seed], collect_trace=True,
         )
-        costs = [Fraction(int(c), batch.scale) for c in batch.trace_cost[0]]
+        costs = [Fraction(int(c), net.scale) for c in batch.trace_cost[0]]
         assert costs == ref.total_cost
         assert list(batch.trace_n_in[0]) == ref.n_in
 
