@@ -18,27 +18,45 @@ and beta denominators, so cost comparisons (the sign() in the score update)
 are exact, and the equilibrium band is equilibrium.ne_totals on the same
 integers. Scores are kept doubled in float64; they stay exact integers.
 
-A step is a few whole-array passes over the live rows. Each seed's
-generator fills its chunk of keys in place. The keys are added to the
-scores into one keys buffer per slab: while every row still steps, the rows
-are the (points x seeds) grid, so each seed's keys broadcast over the
-points; once a row has locked they are gathered by slot. The chosen
-strategy's suggestion is read from the gathered suggestions by flat index,
-(row * N + agent) * S + argmax. A step's total cost is out_sum less the
-saving l = out - inu of each agent inside (k = out - inc when congested),
-with out_sum the row's total outside cost: an exact int64 identity within
-the bound NetworkConfig.check_cost_sums enforces. A step records its n_in
-and cost, the hub state being n_in > L, and records cover the measured
-window only, unless a trace asks for every step.
+A row's state is held with agents innermost. The strategy tables are
+(P, seeds, S, N) int8, +1 where a strategy takes the hub at a history and
+-1 where it keeps out, and a row's doubled scores, keys and score
+increments are (S, N), so each pass of a step runs over agents, the
+strategies being its outer axis. Each seed's generator fills its chunk of
+keys in stream order, agent-major as (steps, N, S), and a step reads them
+through a transposed view as it adds them to the scores, into one keys
+buffer per slab: while every row still steps, the rows are the
+(points x seeds) grid, so each seed's keys broadcast over the points; once
+a row has locked they are gathered by slot. (Copying each chunk to
+(S, N) once was 3-8% slower over whole runs, on a 2-core box.)
 
-Random play carries nothing from step to step, so it runs a chunk at a
-time. Its actions are each seed's coins of the chunk's recorded steps, a
-(seeds, steps, N) array shared by the points; a step's n_in is a per-seed
-sum and h = n_in > L per row. The savings of the agents inside are integer
-matrix products of the actions with l and with k, and a step costs out_sum
-less the k savings when congested, else the l savings: the same int64 sums
-as a single step's, added in another order, so exact within the same
-bound. Warm-up steps draw their coins and record nothing.
+Each agent plays the suggestion of its strategy with the largest key,
+2*score + tie-break key, which is the maximum over the strategy axis
+(np.maximum.reduce) and an == mask against it. Doubled scores are even
+integers and tie-break keys lie in [0, 1), so that strategy has a top score
+and the keys split ties between top scores, as argmax(2*score + key) does in
+the scalar reference (tests/reference.py). Where two keys tie exactly, the
+agent plays the first such strategy, as np.argmax does: the mask then has
+more entries than there are agents, and only then are the tied agents
+looked up one by one.
+
+A step computes only what the next step reads: the actions, n_in, the hub
+state h = n_in > L, the scores, which add sgn2 (+-2 or 0, the sign of the
+agent's cost advantage in state h) times each strategy's suggestion, and
+the history mu; it keeps the chunk's actions and n_in. After the chunk, one
+int64 matrix product of the actions with each row's savings, l = out - inu
+and k = out - inc, prices every recorded step: a step costs out_sum, the
+row's total outside cost, less the k savings of the agents inside when
+congested, else the l savings. That is an exact int64 identity within the
+bound NetworkConfig.check_cost_sums enforces, whatever order the sums take.
+Records hold each step's n_in and cost, the hub state being n_in > L, and
+cover the measured window only, unless a trace asks for every step.
+
+Random play carries nothing from step to step. Its actions are each seed's
+coins of the chunk's recorded steps, a (seeds, steps, N) array shared by the
+points; a step's n_in is a per-seed sum, and the chunk is priced by the
+same product as adaptive play's. Warm-up steps draw their coins and record
+nothing.
 
 A run whose remaining steps are all alike stops stepping. At each chunk
 boundary after the first, a run is locked when, at its current history mu:
@@ -95,7 +113,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import ne_totals, scaled_costs
-from .network import Network, draw_destinations, route_table
+from .network import _ROUTE_BLOCK_BYTES, Network, draw_destinations, route_table
 
 __all__ = ["BatchResult", "simulate_batch", "simulate_points", "CHUNK", "SLAB_BYTES", "WORKERS"]
 
@@ -171,17 +189,12 @@ def simulate_points(
         if (cfg.N, cfg.alpha, cfg.beta) != (first.N, first.alpha, first.beta):
             raise ValueError("nets: stacked networks may differ only in hub_links and L")
     seeds = np.asarray(seeds, dtype=np.int64)
-    k, r, n, p = len(nets), len(seeds), first.N, 1 << M
+    k, r, n = len(nets), len(seeds), first.N
     lam = max(net.config.hub_links for net in nets)
-    # per seed: strategy tables, one chunk of keys, random play's actions of
-    # one chunk (bool, and the int64 copy np.matmul makes) and the two
-    # (N, lambda) arrays of route_table's stage 2 for one point; per row:
-    # scores, the step's keys, suggestions and score increments, costs, and
-    # the step records, which cover the measured window unless a trace asks
-    # for every step
-    per_seed = n * S * (2 * p + 8 * CHUNK) + 9 * n * CHUNK + 16 * n * lam
-    per_row = 18 * n * S + 64 * n + 12 * (T if collect_trace else T - warmup)
-    one_seed = per_seed + k * per_row
+    fixed, per_seed = _slab_bytes(
+        n, M, S, k, lam, T if collect_trace else T - warmup, T - warmup, collect_scores
+    )
+    one_seed = fixed + per_seed
     if one_seed > MEMORY_BYTES:
         raise ValueError(
             f"S={S}, M={M}, N={n} and T={T} need about {one_seed:,} bytes for one seed, "
@@ -193,7 +206,7 @@ def simulate_points(
     workers = min(WORKERS, r, max(1, SLAB_BYTES // one_seed))
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
-    slab = max(1, min(r, SLAB_BYTES // workers // one_seed))
+    slab = max(1, min(r, (SLAB_BYTES // workers - fixed) // per_seed))
 
     def per_step(dtype):
         return _shared_empty((k * r, T), dtype=dtype) if collect_trace else None
@@ -221,6 +234,32 @@ def simulate_points(
 
     _run_forked(run_group, workers)
     return res
+
+
+def _slab_bytes(n, M, S, points, lam, recorded, window, scores) -> tuple[int, int]:
+    """Rough peak bytes of a slab of runs at `points` networks of N = n, as
+    (bytes whatever its seed count, bytes each seed adds).
+
+    Each seed: the int8 strategy tables, the int64 bias, one chunk of keys
+    (random play's coins and actions fit in these), and one point's
+    (N, lambda) arrays of route_table; and for each of its rows, doubled
+    scores, keys and the keys gathered for them once rows have locked,
+    suggestions, increments, the choice mask and its copy, the costs and
+    savings, the chunk's actions with the int64 copy np.matmul makes, its
+    n_in and costs, the final scores when asked for, and `recorded` steps of
+    records. Whatever the seeds: one block of the table draw (int64 draws
+    with their bool and two int8 copies), one block of route_table's stage
+    1, and one block of row compaction or of the reductions over the
+    `window` measured steps, each within twice the larger of BLOCK_BYTES
+    and one row.
+    """
+    p = 1 << M
+    table_block = 11 * S * p * min(n, max(1, BLOCK_BYTES // (8 * S * p)))
+    route_block = 64 * n * min(lam, max(1, _ROUTE_BLOCK_BYTES // (64 * n)))
+    row_block = 2 * max(BLOCK_BYTES, 9 * window, 8 * n * S)
+    per_row = n * S * (28 + 8 * scores) + 80 * n + (9 * n + 40) * CHUNK + 12 * recorded
+    per_seed = n * S * (p + 8 + 8 * CHUNK) + 48 * n * lam + points * per_row
+    return table_block + route_block + row_block, per_seed
 
 
 def _shared_empty(shape, dtype=np.float64) -> np.ndarray:
@@ -352,8 +391,9 @@ def _simulate_slab(
     mu0 = np.zeros(n_seeds, dtype=np.int64)
     if adaptive:
         # +1 where a strategy takes the hub at a history, -1 where it keeps
-        # out; the (P, seeds, N, S) layout makes the per-step gather contiguous
-        signed = np.empty((p, n_seeds, n, S), dtype=np.int8)
+        # out; a step gathers each row's (S, N) block
+        signed = np.empty((p, n_seeds, S, n), dtype=np.int8)
+        block = max(1, BLOCK_BYTES // (8 * S * p))  # agents per table draw
     for i, rng in enumerate(rngs):
         dests[i] = draw_destinations(n, rng)
         if adaptive:
@@ -361,8 +401,14 @@ def _simulate_slab(
                 bias = rng.integers(0, p + 1, size=(n, S))
             else:
                 bias = np.full((n, S), p // 2, dtype=np.int64)
-            raw = rng.integers(0, p, size=(n, S, p))
-            signed[:, i] = (2 * (raw >= bias[:, :, None]).view(np.int8) - 1).transpose(2, 0, 1)
+            # a block of agents per call: a draw below P, a power of two,
+            # takes one half of a 64-bit word and is never rejected, so
+            # calls of a multiple of P values read the stream one call would
+            table = signed[:, i].transpose(2, 1, 0)  # (N, S, P), stream order
+            for a in range(0, n, block):
+                agents = slice(a, min(a + block, n))
+                raw = rng.integers(0, p, size=(agents.stop - a, S, p))
+                table[agents] = 2 * (raw >= bias[agents, :, None]).view(np.int8) - 1
         bits = rng.integers(0, 2, size=M)
         acc = 0
         for b in bits:
@@ -387,6 +433,7 @@ def _simulate_slab(
     res.ne_best[rows] = best / float(n * cfg.scale)
     res.ne_worst[rows] = worst / float(n * cfg.scale)
     out_sum = out.sum(axis=1)
+    lk = np.stack([l, k], axis=-1)  # each agent's savings inside, (rows, N, 2)
     del out, inu
 
     # records start at the measured window unless the trace wants every step
@@ -395,44 +442,42 @@ def _simulate_slab(
     cost_rec = np.empty((n_rows, T - off), dtype=np.int64)
     mu = mu0[slot]
     if adaptive:
-        scores2 = np.zeros((n_rows, n, S), dtype=np.float64)  # doubled scores
+        scores2 = np.zeros((n_rows, S, n), dtype=np.float64)  # doubled scores
         sgn_u2 = 2 * np.sign(l).astype(np.int8)
         sgn_c2 = 2 * np.sign(k).astype(np.int8)
-        # step buffers; live rows use a prefix of each
-        keys_all = np.empty((n_rows, n, S), dtype=np.float64)
-        inc2_all = np.empty((n_rows, n, S), dtype=np.int8)
-        flat_all = np.arange(n_rows * n) * S  # each agent's first strategy
-        keys, inc2, flat = keys_all, inc2_all, flat_all
-        draw_shape = (n, S)  # one tie-break key per strategy
+        # step and chunk buffers; live rows use a prefix of each
+        bufs = (
+            np.empty((n_rows, S, n), dtype=np.float64),  # keys
+            np.empty((n_rows, S, n), dtype=np.int8),  # score increments
+            np.empty((n_rows, S, n), dtype=bool),  # choice mask
+            np.empty((n_rows, CHUNK, n), dtype=bool),  # actions, True inside
+            np.empty((n_rows, CHUNK), dtype=np.int64),  # n_in
+        )
+        keys, inc2, mask, acts, nin = bufs
+        draw_shape = (n, S)  # one tie-break key per strategy, in stream order
     else:
         draw_shape = (n,)  # one coin per agent
-        # each row's savings l and k side by side, as (points, seeds, N, 2)
-        lk = np.stack([l, k], axis=-1).reshape(len(nets), n_seeds, n, 2)
+    del l, k
     draws = np.empty((n_seeds, CHUNK, *draw_shape), dtype=np.float64)
-    final = np.empty((n_rows, n, S)) if res.final_scores is not None else None
+    final = np.empty((n_rows, S, n)) if res.final_scores is not None else None
     # slab rows still stepping: a slice until a row locks, so records are
     # written by basic indexing and keys broadcast over the points as long
     # as every row steps
     live = slice(None)
 
-    def outcome(acts, out_sum, l, k, cap):
-        """Hub users, hub state and total scaled cost of one step's actions."""
-        nin = acts.sum(axis=1)
-        h = nin > cap
-        return nin, h, out_sum - np.where(acts, np.where(h[:, None], k, l), 0).sum(axis=1)
-
     for t in range(0, T, CHUNK):
         if adaptive and t:
-            hit, acts = _locked_runs(signed, slot, scores2, mu, sgn_u2, sgn_c2, L)
+            hit, up = _locked_runs(signed, slot, scores2, mu, sgn_u2, sgn_c2, L)
             if len(hit):
-                nin, h, cost = outcome(acts, out_sum[hit], l[hit], k[hit], L[hit])
+                nin_hit = up.sum(axis=1)[:, None]
                 at = np.arange(n_rows)[live]
                 done = at[hit]
                 fill = max(t - off, 0)
-                nin_rec[done, fill:] = nin[:, None]
-                cost_rec[done, fill:] = cost[:, None]
+                nin_rec[done, fill:] = nin_hit
+                cost_rec[done, fill:] = _costs(up[:, None], nin_hit, lk[hit], L[hit], out_sum[hit])
                 if final is not None:
-                    step2 = np.where(h[:, None], sgn_c2[hit], sgn_u2[hit])[:, :, None]
+                    h = nin_hit > L[hit, None]
+                    step2 = np.where(h, sgn_c2[hit], sgn_u2[hit])[:, None, :]
                     step2 = step2 * signed[mu[hit], slot[hit]]  # +-2 or 0, as int8
                     final[done] = (scores2[hit] + float(T - t) * step2) / 2.0
                 keep = np.ones(len(at), dtype=bool)
@@ -442,51 +487,46 @@ def _simulate_slab(
                 m = len(live)
                 # the kept rows move forward within each array, so no
                 # per-row array is ever held twice
-                state = (slot, scores2, mu, sgn_u2, sgn_c2, out_sum, l, k, L)
+                state = (slot, scores2, mu, sgn_u2, sgn_c2, out_sum, lk, L)
                 for a in state:
                     _compact(a, kept)
-                slot, scores2, mu, sgn_u2, sgn_c2, out_sum, l, k, L = (a[:m] for a in state)
+                slot, scores2, mu, sgn_u2, sgn_c2, out_sum, lk, L = (a[:m] for a in state)
                 if not m:
                     break
-                keys, inc2, flat = keys_all[:m], inc2_all[:m], flat_all[: m * n]
+                keys, inc2, mask, acts, nin = (a[:m] for a in bufs)
         c = min(CHUNK, T - t)
         for i in np.flatnonzero(np.bincount(slot, minlength=n_seeds)):
             rngs[i].random(out=draws[i, :c])
-        if not adaptive:
-            # random play never locks, so rows stay the grid, and carries
-            # nothing from step to step: the chunk's recorded steps at once
-            lo = max(off - t, 0)  # the chunk's first recorded step
-            if lo < c:
-                acts = draws[:, lo:c] < 0.5  # (seeds, steps, N), True taking the hub
-                nin = acts.sum(axis=2)[slot]
-                h = nin > L[:, None]
-                save = np.matmul(acts, lk).reshape(n_rows, c - lo, 2)
-                steps = slice(t + lo - off, t + c - off)
-                nin_rec[:, steps] = nin
-                cost_rec[:, steps] = out_sum[:, None] - np.where(h, save[..., 1], save[..., 0])
-            continue
-        for j in range(c):
-            tmu = signed[mu, slot]  # (rows, N, S) suggestions as +-1
-            if isinstance(live, slice):
-                # rows are the (points, seeds) grid: each seed's keys
-                # broadcast over the points
-                grid = (-1, n_seeds, n, S)
-                np.add(scores2.reshape(grid), draws[:, j], out=keys.reshape(grid))
-            else:
-                # gathered by slot; mode="clip" skips take's copy of
-                # the result, and slot is always in range
-                draws[:, j].take(slot, axis=0, out=keys, mode="clip")
-                keys += scores2
-            sel = keys.argmax(axis=2)
-            acts = tmu.reshape(-1).take(sel.ravel() + flat).reshape(-1, n) > 0
-            nin, h, cost = outcome(acts, out_sum, l, k, L)
-            sgn2 = np.where(h[:, None], sgn_c2, sgn_u2)
-            np.multiply(sgn2[:, :, None], tmu, out=inc2)
-            scores2 += inc2
-            mu = ((mu << 1) | h) & (p - 1)
-            if t + j >= off:
-                nin_rec[live, t + j - off] = nin
-                cost_rec[live, t + j - off] = cost
+        lo = max(off - t, 0)  # the chunk's first recorded step
+        if adaptive:
+            for j in range(c):
+                tmu = signed[mu, slot]  # (rows, S, N) suggestions as +-1
+                if isinstance(live, slice):
+                    # rows are the (points, seeds) grid: each seed's keys
+                    # broadcast over the points, read as (S, N)
+                    grid = (-1, n_seeds, S, n)
+                    keys_j = draws[:, j].transpose(0, 2, 1)
+                    np.add(scores2.reshape(grid), keys_j, out=keys.reshape(grid))
+                else:  # gathered by slot
+                    np.add(scores2, draws[slot, j].transpose(0, 2, 1), out=keys)
+                _choose(keys, tmu, mask, out=acts[:, j])
+                acts[:, j].sum(axis=1, out=nin[:, j])
+                h = nin[:, j] > L
+                sgn2 = np.where(h[:, None], sgn_c2, sgn_u2)
+                np.multiply(sgn2[:, None, :], tmu, out=inc2)
+                scores2 += inc2
+                mu = ((mu << 1) | h) & (p - 1)
+            acts_c, nin_c, lk_c = acts[:, lo:c], nin[:, lo:c], lk
+        elif lo < c:
+            # random play: the chunk's recorded steps at once, each seed's
+            # coins shared by the points, as its rows never lock
+            acts_c = draws[:, lo:c] < 0.5  # (seeds, steps, N)
+            nin_c = acts_c.sum(axis=2)[slot]
+            lk_c = lk.reshape(len(nets), n_seeds, n, 2)
+        if lo < c:
+            steps = slice(t + lo - off, t + c - off)
+            nin_rec[live, steps] = nin_c
+            cost_rec[live, steps] = _costs(acts_c, nin_c, lk_c, L, out_sum)
 
     # a block of rows' float64 records at a time; each row's reductions
     # read that row alone
@@ -503,7 +543,33 @@ def _simulate_slab(
         res.trace_n_in[rows], res.trace_cost[rows] = nin_rec, cost_rec
     if final is not None:
         final[live] = scores2 / 2.0
-        res.final_scores[rows] = final
+        res.final_scores[rows] = final.transpose(0, 2, 1)
+
+
+def _choose(keys: np.ndarray, tmu: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each agent's action into out, (rows, N), True taking the hub: the
+    suggestion in tmu of the strategy with the largest key, the first of
+    them where keys tie exactly, as np.argmax(keys, axis=1) picks. keys and
+    tmu (+-1) are (rows, S, N); mask is a bool buffer of that shape."""
+    np.equal(keys, np.maximum.reduce(keys, axis=1)[:, None], out=mask)
+    tied = np.count_nonzero(mask) > out.size  # some agent has two top keys
+    if tied:
+        r, a = np.nonzero(np.add.reduce(mask, axis=1) > 1)
+        first = tmu[r, mask[r, :, a].argmax(axis=1), a] > 0
+    np.logical_and(mask, tmu > 0, out=mask)
+    np.logical_or.reduce(mask, axis=1, out=out)
+    if tied:
+        out[r, a] = first
+    return out
+
+
+def _costs(acts, nin, lk, L, out_sum) -> np.ndarray:
+    """Each row's total scaled cost at each step of a chunk, (rows, steps):
+    out_sum less the savings of the agents inside, k when the step is
+    congested (nin > L), else l. acts (..., steps, N) broadcasts against lk
+    (..., N, 2) to the rows."""
+    save = np.matmul(acts, lk).reshape(len(out_sum), -1, 2)
+    return out_sum[:, None] - np.where(nin > L[:, None], save[..., 1], save[..., 0])
 
 
 def _compact(a: np.ndarray, kept: np.ndarray) -> None:
@@ -525,14 +591,14 @@ def _locked_runs(signed, slot, scores2, mu, sgn_u2, sgn_c2, L):
     """
     p = len(signed)
     cand = np.flatnonzero((mu == 0) | (mu == p - 1))
-    tmu = signed[mu[cand], slot[cand]]  # (K, N, S) suggestions as +-1
+    tmu = signed[mu[cand], slot[cand]]  # (K, S, N) suggestions as +-1
     s = scores2[cand]
-    top = s == s.max(axis=2, keepdims=True)
-    up = (top & (tmu > 0)).any(axis=2)  # some top strategy takes the hub
-    down = (top & (tmu < 0)).any(axis=2)  # some top strategy keeps out
+    top = s == s.max(axis=1, keepdims=True)
+    up = (top & (tmu > 0)).any(axis=1)  # some top strategy takes the hub
+    down = (top & (tmu < 0)).any(axis=1)  # some top strategy keeps out
     h = up.sum(axis=1) > L[cand]
     gain2 = np.where(h[:, None], sgn_c2[cand], sgn_u2[cand]) * np.where(up, 1, -1)
-    unanimous = (tmu == tmu[:, :, :1]).all(axis=2)
+    unanimous = (tmu == tmu[:, :1]).all(axis=1)
     ok = ((up != down) & ((gain2 >= 0) | unanimous)).all(axis=1)
     ok &= h == (mu[cand] == p - 1)
     return cand[ok], up[ok]

@@ -40,8 +40,10 @@ def _as_fraction(value, field: str) -> Fraction:
     raise ValueError(f"{field} is not a rational number: {value!r}")
 
 
-def _require_int(value, field: str, lo: int, hi: int | None = None) -> None:
-    """Refuse anything but an integer in [lo, hi] (hi=None: no upper bound)."""
+def _require_int(value, field: str, lo: int, hi: int | None = None) -> int:
+    """value as a Python int; refuses anything but an integer in [lo, hi]
+    (hi=None: no upper bound). Python ints never wrap, so sums of the
+    result cannot overflow the way numpy integers do."""
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, np.integer))
@@ -50,6 +52,7 @@ def _require_int(value, field: str, lo: int, hi: int | None = None) -> None:
     ):
         bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
         raise ValueError(f"{field} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,9 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _as_fraction(self.alpha, "alpha"))
         object.__setattr__(self, "beta", _as_fraction(self.beta, "beta"))
-        _require_int(self.N, "N", 4)
-        _require_int(self.hub_links, "hub_links", 2, self.N)
-        _require_int(self.L, "L", 1, self.N)
+        object.__setattr__(self, "N", _require_int(self.N, "N", 4))
+        object.__setattr__(self, "hub_links", _require_int(self.hub_links, "hub_links", 2, self.N))
+        object.__setattr__(self, "L", _require_int(self.L, "L", 1, self.N))
         if not 0 < self.alpha < self.beta:
             raise ValueError(
                 f"need 0 < alpha < beta, got alpha={self.alpha}, beta={self.beta}"
@@ -120,8 +123,8 @@ def interchange_positions(N: int, hub_links: int) -> tuple[int, ...]:
     positions i*N/hub_links lie at least one node apart, so the rounded ones
     are distinct, increasing and below N.
     """
-    _require_int(N, "N", 2)
-    _require_int(hub_links, "hub_links", 2, N)
+    N = _require_int(N, "N", 2)
+    hub_links = _require_int(hub_links, "hub_links", 2, N)
     return tuple((2 * i * N + hub_links) // (2 * hub_links) for i in range(hub_links))
 
 

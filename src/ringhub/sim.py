@@ -53,13 +53,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.network, NetworkConfig):
             raise ValueError(f"network must be a NetworkConfig, got {self.network!r}")
-        _require_int(self.M, "M", 1, 12)
-        _require_int(self.S, "S", 1)
+        object.__setattr__(self, "M", _require_int(self.M, "M", 1, 12))
+        object.__setattr__(self, "S", _require_int(self.S, "S", 1))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _require_int(self.T, "T", 1)
-        _require_int(self.warmup, "warmup", 0, self.T - 1)
-        _require_int(self.seed, "seed", 0, INT64_MAX)
+        object.__setattr__(self, "T", _require_int(self.T, "T", 1))
+        object.__setattr__(self, "warmup", _require_int(self.warmup, "warmup", 0, self.T - 1))
+        object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0, INT64_MAX))
         self.network.check_cost_sums(self.T)
 
 

@@ -115,6 +115,11 @@ class TestInterchanges:
         with pytest.raises(ValueError, match=field):
             rh.interchange_positions(n, lam)
 
+    def test_numpy_integer_arguments_give_python_int_nodes(self):
+        pos = rh.interchange_positions(np.int64(10), np.int32(3))
+        assert pos == rh.interchange_positions(10, 3)
+        assert all(type(node) is int for node in pos)
+
 
 class TestRingDistance:
     @pytest.mark.parametrize(

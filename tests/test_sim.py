@@ -15,12 +15,15 @@ import re
 import signal
 import threading
 import time
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ringhub as rh
 from ringhub import _engine
@@ -80,6 +83,38 @@ class TestConfigValidation:
     def test_rejection_names_the_field(self, changes, field):
         with pytest.raises(ValueError, match=field):
             rh.sim.config_with(small_config(), **changes)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda i: rh.SimConfig(
+                network=rh.NetworkConfig(N=i(100), L=80, alpha=Fraction(1, 2**44)), T=40, warmup=0
+            ),
+            lambda i: rh.SimConfig(T=i(2**62), warmup=0),
+        ],
+        ids=["N", "T"],
+    )
+    def test_numpy_integers_are_refused_like_python_ints(self, build):
+        # as np.int64 the cost-sum bound itself wrapped, with only a warning
+        with pytest.raises(ValueError) as want:
+            build(int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as got:
+                build(np.int64)
+        assert str(got.value) == str(want.value)
+
+    def test_integer_fields_are_stored_as_python_ints(self):
+        net = rh.NetworkConfig(N=np.int64(12), hub_links=np.int32(3), L=np.uint8(5))
+        cfg = rh.SimConfig(
+            network=net, M=np.int8(2), S=np.int64(3), T=np.int64(40), warmup=np.int16(10),
+            seed=np.uint64(7),
+        )
+        assert cfg == small_config(S=3, seed=7)
+        fields = {net: ("N", "hub_links", "L"), cfg: ("M", "S", "T", "warmup", "seed")}
+        for obj, names in fields.items():
+            for name in names:
+                assert type(getattr(obj, name)) is int, name
 
     def test_replicate_refuses_seeds_past_int64(self):
         cfg = small_config(seed=2**63 - 1)
@@ -203,6 +238,57 @@ class TestSlabs:
             _engine.simulate_batch(
                 rh.build_network(cfg.network), cfg.M, cfg.S, cfg.mode, cfg.T, cfg.warmup, [1]
             )
+
+
+class TestMemoryEstimate:
+    """One seed's tracemalloc peak stays within the bytes simulate_points
+    counts for it, which its slab budget and its refusal of a seed larger
+    than memory rely on."""
+
+    ALLOWANCE = 256 * 1024  # Python objects and the few (N,) arrays left out
+
+    def one_seed_args(self, case):
+        default = rh.SimConfig()
+        if case == "M=10,S=16":
+            nets = [rh.build_network(rh.NetworkConfig(N=200, L=160))]
+            return (nets, 10, 16, "heterogeneous", 200, 100, [1], False, False)
+        # each perfbench workload's engine calls, at one seed
+        if case.startswith("lambda-sweep"):
+            lams = range(2, 101, 16)
+            nets = [rh.build_network(rh.NetworkConfig(hub_links=lam)) for lam in lams]
+            return (nets, 2, 8, case.split()[1], 1000, 500, [1], False, False)
+        if case.startswith("large-ring"):
+            net = rh.NetworkConfig(N=1000, hub_links=100, L=800)
+            traced = case.endswith("trace")
+            return ([rh.build_network(net)], 2, 8, "homogeneous", 1000, 500, [1], traced, False)
+        cfg = default if case == "replicate-ref" else rh.config_with(
+            default, M=8, mode="heterogeneous", hub_links=50
+        )
+        return ([rh.build_network(cfg.network)], cfg.M, cfg.S, cfg.mode, cfg.T, cfg.warmup, [1])
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "M=10,S=16",
+            "replicate-ref",
+            "replicate-ref heterogeneous",
+            "lambda-sweep homogeneous",
+            "lambda-sweep random",
+            "large-ring trace",
+            "large-ring reps",
+        ],
+    )
+    def test_one_seed_peak_within_estimate(self, monkeypatch, case):
+        args = self.one_seed_args(case)
+        estimate = TestWorkers.one_seed(monkeypatch, args)
+        monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's memory is its own
+        tracemalloc.start()
+        try:
+            _engine.simulate_points(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate + self.ALLOWANCE, (peak, estimate)
 
 
 class KeyCounter:
@@ -335,6 +421,38 @@ class TestStackedPoints:
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         _engine.simulate_points(nets, 2, 3, "homogeneous", 120, 10, range(1, 21))
         assert any(c.floats < 120 * 12 * 3 for c in counters)
+
+    @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous"])
+    def test_stacked_rows_that_lock_match_reference(self, monkeypatch, mode):
+        """Each row of a stack in which some rows lock mid-run, and so are
+        compacted away while others step on, equals the scalar reference."""
+        monkeypatch.setattr(_engine, "CHUNK", 4)
+        monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's locks are its own
+        locked = []
+        real = _engine._locked_runs
+
+        def spy(*args):
+            hit, acts = real(*args)
+            locked.append(len(hit))
+            return hit, acts
+
+        monkeypatch.setattr(_engine, "_locked_runs", spy)
+        nets = [rh.NetworkConfig(N=12, hub_links=3, L=L) for L in (8, 1)]
+        seeds = list(range(1, 9))
+        batch = _engine.simulate_points(
+            [rh.build_network(net) for net in nets], 2, 3, mode, 60, 10, seeds,
+            collect_trace=True, collect_scores=True,
+        )
+        assert 0 < sum(locked) < len(nets) * len(seeds)
+        assert locked[0] < sum(locked)  # rows lock after others have locked
+        for row, (net, seed) in enumerate((net, seed) for net in nets for seed in seeds):
+            cfg = rh.SimConfig(network=net, M=2, S=3, mode=mode, T=60, warmup=10, seed=seed)
+            ref = reference_run(cfg)
+            assert list(batch.trace_n_in[row]) == ref.n_in, row
+            costs = [Fraction(int(c), net.scale) for c in batch.trace_cost[row]]
+            assert costs == ref.total_cost, row
+            want = np.stack(ref.final_scores).astype(np.float64)
+            assert np.array_equal(batch.final_scores[row], want), row
 
     def test_refuses_networks_that_differ_in_more(self):
         nets = [rh.build_network(rh.NetworkConfig(N=n, hub_links=3, L=5)) for n in (12, 13)]
@@ -579,16 +697,48 @@ def assert_trace_matches_reference(cfg):
         assert np.array_equal(got, want.astype(np.float64))
 
 
+class TestChoice:
+    """Each agent plays the suggestion of its first strategy with the
+    largest key, the one np.argmax picks."""
+
+    @staticmethod
+    def choose(keys, tmu):
+        keys, tmu = np.asarray(keys, dtype=np.float64), np.asarray(tmu, dtype=np.int8)
+        out = np.empty((keys.shape[0], keys.shape[2]), dtype=bool)
+        return _engine._choose(keys, tmu, np.empty(keys.shape, dtype=bool), out=out)
+
+    @pytest.mark.parametrize("first", [1, -1])
+    def test_first_of_two_tied_top_keys_wins(self, first):
+        # (rows, S, N) = (1, 3, 2): agent 0's strategies 1 and 2 tie at the
+        # top and disagree; agent 1's top key is strategy 1's alone
+        keys = [[[0.5, 0.1], [2.25, 0.7], [2.25, 0.3]]]
+        tmu = [[[-first, 1], [first, -1], [-first, 1]]]
+        assert self.choose(keys, tmu).tolist() == [[first > 0, False]]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_argmax_on_small_integer_keys(self, data):
+        shape = (
+            data.draw(st.integers(1, 3), label="rows"),
+            data.draw(st.integers(1, 5), label="S"),
+            data.draw(st.integers(1, 6), label="N"),
+        )
+        keys = data.draw(arrays(np.int8, shape, elements=st.integers(0, 2)), label="keys")
+        tmu = data.draw(arrays(np.int8, shape, elements=st.sampled_from([-1, 1])), label="tmu")
+        want = np.take_along_axis(tmu, keys.argmax(axis=1)[:, None], axis=1)[:, 0] > 0
+        assert np.array_equal(self.choose(keys, tmu), want)
+
+
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous", "random"])
-    @pytest.mark.parametrize("S", [1, 3])
+    @pytest.mark.parametrize("S", [1, 3, 16])
     def test_exact_trace_agreement(self, mode, S):
         assert_trace_matches_reference(small_config(mode=mode, S=S, seed=1234))
 
     @pytest.mark.parametrize(
         "M,mode,T",
         [
-            # the (256, seeds, N, S) strategy tables replicate-ref runs
+            # the (256, seeds, S, N) strategy tables replicate-ref runs
             (8, "heterogeneous", 60),
             # the last chunk is one step, filled by one in-place draw
             (2, "homogeneous", 2 * _engine.CHUNK + 1),
