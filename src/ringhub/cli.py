@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields, replace
@@ -37,6 +38,7 @@ from .sim import (
     MODES,
     Metrics,
     SimConfig,
+    _require_config,
     config_with,
     replicate,
     replicate_points,
@@ -79,6 +81,7 @@ class SweepSpec:
     modes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        _require_config(self.base, "base")
         if self.sweep_variable not in SWEEP_VARIABLES:
             raise ValueError(
                 f"sweep_variable must be one of {SWEEP_VARIABLES}, "
@@ -348,29 +351,6 @@ def _value_list(text: str) -> list:
     return [_parse_value(v) for v in text.split(",")]
 
 
-def _parent_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The network flags with --seed, and the agent flags."""
-    d = SimConfig()
-    network = argparse.ArgumentParser(add_help=False)
-    net = network.add_argument_group("network")
-    net.add_argument("--nodes", dest="N", type=int, help=f"ring size (default {d.network.N})")
-    net.add_argument("--hub-links", type=int, metavar="LAM",
-                     help=f"interchange count (default {d.network.hub_links})")
-    net.add_argument("--capacity", dest="L", type=int, help=f"hub capacity (default {d.network.L})")
-    net.add_argument("--alpha", help=f"uncongested hub price, exact (default {d.network.alpha})")
-    net.add_argument("--beta", help=f"congested hub price, exact (default {d.network.beta})")
-    network.add_argument("--seed", type=int, help=f"master seed (default {d.seed})")
-    agents = argparse.ArgumentParser(add_help=False)
-    group = agents.add_argument_group("agents")
-    group.add_argument("--memory", dest="M", type=int, help=f"history bits (default {d.M})")
-    group.add_argument("--strategies", dest="S", type=int,
-                       help=f"strategies per agent (default {d.S})")
-    group.add_argument("--steps", dest="T", type=int, help=f"total steps (default {d.T})")
-    group.add_argument("--warmup", type=int,
-                       help=f"steps excluded from metrics (default {d.warmup})")
-    return network, agents
-
-
 def _output(write, *args, **kwargs):
     """write(*args, **kwargs), which makes or writes the output directory;
     an OSError becomes the ValueError main reports."""
@@ -448,8 +428,30 @@ def _cmd_ne(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    network, agents = _parent_parsers()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: main parses every
+    argv against it and keeps no state between calls."""
+    d = SimConfig()
+    # the network flags with --seed, and the agent flags
+    network = argparse.ArgumentParser(add_help=False)
+    net = network.add_argument_group("network")
+    net.add_argument("--nodes", dest="N", type=int, help=f"ring size (default {d.network.N})")
+    net.add_argument("--hub-links", type=int, metavar="LAM",
+                     help=f"interchange count (default {d.network.hub_links})")
+    net.add_argument("--capacity", dest="L", type=int, help=f"hub capacity (default {d.network.L})")
+    net.add_argument("--alpha", help=f"uncongested hub price, exact (default {d.network.alpha})")
+    net.add_argument("--beta", help=f"congested hub price, exact (default {d.network.beta})")
+    network.add_argument("--seed", type=int, help=f"master seed (default {d.seed})")
+    agents = argparse.ArgumentParser(add_help=False)
+    group = agents.add_argument_group("agents")
+    group.add_argument("--memory", dest="M", type=int, help=f"history bits (default {d.M})")
+    group.add_argument("--strategies", dest="S", type=int,
+                       help=f"strategies per agent (default {d.S})")
+    group.add_argument("--steps", dest="T", type=int, help=f"total steps (default {d.T})")
+    group.add_argument("--warmup", type=int,
+                       help=f"steps excluded from metrics (default {d.warmup})")
+
     parser = argparse.ArgumentParser(
         prog="ringhub",
         description="Minority-game route choice on ring-and-hub networks.",
@@ -462,7 +464,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--reps", type=int, default=1, help="average this many runs")
     p_run.add_argument("--out-dir", help="directory for --trace output (default .)")
     p_run.add_argument("--trace", action="store_true", help="write the full step trace CSV")
-    p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", parents=[network, agents], help="parameter sweep")
     source = p_sweep.add_mutually_exclusive_group()
@@ -476,14 +477,18 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--reps", dest="replications", type=int, metavar="REPS",
                          help="replications per point")
     p_sweep.add_argument("--out-dir", default=".", help="output directory")
-    p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_ne = sub.add_parser("ne", parents=[network], help="equilibrium baseline")
-    p_ne.set_defaults(func=_cmd_ne)
+    sub.add_parser("ne", parents=[network], help="equilibrium baseline")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    # looked up per call, not bound into the cached parser, so that a
+    # replaced _cmd_* function is the one that runs
+    command = {"run": _cmd_run, "sweep": _cmd_sweep, "ne": _cmd_ne}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -139,6 +139,7 @@ def draw_destinations(N: int, rng: np.random.Generator) -> np.ndarray:
     Agent n's origin is node n. The whole draw is a single generator call so
     replications consume identical stream lengths.
     """
+    N = _require_int(N, "N", 2)
     draws = rng.integers(0, N - 1, size=N)
     return draws + (draws >= np.arange(N))
 

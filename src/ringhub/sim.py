@@ -102,6 +102,12 @@ class ReplicateResult:
     replications: int
 
 
+def _require_config(cfg, field: str) -> None:
+    """Refuses anything but a SimConfig."""
+    if not isinstance(cfg, SimConfig):
+        raise ValueError(f"{field} must be a SimConfig, got {cfg!r}")
+
+
 def _batch(cfg: SimConfig, seeds, collect_trace=False):
     net = build_network(cfg.network)
     return _engine.simulate_batch(
@@ -115,6 +121,7 @@ def run(cfg: SimConfig, trace: bool = False):
     Returns Metrics, or (Metrics, list of StepRecord) when trace is true.
     Metrics cover steps warmup+1 .. T only; the trace has all T steps.
     """
+    _require_config(cfg, "cfg")
     batch = _batch(cfg, [cfg.seed], collect_trace=trace)
     metrics = Metrics(**{name: getattr(batch, name)[0].item() for name in METRIC_NAMES})
     if not trace:
@@ -166,6 +173,7 @@ def replicate(cfg: SimConfig, R: int) -> ReplicateResult:
     results are identical to executing them one at a time and are
     independent of batch order.
     """
+    _require_config(cfg, "cfg")
     return _summary(_batch(cfg, _seeds(cfg, R)), 0, R)
 
 
@@ -177,8 +185,11 @@ def replicate_points(cfgs: list[SimConfig], R: int) -> list[ReplicateResult]:
     order of first appearance. Each result equals replicate's for its
     config exactly.
     """
+    if not isinstance(cfgs, (list, tuple)):
+        raise ValueError(f"cfgs must be a list of SimConfig, got {cfgs!r}")
     groups: dict[SimConfig, list[int]] = {}
     for i, cfg in enumerate(cfgs):
+        _require_config(cfg, f"cfgs[{i}]")
         groups.setdefault(config_with(cfg, hub_links=2, L=1), []).append(i)
     results = [None] * len(cfgs)
     for key, members in groups.items():

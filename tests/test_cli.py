@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shlex
@@ -65,6 +66,11 @@ class TestSweepSpec:
         for ratio in (-0.5, 0, 0.001):
             with pytest.raises(ValueError, match="L must be"):
                 tiny_spec(sweep_variable="capacity_ratio", values=(ratio,))
+
+    @pytest.mark.parametrize("base", [{}, None], ids=["dict", "None"])
+    def test_base_must_be_a_config(self, base):
+        with pytest.raises(ValueError, match="base must be a SimConfig"):
+            cli.SweepSpec(base=base, values=(2,))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="modes"):
@@ -639,6 +645,78 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: ringhub ")
         assert proc.stderr == ""
+
+
+class TestParserReuse:
+    """main parses every argv against one parser, built at its first call."""
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli._parser.cache_clear()
+        assert cli.main(["ne", "--seed", "3"]) == 0
+        first = len(built)
+        assert first > 0
+        assert cli.main(["ne", "--seed", "4"]) == 0
+        assert cli.main(["run", *TINY_FLAGS]) == 0
+        assert len(built) == first
+        assert cli._parser() is cli._parser()
+
+    def test_no_state_carries_between_calls(self, tmp_path, capsys):
+        sweep = ["sweep", *TINY_FLAGS, "--variable", "lambda", "--values", "2,3",
+                 "--modes", "homogeneous,random", "--reps", "2", "--out-dir", str(tmp_path)]
+        plain = ["run", *NET_FLAGS, "--strategies", "2", "--steps", "30", "--warmup", "10"]
+        calls = [
+            ["ne", "--seed", "3"],
+            ["run", *TINY_FLAGS, "--memory", "3"],
+            plain,
+            ["run", *TINY_FLAGS, "--bogus"],
+            ["run", "--hub-links", "1"],
+            sweep,
+        ]
+
+        def call(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            table = (tmp_path / "results.csv").read_bytes() if argv is sweep else None
+            return code, out, err, table
+
+        first = [call(argv) for argv in calls]
+        assert [c[0] for c in first] == [0, 0, 0, 2, 2, 0]
+        assert [call(argv) for argv in calls] == first
+
+        # --memory 3 of the call before leaves no default behind
+        metrics = rh.run(tiny_base(M=rh.SimConfig.M))
+        assert first[2][1] == "".join(
+            f"{name}={getattr(metrics, name)}\n" for name in rh.sim.METRIC_NAMES
+        )
+        assert first[2][1] != first[1][1]
+        # nor does --modes of the sweep before
+        assert call(sweep[:sweep.index("--modes")] + sweep[sweep.index("--reps"):])[0] == 0
+        assert [r.mode for r in cli.read_rows(tmp_path / "results.csv")] == ["homogeneous"] * 2
+
+    @pytest.mark.parametrize("command", [[], ["run"], ["sweep"], ["ne"]],
+                             ids=["top", "run", "sweep", "ne"])
+    def test_help_equals_a_fresh_parsers(self, capsys, command):
+        assert cli.main(["ne", "--seed", "3"]) == 0  # the cached parser has been used
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--help"])
+        assert exc.value.code == 0
+        cached = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli._parser.__wrapped__().parse_args([*command, "--help"])
+        assert cached == capsys.readouterr().out
+        assert cached.startswith("usage: ringhub ")
 
 
 def test_readme_command_lines_parse(monkeypatch):

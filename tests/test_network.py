@@ -172,6 +172,11 @@ class TestDestinations:
         se = samples.std(ddof=1) / np.sqrt(len(samples))
         assert abs(samples.mean() - float(MEAN_RING_DISTANCE_100)) < 4 * se
 
+    @pytest.mark.parametrize("n", [1, 2.5])
+    def test_refuses_a_bad_ring_size(self, n):
+        with pytest.raises(ValueError, match="N must be an integer >= 2"):
+            rh.draw_destinations(n, np.random.default_rng(0))
+
     @pytest.mark.parametrize("n,seed", [(4, 0), (5, 1), (12, 7), (100, 2), (101, 2024)])
     def test_oracle_draw_equals_draw_destinations(self, n, seed):
         got = rh.draw_destinations(n, np.random.default_rng(seed))

@@ -116,6 +116,20 @@ class TestConfigValidation:
             for name in names:
                 assert type(getattr(obj, name)) is int, name
 
+    @pytest.mark.parametrize(
+        "call,field",
+        [
+            (lambda: rh.run(None), "cfg"),
+            (lambda: rh.replicate(None, 2), "cfg"),
+            (lambda: rh.sim.replicate_points([1], 2), r"cfgs\[0\]"),
+            (lambda: rh.sim.replicate_points(small_config(), 2), "cfgs"),
+        ],
+        ids=["run-None", "replicate-None", "replicate_points-int", "replicate_points-bare"],
+    )
+    def test_entry_points_refuse_what_is_not_a_config(self, call, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a"):
+            call()
+
     def test_replicate_refuses_seeds_past_int64(self):
         cfg = small_config(seed=2**63 - 1)
         assert rh.replicate(cfg, 1).replications == 1
