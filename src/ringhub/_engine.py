@@ -1,17 +1,22 @@
 """Batched simulation core.
 
 Runs many independent replications of the route-choice game as one numpy
-batch. A row of the batch is one (point, seed) pair: a point is a network,
-and the networks of one batch differ at most in hub_links and L, so each
-row owns its costs, its capacity L and its score state. Each seed owns a
-dedicated Generator, and the per-seed draw order is fixed (destinations,
-bias draws for heterogeneous agents, strategy tables, initial history bits,
-then per-step float draws in step order). None of these draws depends on
-the network, so every row with that seed reads the same ones: the engine
-draws them once per seed and indexes them by the row's seed slot, and a
-batch is bit-identical to the same rows executed one at a time. Per-step
-draws use the float64 path only, which consumes one raw 64-bit word per
-value; chunked draws therefore match per-agent scalar draws exactly.
+batch. A row of the batch is one (point, seed) pair: a point is a network
+played in one mode, and the points of one stack differ at most in
+hub_links, L and mode, so each row owns its costs, its capacity L and its
+score state. Each (mode, seed) pair owns a dedicated Generator, and the
+draw order of each is fixed (destinations, bias draws for heterogeneous
+agents, strategy tables, initial history bits, then per-step float draws in
+step order). None of these draws depends on the network, so every row of
+one mode with that seed reads the same ones: the engine draws them once per
+(mode, seed) and indexes them by the row's seed slot, and a batch is
+bit-identical to the same rows executed one at a time. The destinations are
+each generator's first draw, so every mode's generator of a seed draws the
+same trip table, and a slab prices it once for all of them: route_table and
+scaled_costs once per interchange set and ne_totals once per network, at
+every seed of the slab. Then each mode's rows play in turn. Per-step draws
+use the float64 path only, which consumes one raw 64-bit word per value;
+chunked draws therefore match per-agent scalar draws exactly.
 
 Costs are equilibrium.scaled_costs, integers scaled by the lcm of the alpha
 and beta denominators, so cost comparisons (the sign() in the score update)
@@ -25,9 +30,9 @@ increments are (S, N), so each pass of a step runs over agents, the
 strategies being its outer axis. Each seed's generator fills its chunk of
 keys in stream order, agent-major as (steps, N, S), and a step reads them
 through a transposed view as it adds them to the scores, into one keys
-buffer per slab: while every row still steps, the rows are the
-(points x seeds) grid, so each seed's keys broadcast over the points; once
-a row has locked they are gathered by slot. (Copying each chunk to
+buffer per slab: while the rows still stepping are whole points, as
+(points x seeds), each seed's keys broadcast over the points; once a lock
+leaves part of a point they are gathered by slot. (Copying each chunk to
 (S, N) once was 3-8% slower over whole runs, on a 2-core box.)
 
 Each agent plays the suggestion of its strategy with the largest key,
@@ -43,9 +48,11 @@ looked up one by one.
 A step computes only what the next step reads: the actions, n_in, the hub
 state h = n_in > L, the scores, which add sgn2 (+-2 or 0, the sign of the
 agent's cost advantage in state h) times each strategy's suggestion, and
-the history mu; it keeps the chunk's actions and n_in. After the chunk, one
-int64 matrix product of the actions with each row's savings, l = out - inu
-and k = out - inc, prices every recorded step: a step costs out_sum, the
+the history mu; it keeps the chunk's actions and n_in. After the chunk,
+int64 matrix products of the actions with each row's savings, l = out - inu
+and k = out - inc, price every recorded step, as many steps a product as
+keep numpy's int64 copy of the actions within BLOCK_BYTES (one step at
+least): a step costs out_sum, the
 row's total outside cost, less the k savings of the agents inside when
 congested, else the l savings. That is an exact int64 identity within the
 bound NetworkConfig.check_cost_sums enforces, whatever order the sums take.
@@ -83,17 +90,19 @@ ever removes rows, so once no row of a seed is live none will be again:
 the keys a generator skips are ones no row would have read, and every live
 row reads exactly the keys it would read alone.
 
-A batch runs on every CPU the process may use. Its seeds are split into
-WORKERS contiguous groups, no more than there are seeds: group 0 runs in
-the calling process and every other in a forked child, each through the
-same slab loop, and the children write their rows in place into result
-arrays held in anonymous shared memory. Every seed's generator lives wholly
-inside one group, so results do not depend on the CPU count. The groups
-share the memory budget of one serial batch: each runs slabs of
-SLAB_BYTES / workers, and no more groups run than one seed each fits in
-SLAB_BYTES. The engine stays serial, through the same group loop, where
-os.fork is missing, while the process runs a second Python thread, and for
-one seed. Forking a process that has another thread can deadlock the child,
+A batch runs on every CPU the process may use, and all the stacks of one
+simulate_stacks call run in one fork. Each stack's seeds are split into
+WORKERS contiguous groups, no more than the largest stack has seeds: group
+0 of every stack runs in the calling process and every other group g in
+the forked child g, each through the same slab loop, one stack after the
+other, and the children write their rows in place into result arrays held
+in anonymous shared memory. Every generator lives wholly inside one group,
+so results do not depend on the CPU count. The groups share the memory
+budget of one serial batch: each runs slabs of SLAB_BYTES / workers, and
+no more groups run than one seed of each stack fits in SLAB_BYTES. The
+engine stays serial, through the same group loop, where os.fork is
+missing, while the process runs a second Python thread, and for one seed.
+Forking a process that has another thread can deadlock the child,
 so a child waits for the caller to read the number of its OS threads after
 the fork, and when any thread lived through the fork the children end
 without running and the caller runs every group. (numpy's OpenBLAS pool
@@ -115,7 +124,10 @@ import numpy as np
 from .equilibrium import ne_totals, scaled_costs
 from .network import _ROUTE_BLOCK_BYTES, Network, draw_destinations, route_table
 
-__all__ = ["BatchResult", "simulate_batch", "simulate_points", "CHUNK", "SLAB_BYTES", "WORKERS"]
+__all__ = [
+    "BatchResult", "simulate_batch", "simulate_points", "simulate_stacks",
+    "CHUNK", "SLAB_BYTES", "WORKERS",
+]
 
 CHUNK = 32  # steps per draw block; per-step semantics do not depend on it
 SLAB_BYTES = 1_500_000_000  # rough memory budget of the slabs that run at once
@@ -166,7 +178,7 @@ def simulate_points(
     nets: list[Network],
     M: int,
     S: int,
-    mode: str,
+    mode: str | list[str],
     T: int,
     warmup: int,
     seeds,
@@ -177,22 +189,66 @@ def simulate_points(
 
     Row k*R + i of the result is nets[k] at seeds[i], for R seeds, so each
     network's runs are one contiguous slice. The networks may differ only in
-    hub_links and L. Splits the seeds into one contiguous group per worker
-    (see the module docstring) and each group into memory-bounded slabs that
-    write into the rows of one preallocated result, shared with the forked
-    workers; results are identical to running each row alone because every
-    row reads only its own seed's draws.
+    hub_links and L; mode is one mode for all of them or a sequence of one
+    mode per network. Where some network plays an adaptive mode, collected
+    final_scores are NaN on the rows of random play. simulate_stacks with
+    this one stack.
     """
+    stack = (nets, M, S, mode, T, warmup, seeds)
+    return simulate_stacks([stack], collect_trace, collect_scores)[0]
+
+
+def simulate_stacks(stacks, collect_trace=False, collect_scores=False) -> list[BatchResult]:
+    """simulate_points for each stack, a tuple of its first seven arguments,
+    in one fork.
+
+    Splits every stack's seeds into one contiguous group per worker (see the
+    module docstring); worker g runs group g of each stack in turn, in
+    memory-bounded slabs that write into the rows of one preallocated
+    result per stack, shared with the forked workers. Results are identical
+    to running each row alone because every row reads only its own
+    (mode, seed) generator's draws.
+    """
+    plans = [_plan(*stack, collect_trace, collect_scores) for stack in stacks]
+    if not plans:
+        return []
+    # one group of seeds per worker, as many as one slab of a seed of every
+    # stack fits in the serial budget; a process with other threads stays
+    # serial, as forking it can deadlock
+    workers = min(
+        WORKERS,
+        max(r for _, r, _, _ in plans),
+        *(max(1, SLAB_BYTES // one_seed) for _, _, one_seed, _ in plans),
+    )
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+
+    def run_group(g):
+        for _, _, _, run in plans:
+            run(g, workers)
+
+    _run_forked(run_group, workers)
+    return [res for res, _, _, _ in plans]
+
+
+def _plan(nets, M, S, mode, T, warmup, seeds, collect_trace, collect_scores):
+    """Check one stack and allocate its results: (results, seed count, bytes
+    of one seed, run), where run(g, workers) simulates group g of the seeds
+    split into that many groups, and nothing for g past the seed count."""
     first = nets[0].config
     for net in nets:
         cfg = net.config
         if (cfg.N, cfg.alpha, cfg.beta) != (first.N, first.alpha, first.beta):
             raise ValueError("nets: stacked networks may differ only in hub_links and L")
+    modes = (mode,) * len(nets) if isinstance(mode, str) else tuple(mode)
+    if len(modes) != len(nets):
+        raise ValueError(f"mode: {len(modes)} modes for {len(nets)} networks")
     seeds = np.asarray(seeds, dtype=np.int64)
     k, r, n = len(nets), len(seeds), first.N
-    lam = max(net.config.hub_links for net in nets)
     fixed, per_seed = _slab_bytes(
-        n, M, S, k, lam, T if collect_trace else T - warmup, T - warmup, collect_scores
+        n, M, S, {m: modes.count(m) for m in modes},
+        len({net.interchanges for net in nets}), max(net.config.hub_links for net in nets),
+        T if collect_trace else T - warmup, T - warmup, collect_scores,
     )
     one_seed = fixed + per_seed
     if one_seed > MEMORY_BYTES:
@@ -200,18 +256,11 @@ def simulate_points(
             f"S={S}, M={M}, N={n} and T={T} need about {one_seed:,} bytes for one seed, "
             f"more than the {MEMORY_BYTES:,} bytes of memory of this machine"
         )
-    # one group of seeds per worker, as many as one slab of a seed each fits
-    # in the serial budget; a process with other threads stays serial, as
-    # forking it can deadlock
-    workers = min(WORKERS, r, max(1, SLAB_BYTES // one_seed))
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        workers = 1
-    slab = max(1, min(r, (SLAB_BYTES // workers - fixed) // per_seed))
 
     def per_step(dtype):
         return _shared_empty((k * r, T), dtype=dtype) if collect_trace else None
 
-    scores = collect_scores and mode != "random"
+    scores = collect_scores and any(m != "random" for m in modes)
     res = BatchResult(
         avg_cost=_shared_empty(k * r),
         congestion_ratio=_shared_empty(k * r),
@@ -225,41 +274,57 @@ def simulate_points(
         final_scores=_shared_empty((k * r, n, S)) if scores else None,
     )
 
-    def run_group(g):
-        lo, hi = r * g // workers, r * (g + 1) // workers
+    def run(g, workers):
+        if g >= r:  # fewer seeds than workers
+            return
+        groups = min(workers, r)
+        slab = max(1, min(r, (SLAB_BYTES // workers - fixed) // per_seed))
+        lo, hi = r * g // groups, r * (g + 1) // groups
         for start in range(lo, hi, slab):
             stop = min(start + slab, hi)
             rows = (np.arange(k)[:, None] * r + np.arange(start, stop)).ravel()
-            _simulate_slab(nets, M, S, mode, T, warmup, seeds[start:stop], rows, res)
+            _simulate_slab(nets, M, S, modes, T, warmup, seeds[start:stop], rows, res)
 
-    _run_forked(run_group, workers)
-    return res
+    return res, r, one_seed, run
 
 
-def _slab_bytes(n, M, S, points, lam, recorded, window, scores) -> tuple[int, int]:
-    """Rough peak bytes of a slab of runs at `points` networks of N = n, as
-    (bytes whatever its seed count, bytes each seed adds).
+def _slab_bytes(n, M, S, points, geometries, lam, recorded, window, scores) -> tuple[int, int]:
+    """Rough peak bytes of a slab of runs at N = n, as (bytes whatever its
+    seed count, bytes each seed adds). points maps each mode to its number
+    of networks, which have `geometries` distinct interchange sets.
 
-    Each seed: the int8 strategy tables, the int64 bias, one chunk of keys
-    (random play's coins and actions fit in these), and one point's
-    (N, lambda) arrays of route_table; and for each of its rows, doubled
-    scores, keys and the keys gathered for them once rows have locked,
-    suggestions, increments, the choice mask and its copy, the costs and
-    savings, the chunk's actions with the int64 copy np.matmul makes, its
-    n_in and costs, the final scores when asked for, and `recorded` steps of
-    records. Whatever the seeds: one block of the table draw (int64 draws
-    with their bool and two int8 copies), one block of route_table's stage
-    1, and one block of row compaction or of the reductions over the
-    `window` measured steps, each within twice the larger of BLOCK_BYTES
-    and one row.
+    For each seed, the whole slab holds its trip table and every geometry's
+    savings and outside total; one geometry at a time holds its (N, lambda)
+    arrays of route_table, its costs and the equilibrium's temporaries.
+    Then the modes play in turn, so the largest of them counts. An adaptive
+    mode holds each seed's int8 strategy tables, int64 bias and one chunk of
+    keys, and for each of its rows doubled scores, keys and the keys
+    gathered for them once rows no longer form whole points, suggestions,
+    increments, the choice mask and its copy, and the chunk's actions.
+    Random play holds each seed's chunk of coins and its actions. Each row
+    of either holds its savings and their temporaries, one step's int64
+    copy of its actions for np.matmul, a chunk's n_in and costs, the final
+    scores when asked for, and `recorded` steps of records. Whatever the
+    seeds: one block of the table draw (int64 draws with their bool and two
+    int8 copies), one block of route_table's stage 1, and one block of row
+    compaction, of the int64 actions np.matmul prices or of the reductions
+    over the `window` measured steps, each within twice the larger of
+    BLOCK_BYTES and one row.
     """
     p = 1 << M
     table_block = 11 * S * p * min(n, max(1, BLOCK_BYTES // (8 * S * p)))
     route_block = 64 * n * min(lam, max(1, _ROUTE_BLOCK_BYTES // (64 * n)))
     row_block = 2 * max(BLOCK_BYTES, 9 * window, 8 * n * S)
-    per_row = n * S * (28 + 8 * scores) + 80 * n + (9 * n + 40) * CHUNK + 12 * recorded
-    per_seed = n * S * (p + 8 + 8 * CHUNK) + 48 * n * lam + points * per_row
-    return table_block + route_block + row_block, per_seed
+    shared = 8 * n + geometries * (16 * n + 8) + 112 * n + 48 * n * lam
+    row = 80 * n + 40 * CHUNK + 12 * recorded
+    played = []
+    for mode, count in points.items():
+        if mode == "random":
+            played.append(9 * n * CHUNK + count * row)
+        else:
+            per_row = row + n * S * (28 + 8 * scores) + n * CHUNK
+            played.append(n * S * (p + 8 + 8 * CHUNK) + count * per_row)
+    return table_block + route_block + row_block, shared + max(played)
 
 
 def _shared_empty(shape, dtype=np.float64) -> np.ndarray:
@@ -372,7 +437,7 @@ def _simulate_slab(
     nets: list[Network],
     M: int,
     S: int,
-    mode: str,
+    mode: tuple[str, ...],
     T: int,
     warmup: int,
     seeds: np.ndarray,
@@ -380,14 +445,67 @@ def _simulate_slab(
     res: BatchResult,
 ) -> None:
     """Simulate every network at every seed and write the results into
-    res[rows]; slab row k*len(seeds) + i is nets[k] at seeds[i]."""
+    res[rows]; slab row k*len(seeds) + i is nets[k] at seeds[i], played in
+    mode[k]. Every mode's runs of a seed share its trip table, so it is
+    priced once: route_table and scaled_costs once per ring geometry and
+    ne_totals once per network. Then each mode's rows play in turn."""
     cfg = nets[0].config
-    n, p = cfg.N, 1 << M
+    n, n_seeds = cfg.N, len(seeds)
+    at = rows.reshape(len(nets), n_seeds)  # each network's result rows
+    # the networks by interchange set, then by capacity
+    geometry: dict[tuple, tuple[Network, dict[int, list[int]]]] = {}
+    for q, net in enumerate(nets):
+        geometry.setdefault(net.interchanges, (net, {}))[1].setdefault(net.config.L, []).append(q)
+    rngs, dests = _generators(seeds, n)
+
+    # each geometry's savings inside at every seed, (geometries, seeds, N, 2):
+    # l = out - inu uncongested and k = out - inc congested; and its total
+    # outside cost. A step costs out_sum less l (k when congested) for each
+    # agent inside
+    lk = np.empty((len(geometry), n_seeds, n, 2), dtype=np.int64)
+    out_sum = np.empty((len(geometry), n_seeds), dtype=np.int64)
+    for g, (net, by_cap) in enumerate(geometry.values()):
+        out, inu, inc = scaled_costs(cfg, route_table(net, np.arange(n), dests))
+        np.subtract(out, inu, out=lk[g, ..., 0])
+        np.subtract(out, inc, out=lk[g, ..., 1])
+        out_sum[g] = out.sum(axis=1)
+        for L, points in by_cap.items():
+            n_p, best, worst = ne_totals(lk[g, ..., 0], out, inu, L)
+            res.n_p[at[points]] = n_p
+            res.ne_best[at[points]] = best / float(n * cfg.scale)
+            res.ne_worst[at[points]] = worst / float(n * cfg.scale)
+        del out, inu, inc
+
+    index = {key: g for g, key in enumerate(geometry)}
+    geo = np.array([index[net.interchanges] for net in nets])
+    caps = np.array([net.config.L for net in nets])
+    for i, played in enumerate(dict.fromkeys(mode)):
+        points = [q for q, m in enumerate(mode) if m == played]
+        if i:  # each (mode, seed) has a generator of its own
+            rngs, _ = _generators(seeds, n)
+        _play(
+            played, rngs, M, S, T, warmup, cfg.scale,
+            lk[geo[points]].reshape(-1, n, 2), out_sum[geo[points]].ravel(),
+            np.repeat(caps[points], n_seeds), at[points].ravel(), res,
+        )
+
+
+def _generators(seeds: np.ndarray, n: int) -> tuple[list[np.random.Generator], np.ndarray]:
+    """A generator for each seed, past its first draw, and that draw: the
+    seeds' trip tables, (seeds, N)."""
     rngs = [np.random.default_rng(int(s)) for s in seeds]
-    n_seeds, n_rows = len(rngs), len(rows)
+    return rngs, np.array([draw_destinations(n, rng) for rng in rngs])
+
+
+def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, res) -> None:
+    """Play one mode's rows and write their results into res[rows]. rngs are
+    the seeds' generators past their trip tables, and row q*len(rngs) + i a
+    network at seed i, with its savings lk (N, 2), its outside total out_sum
+    and its capacity L."""
+    n_seeds, n_rows, n = len(rngs), len(rows), lk.shape[1]
+    p = 1 << M
     adaptive = mode != "random"
 
-    dests = np.empty((n_seeds, n), dtype=np.int64)
     mu0 = np.zeros(n_seeds, dtype=np.int64)
     if adaptive:
         # +1 where a strategy takes the hub at a history, -1 where it keeps
@@ -395,7 +513,6 @@ def _simulate_slab(
         signed = np.empty((p, n_seeds, S, n), dtype=np.int8)
         block = max(1, BLOCK_BYTES // (8 * S * p))  # agents per table draw
     for i, rng in enumerate(rngs):
-        dests[i] = draw_destinations(n, rng)
         if adaptive:
             if mode == "heterogeneous":
                 bias = rng.integers(0, p + 1, size=(n, S))
@@ -415,27 +532,10 @@ def _simulate_slab(
             acc = (acc << 1) | int(b)
         mu0[i] = acc
 
-    # per-row state: slot is the row's seed, L its network's capacity; a
-    # step costs out_sum less l (k when congested) for each agent inside.
-    # _compact overwrites L in place, so the hub states recorded n_in
-    # implies are read against cap
-    slot = np.tile(np.arange(n_seeds), len(nets))
-    L = np.repeat([net.config.L for net in nets], n_seeds)
+    # per-row state: slot is the row's seed. _compact overwrites L in
+    # place, so the hub states recorded n_in implies are read against cap
+    slot = np.tile(np.arange(n_seeds), n_rows // n_seeds)
     cap = L.copy()
-    out, inu, k = (np.empty((n_rows, n), dtype=np.int64) for _ in range(3))
-    for q, net in enumerate(nets):
-        part = slice(q * n_seeds, (q + 1) * n_seeds)
-        out[part], inu[part], inc = scaled_costs(net.config, route_table(net, np.arange(n), dests))
-        np.subtract(out[part], inc, out=k[part])
-    l = out - inu
-    n_p, best, worst = ne_totals(l, out, inu, L)
-    res.n_p[rows] = n_p
-    res.ne_best[rows] = best / float(n * cfg.scale)
-    res.ne_worst[rows] = worst / float(n * cfg.scale)
-    out_sum = out.sum(axis=1)
-    lk = np.stack([l, k], axis=-1)  # each agent's savings inside, (rows, N, 2)
-    del out, inu
-
     # records start at the measured window unless the trace wants every step
     off = 0 if res.trace_n_in is not None else warmup
     nin_rec = np.empty((n_rows, T - off), dtype=np.int32)
@@ -443,8 +543,8 @@ def _simulate_slab(
     mu = mu0[slot]
     if adaptive:
         scores2 = np.zeros((n_rows, S, n), dtype=np.float64)  # doubled scores
-        sgn_u2 = 2 * np.sign(l).astype(np.int8)
-        sgn_c2 = 2 * np.sign(k).astype(np.int8)
+        sgn_u2 = 2 * np.sign(lk[..., 0]).astype(np.int8)
+        sgn_c2 = 2 * np.sign(lk[..., 1]).astype(np.int8)
         # step and chunk buffers; live rows use a prefix of each
         bufs = (
             np.empty((n_rows, S, n), dtype=np.float64),  # keys
@@ -457,13 +557,14 @@ def _simulate_slab(
         draw_shape = (n, S)  # one tie-break key per strategy, in stream order
     else:
         draw_shape = (n,)  # one coin per agent
-    del l, k
     draws = np.empty((n_seeds, CHUNK, *draw_shape), dtype=np.float64)
-    final = np.empty((n_rows, S, n)) if res.final_scores is not None else None
+    final = np.empty((n_rows, S, n)) if adaptive and res.final_scores is not None else None
     # slab rows still stepping: a slice until a row locks, so records are
-    # written by basic indexing and keys broadcast over the points as long
-    # as every row steps
+    # written by basic indexing. While row j's seed is seed j % n_seeds, as
+    # when the live rows are whole points, each seed's keys broadcast over
+    # the rows; else they are gathered by slot
     live = slice(None)
+    grid = True
 
     for t in range(0, T, CHUNK):
         if adaptive and t:
@@ -494,20 +595,20 @@ def _simulate_slab(
                 if not m:
                     break
                 keys, inc2, mask, acts, nin = (a[:m] for a in bufs)
+                grid = m % n_seeds == 0 and np.array_equal(slot, np.arange(m) % n_seeds)
         c = min(CHUNK, T - t)
         for i in np.flatnonzero(np.bincount(slot, minlength=n_seeds)):
             rngs[i].random(out=draws[i, :c])
         lo = max(off - t, 0)  # the chunk's first recorded step
         if adaptive:
+            if grid:  # rows as (points, seeds), keys as (seeds, steps, S, N)
+                grid_scores, grid_keys = (a.reshape(-1, n_seeds, S, n) for a in (scores2, keys))
+                seed_keys = draws.transpose(0, 1, 3, 2)
             for j in range(c):
                 tmu = signed[mu, slot]  # (rows, S, N) suggestions as +-1
-                if isinstance(live, slice):
-                    # rows are the (points, seeds) grid: each seed's keys
-                    # broadcast over the points, read as (S, N)
-                    grid = (-1, n_seeds, S, n)
-                    keys_j = draws[:, j].transpose(0, 2, 1)
-                    np.add(scores2.reshape(grid), keys_j, out=keys.reshape(grid))
-                else:  # gathered by slot
+                if grid:
+                    np.add(grid_scores, seed_keys[:, j], out=grid_keys)
+                else:
                     np.add(scores2, draws[slot, j].transpose(0, 2, 1), out=keys)
                 _choose(keys, tmu, mask, out=acts[:, j])
                 acts[:, j].sum(axis=1, out=nin[:, j])
@@ -522,7 +623,7 @@ def _simulate_slab(
             # coins shared by the points, as its rows never lock
             acts_c = draws[:, lo:c] < 0.5  # (seeds, steps, N)
             nin_c = acts_c.sum(axis=2)[slot]
-            lk_c = lk.reshape(len(nets), n_seeds, n, 2)
+            lk_c = lk.reshape(-1, n_seeds, n, 2)
         if lo < c:
             steps = slice(t + lo - off, t + c - off)
             nin_rec[live, steps] = nin_c
@@ -535,7 +636,7 @@ def _simulate_slab(
     for b in range(0, n_rows, block):
         part, at = slice(b, b + block), rows[b : b + block]
         nin_m = nin_rec[part, ms].astype(np.float64)
-        res.avg_cost[at] = cost_rec[part, ms].sum(axis=1) / float(cfg.scale * n * (T - warmup))
+        res.avg_cost[at] = cost_rec[part, ms].sum(axis=1) / float(scale * n * (T - warmup))
         res.congestion_ratio[at] = (nin_rec[part, ms] > cap[part, None]).mean(axis=1)
         res.avg_hub_users[at] = nin_m.mean(axis=1)
         res.std_hub_users[at] = nin_m.std(axis=1)
@@ -544,6 +645,8 @@ def _simulate_slab(
     if final is not None:
         final[live] = scores2 / 2.0
         res.final_scores[rows] = final.transpose(0, 2, 1)
+    elif res.final_scores is not None:  # random play has no scores
+        res.final_scores[rows] = np.nan
 
 
 def _choose(keys: np.ndarray, tmu: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -567,9 +670,18 @@ def _costs(acts, nin, lk, L, out_sum) -> np.ndarray:
     """Each row's total scaled cost at each step of a chunk, (rows, steps):
     out_sum less the savings of the agents inside, k when the step is
     congested (nin > L), else l. acts (..., steps, N) broadcasts against lk
-    (..., N, 2) to the rows."""
-    save = np.matmul(acts, lk).reshape(len(out_sum), -1, 2)
-    return out_sum[:, None] - np.where(nin > L[:, None], save[..., 1], save[..., 0])
+    (..., N, 2) to the rows. np.matmul copies the bool actions to int64, so
+    each product prices as many steps as keep that copy within BLOCK_BYTES,
+    and one step at least."""
+    rows, steps = nin.shape
+    cost = np.empty((rows, steps), dtype=np.int64)
+    block = max(1, BLOCK_BYTES // (8 * acts[..., 0, :].size))
+    for a in range(0, steps, block):
+        part = slice(a, a + block)
+        save = np.matmul(acts[..., part, :], lk).reshape(rows, -1, 2)
+        congested = nin[:, part] > L[:, None]
+        cost[:, part] = out_sum[:, None] - np.where(congested, save[..., 1], save[..., 0])
+    return cost
 
 
 def _compact(a: np.ndarray, kept: np.ndarray) -> None:

@@ -147,10 +147,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     All points share the spec's base seed, so modes at the same value see
     identical trip tables and the whole table is reproducible byte for byte.
-    The points run through one replicate_points call, which stacks those
-    that differ only in hub_links and L (per mode, every point of a lambda
-    or capacity_ratio sweep); each row equals what replicate gives for that
-    point alone.
+    The points run through one replicate_points call, one engine call,
+    which stacks those that differ only in hub_links, L and mode (every
+    point of a lambda or capacity_ratio sweep, whatever its modes), prices
+    each trip table once for every mode, and keeps one generator for each
+    (mode, seed); each row equals what replicate gives for that point alone.
     """
     points = [(value, mode) for value in spec.values for mode in spec.modes]
     results = replicate_points(

@@ -180,23 +180,28 @@ def replicate(cfg: SimConfig, R: int) -> ReplicateResult:
 def replicate_points(cfgs: list[SimConfig], R: int) -> list[ReplicateResult]:
     """replicate(cfg, R) for each of cfgs, in input order.
 
-    Configs that differ only in network.hub_links and network.L run as one
-    engine batch, so they share the R seeds' draws; the batches run in
-    order of first appearance. Each result equals replicate's for its
-    config exactly.
+    Configs that differ only in network.hub_links, network.L and mode form
+    one stack, so they share the R seeds' trip tables, which the engine
+    prices once for every mode; each (mode, seed) keeps a generator of its
+    own. All the stacks run in one engine call, in order of first
+    appearance, and each result equals replicate's for its config exactly.
     """
     if not isinstance(cfgs, (list, tuple)):
         raise ValueError(f"cfgs must be a list of SimConfig, got {cfgs!r}")
+    _require_int(R, "R", 1)
     groups: dict[SimConfig, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         _require_config(cfg, f"cfgs[{i}]")
-        groups.setdefault(config_with(cfg, hub_links=2, L=1), []).append(i)
-    results = [None] * len(cfgs)
-    for key, members in groups.items():
-        batch = _engine.simulate_points(
+        groups.setdefault(config_with(cfg, hub_links=2, L=1, mode=MODES[0]), []).append(i)
+    stacks = [
+        (
             [build_network(cfgs[i].network) for i in members],
-            key.M, key.S, key.mode, key.T, key.warmup, _seeds(key, R),
+            key.M, key.S, [cfgs[i].mode for i in members], key.T, key.warmup, _seeds(key, R),
         )
+        for key, members in groups.items()
+    ]
+    results = [None] * len(cfgs)
+    for batch, members in zip(_engine.simulate_stacks(stacks), groups.values()):
         for k, i in enumerate(members):
             results[i] = _summary(batch, k, R)
     return results

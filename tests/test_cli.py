@@ -41,6 +41,19 @@ def tiny_spec(**overrides) -> cli.SweepSpec:
     return cli.SweepSpec(**kwargs)
 
 
+def spy_stacks(monkeypatch) -> list[list[int]]:
+    """The network count of each stack of every engine call, as calls are made."""
+    calls = []
+    real = _engine.simulate_stacks
+
+    def spy(stacks, *args, **kwargs):
+        calls.append([len(stack[0]) for stack in stacks])
+        return real(stacks, *args, **kwargs)
+
+    monkeypatch.setattr(_engine, "simulate_stacks", spy)
+    return calls
+
+
 class TestSweepSpec:
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError, match="sweep_variable"):
@@ -138,20 +151,13 @@ class TestRunSweep:
     )
     def test_stacked_rows_equal_replicate(self, monkeypatch, mode, variable, values):
         monkeypatch.setattr(_engine, "CHUNK", 4)  # so that runs lock
-        calls = []
-        stack = _engine.simulate_points
-
-        def spy(nets, *args, **kwargs):
-            calls.append(len(nets))
-            return stack(nets, *args, **kwargs)
-
-        monkeypatch.setattr(_engine, "simulate_points", spy)
+        calls = spy_stacks(monkeypatch)
         spec = tiny_spec(
             base=tiny_base(T=120), sweep_variable=variable, values=values,
             replications=5, modes=(mode,),
         )
         rows = cli.run_sweep(spec)
-        assert calls == [len(values)]  # every point in one engine batch
+        assert calls == [[len(values)]]  # every point in one engine batch
         for row, value in zip(rows, values):
             want = rh.replicate(replace(cli.config_at(spec, value), mode=mode), 5)
             assert row == cli.SweepRow(
@@ -160,17 +166,38 @@ class TestRunSweep:
             )
 
     def test_m_and_n_points_run_one_at_a_time(self, monkeypatch):
-        calls = []
-        stack = _engine.simulate_points
-
-        def spy(nets, *args, **kwargs):
-            calls.append(len(nets))
-            return stack(nets, *args, **kwargs)
-
-        monkeypatch.setattr(_engine, "simulate_points", spy)
+        # each M or N point is a stack of its own, and a sweep's stacks run
+        # in one engine call
+        calls = spy_stacks(monkeypatch)
         cli.run_sweep(tiny_spec(sweep_variable="M", values=(1, 2, 3)))
         cli.run_sweep(tiny_spec(sweep_variable="N", values=(8, 12)))
-        assert calls == [1] * 5
+        assert calls == [[1, 1, 1], [1, 1]]
+
+    def test_two_modes_fork_once_and_price_each_network_once(self, monkeypatch):
+        """Both modes of a lambda sweep run in one fork, and each worker
+        prices a lambda's trip tables once for the two modes: one
+        route_table call per (network, slab)."""
+        forks, tables = [], _engine._shared_empty(2, dtype=np.int64)
+        tables[:] = 0
+        caller, real_fork, real_table = os.getpid(), os.fork, _engine.route_table
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        def counting_table(net, origins, dests):
+            tables[os.getpid() != caller] += 1  # shared with the forked worker
+            return real_table(net, origins, dests)
+
+        monkeypatch.setattr(_engine, "WORKERS", 2)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(_engine, "route_table", counting_table)
+        spec = tiny_spec(modes=("homogeneous", "random"), replications=4)
+        rows = cli.run_sweep(spec)
+        assert len(forks) == 1
+        assert tables.tolist() == [len(spec.values)] * 2  # one slab a worker
+        monkeypatch.setattr(_engine, "WORKERS", 1)
+        assert rows == cli.run_sweep(spec)
 
 
 class TestOptimalLambda:

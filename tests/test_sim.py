@@ -263,14 +263,17 @@ class TestMemoryEstimate:
 
     def one_seed_args(self, case):
         default = rh.SimConfig()
-        if case == "M=10,S=16":
+        if case.startswith("M=10,S=16"):
             nets = [rh.build_network(rh.NetworkConfig(N=200, L=160))]
+            if case.endswith("every mode"):  # a mixed slab plays its modes in turn
+                return (nets * 3, 10, 16, rh.sim.MODES, 200, 100, [1], False, True)
             return (nets, 10, 16, "heterogeneous", 200, 100, [1], False, False)
         # each perfbench workload's engine calls, at one seed
         if case.startswith("lambda-sweep"):
             lams = range(2, 101, 16)
             nets = [rh.build_network(rh.NetworkConfig(hub_links=lam)) for lam in lams]
-            return (nets, 2, 8, case.split()[1], 1000, 500, [1], False, False)
+            modes = [mode for mode in case.split()[1].split(",") for _ in lams]
+            return (nets * (len(modes) // len(lams)), 2, 8, modes, 1000, 500, [1], False, False)
         if case.startswith("large-ring"):
             net = rh.NetworkConfig(N=1000, hub_links=100, L=800)
             traced = case.endswith("trace")
@@ -284,10 +287,12 @@ class TestMemoryEstimate:
         "case",
         [
             "M=10,S=16",
+            "M=10,S=16 every mode",
             "replicate-ref",
             "replicate-ref heterogeneous",
             "lambda-sweep homogeneous",
             "lambda-sweep random",
+            "lambda-sweep homogeneous,random",
             "large-ring trace",
             "large-ring reps",
         ],
@@ -473,10 +478,68 @@ class TestStackedPoints:
         with pytest.raises(ValueError, match="nets"):
             _engine.simulate_points(nets, 2, 2, "homogeneous", 10, 0, [1])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_modes_equal_single_modes(self, monkeypatch, workers):
+        """A stack of every network in all three modes equals each mode's
+        own stack bit for bit, traces and final scores included, while some
+        adaptive rows lock and others step on."""
+        monkeypatch.setattr(_engine, "CHUNK", 4)
+        nets, M, S, _, T, warmup, seeds, _, _ = stacked_args("homogeneous")
+        modes = rh.sim.MODES * len(nets)  # each network in every mode, interleaved
+        locked = []
+        real = _engine._locked_runs
+
+        def spy(*args):
+            hit, acts = real(*args)
+            locked.append(len(hit))
+            return hit, acts
+
+        monkeypatch.setattr(_engine, "_locked_runs", spy)
+        monkeypatch.setattr(_engine, "WORKERS", workers)
+        mixed = _engine.simulate_points(
+            [net for net in nets for _ in rh.sim.MODES], M, S, modes, T, warmup, seeds, True, True
+        )
+        assert 0 < sum(locked) < 2 * len(nets) * len(seeds)  # the caller's rows alone
+        monkeypatch.setattr(_engine, "WORKERS", 1)
+        r = len(seeds)
+        for m, mode in enumerate(rh.sim.MODES):
+            alone = _engine.simulate_points(nets, M, S, mode, T, warmup, seeds, True, True)
+            for k in range(len(nets)):
+                rows = slice((3 * k + m) * r, (3 * k + m + 1) * r)
+                for field in dataclasses.fields(_engine.BatchResult):
+                    a, b = getattr(mixed, field.name)[rows], getattr(alone, field.name)
+                    if b is None:  # random play has no scores
+                        assert mode == "random" and field.name == "final_scores"
+                        assert np.isnan(a).all()
+                    else:
+                        assert np.array_equal(a, b[k * r : (k + 1) * r]), (k, mode, field.name)
+                        assert a.dtype == b.dtype, field.name
+
+    def test_route_table_once_per_interchange_set(self, monkeypatch):
+        """Networks that differ only in L share a ring geometry, so a slab
+        prices their trip tables with one route_table call; the results
+        are test_stacked_points_equal_single_points'."""
+        calls = []
+
+        def spy(net, origins, dests):
+            calls.append(net.config.hub_links)
+            return rh.route_table(net, origins, dests)
+
+        monkeypatch.setattr(_engine, "route_table", spy)
+        monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's calls miss the spy
+        nets, *args = stacked_args("random")
+        _engine.simulate_points(nets * 2, *args)
+        assert calls == [3, 5, 12, 2]  # POINTS holds (3, 8) and (3, 1)
+
+    def test_refuses_a_mode_count_unlike_the_networks(self):
+        nets = [rh.build_network(rh.NetworkConfig(N=12, hub_links=3, L=5))] * 2
+        with pytest.raises(ValueError, match="mode: 1 modes for 2 networks"):
+            _engine.simulate_points(nets, 2, 2, ["random"], 10, 0, [1])
+
     def test_replicate_points_groups_mixed_configs(self, monkeypatch):
-        """Configs equal but for hub_links and L share one engine batch, the
-        others run in batches of their own, and each result is replicate's,
-        in input order."""
+        """Configs equal but for hub_links, L and mode share one stack, the
+        others form stacks of their own, all the stacks run in one engine
+        call, and each result is replicate's, in input order."""
         lam3 = small_config()
         cfgs = [
             lam3,
@@ -486,18 +549,30 @@ class TestStackedPoints:
             small_config(seed=7),
         ]
         calls = []
-        stack = _engine.simulate_points
+        real = _engine.simulate_stacks
 
-        def spy(nets, *args, **kwargs):
-            calls.append([(net.config.hub_links, net.config.L) for net in nets])
-            return stack(nets, *args, **kwargs)
+        def spy(stacks, *args, **kwargs):
+            calls.append([
+                [(net.config.hub_links, net.config.L, mode) for net, mode in zip(s[0], s[3])]
+                for s in stacks
+            ])
+            return real(stacks, *args, **kwargs)
 
-        monkeypatch.setattr(_engine, "simulate_points", spy)
+        monkeypatch.setattr(_engine, "simulate_stacks", spy)
         got = rh.sim.replicate_points(cfgs, 3)
-        assert calls == [[(3, 5), (5, 8)], [(3, 5)], [(3, 5)], [(3, 5)]]
-        monkeypatch.setattr(_engine, "simulate_points", stack)
+        assert calls == [[
+            [(3, 5, "homogeneous"), (3, 5, "random"), (5, 8, "homogeneous")],
+            [(3, 5, "homogeneous")],
+            [(3, 5, "homogeneous")],
+        ]]
+        monkeypatch.setattr(_engine, "simulate_stacks", real)
         assert got == [rh.replicate(cfg, 3) for cfg in cfgs]
         assert rh.sim.replicate_points([], 2) == []
+
+    @pytest.mark.parametrize("R", [0, "x", 1.0])
+    def test_replicate_points_refuses_a_bad_r_without_configs(self, R):
+        with pytest.raises(ValueError, match="R must be an integer >= 1"):
+            rh.sim.replicate_points([], R)
 
 
 def stacked_args(mode, traced=True):
@@ -666,6 +741,32 @@ class TestWorkers:
         assert time.perf_counter() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_stacks_of_any_seed_count_share_one_fork(self, monkeypatch):
+        """Stacks of 1, 2 and 6 seeds run in one fork of three workers, the
+        workers past a stack's seed count skipping it, and each result
+        equals its stack run alone."""
+        monkeypatch.setattr(_engine, "CHUNK", 4)
+        nets, M, S, mode, T, warmup, seeds, _, _ = stacked_args("heterogeneous")
+        stacks = [
+            (nets[:2], M, S, mode, T, warmup, seeds[:1]),
+            (nets[2:], 3, S, ["random", "homogeneous", "random"], T, warmup, seeds[:2]),
+            (nets, M, S, mode, T, warmup, seeds),
+        ]
+        want = [self.serial(monkeypatch, stack) for stack in stacks]
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(_engine, "WORKERS", 3)
+        got = _engine.simulate_stacks(stacks)
+        assert len(forks) == 2
+        for a, b in zip(got, want):
+            assert_same_batch(a, b)
 
     @pytest.mark.parametrize("why", ["thread", "no fork", "budget"])
     def test_stays_serial(self, monkeypatch, why):
