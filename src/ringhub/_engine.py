@@ -4,7 +4,9 @@ Runs many independent replications of the route-choice game as one numpy
 batch. A row of the batch is one (point, seed) pair: a point is a network
 played in one mode, and the points of one stack differ at most in
 hub_links, L and mode, so each row owns its costs, its capacity L and its
-score state. Each (mode, seed) pair owns a dedicated Generator, and the
+score state. Rows stay inside the engine: simulate_stacks returns each
+network's runs as a BatchResult of its own, in seed order, viewing the
+stack's rows. Each (mode, seed) pair owns a dedicated Generator, and the
 draw order of each is fixed (destinations, bias draws for heterogeneous
 agents, strategy tables, initial history bits, then per-step float draws in
 step order). None of these draws depends on the network, so every row of
@@ -125,7 +127,7 @@ from .equilibrium import ne_totals, scaled_costs
 from .network import _ROUTE_BLOCK_BYTES, Network, draw_destinations, route_table
 
 __all__ = [
-    "BatchResult", "simulate_batch", "simulate_points", "simulate_stacks",
+    "BatchResult", "simulate_batch", "simulate_stacks",
     "CHUNK", "SLAB_BYTES", "WORKERS",
 ]
 
@@ -144,7 +146,7 @@ except (AttributeError, ValueError, OSError):  # no sysconf, as on Windows
 
 @dataclass
 class BatchResult:
-    """Per-run results for one batch; arrays are indexed by row."""
+    """Per-run results of one network; arrays are indexed by seed."""
 
     avg_cost: np.ndarray
     congestion_ratio: np.ndarray
@@ -155,7 +157,7 @@ class BatchResult:
     ne_worst: np.ndarray
     trace_n_in: np.ndarray | None = None  # hub users per step; h is trace_n_in > L
     trace_cost: np.ndarray | None = None  # scaled integer totals per step
-    final_scores: np.ndarray | None = None  # (R, N, S) virtual scores
+    final_scores: np.ndarray | None = None  # (R, N, S) virtual scores; None for random play
 
 
 def simulate_batch(
@@ -169,38 +171,19 @@ def simulate_batch(
     collect_trace: bool = False,
     collect_scores: bool = False,
 ) -> BatchResult:
-    """Simulate one run per seed and return per-run metrics: simulate_points
-    with the one network."""
-    return simulate_points([net], M, S, mode, T, warmup, seeds, collect_trace, collect_scores)
+    """Simulate one run of net per seed: simulate_stacks with one stack of
+    the one network."""
+    stack = ([net], M, S, [mode], T, warmup, seeds)
+    return simulate_stacks([stack], collect_trace, collect_scores)[0][0]
 
 
-def simulate_points(
-    nets: list[Network],
-    M: int,
-    S: int,
-    mode: str | list[str],
-    T: int,
-    warmup: int,
-    seeds,
-    collect_trace: bool = False,
-    collect_scores: bool = False,
-) -> BatchResult:
-    """Simulate one run per (network, seed) pair and return per-run metrics.
+def simulate_stacks(stacks, collect_trace=False, collect_scores=False) -> list[list[BatchResult]]:
+    """Simulate one run per (network, seed) of each stack, in one fork.
 
-    Row k*R + i of the result is nets[k] at seeds[i], for R seeds, so each
-    network's runs are one contiguous slice. The networks may differ only in
-    hub_links and L; mode is one mode for all of them or a sequence of one
-    mode per network. Where some network plays an adaptive mode, collected
-    final_scores are NaN on the rows of random play. simulate_stacks with
-    this one stack.
-    """
-    stack = (nets, M, S, mode, T, warmup, seeds)
-    return simulate_stacks([stack], collect_trace, collect_scores)[0]
-
-
-def simulate_stacks(stacks, collect_trace=False, collect_scores=False) -> list[BatchResult]:
-    """simulate_points for each stack, a tuple of its first seven arguments,
-    in one fork.
+    A stack is a tuple (nets, M, S, modes, T, warmup, seeds): networks that
+    may differ only in hub_links and L, each played in its own mode of
+    modes, at every seed. Returns, for each stack, one BatchResult per
+    network, whose arrays hold its runs in seed order.
 
     Splits every stack's seeds into one contiguous group per worker (see the
     module docstring); worker g runs group g of each stack in turn, in
@@ -228,21 +211,23 @@ def simulate_stacks(stacks, collect_trace=False, collect_scores=False) -> list[B
             run(g, workers)
 
     _run_forked(run_group, workers)
-    return [res for res, _, _, _ in plans]
+    return [results for results, _, _, _ in plans]
 
 
-def _plan(nets, M, S, mode, T, warmup, seeds, collect_trace, collect_scores):
-    """Check one stack and allocate its results: (results, seed count, bytes
-    of one seed, run), where run(g, workers) simulates group g of the seeds
-    split into that many groups, and nothing for g past the seed count."""
+def _plan(nets, M, S, modes, T, warmup, seeds, collect_trace, collect_scores):
+    """Check one stack and allocate its results: (one BatchResult per
+    network, seed count, bytes of one seed, run), where run(g, workers)
+    simulates group g of the seeds split into that many groups, and nothing
+    for g past the seed count. Row k*R + i of the stack's shared arrays is
+    nets[k] at seeds[i], and network k's result views its R rows."""
     first = nets[0].config
     for net in nets:
         cfg = net.config
         if (cfg.N, cfg.alpha, cfg.beta) != (first.N, first.alpha, first.beta):
             raise ValueError("nets: stacked networks may differ only in hub_links and L")
-    modes = (mode,) * len(nets) if isinstance(mode, str) else tuple(mode)
+    modes = tuple(modes)
     if len(modes) != len(nets):
-        raise ValueError(f"mode: {len(modes)} modes for {len(nets)} networks")
+        raise ValueError(f"modes: {len(modes)} modes for {len(nets)} networks")
     seeds = np.asarray(seeds, dtype=np.int64)
     k, r, n = len(nets), len(seeds), first.N
     fixed, per_seed = _slab_bytes(
@@ -273,6 +258,14 @@ def _plan(nets, M, S, mode, T, warmup, seeds, collect_trace, collect_scores):
         trace_cost=per_step(np.int64),
         final_scores=_shared_empty((k * r, n, S)) if scores else None,
     )
+    results = [
+        BatchResult(**{
+            name: None if a is None or (name == "final_scores" and mode == "random")
+            else a[q * r : (q + 1) * r]
+            for name, a in vars(res).items()
+        })
+        for q, mode in enumerate(modes)
+    ]
 
     def run(g, workers):
         if g >= r:  # fewer seeds than workers
@@ -285,7 +278,7 @@ def _plan(nets, M, S, mode, T, warmup, seeds, collect_trace, collect_scores):
             rows = (np.arange(k)[:, None] * r + np.arange(start, stop)).ravel()
             _simulate_slab(nets, M, S, modes, T, warmup, seeds[start:stop], rows, res)
 
-    return res, r, one_seed, run
+    return results, r, one_seed, run
 
 
 def _slab_bytes(n, M, S, points, geometries, lam, recorded, window, scores) -> tuple[int, int]:
@@ -645,8 +638,6 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, res) -> None
     if final is not None:
         final[live] = scores2 / 2.0
         res.final_scores[rows] = final.transpose(0, 2, 1)
-    elif res.final_scores is not None:  # random play has no scores
-        res.final_scores[rows] = np.nan
 
 
 def _choose(keys: np.ndarray, tmu: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ from .sim import (
     replicate,
     replicate_points,
     run,
+    summarize,
     write_csv,
     write_trace_csv,
 )
@@ -98,6 +99,8 @@ class SweepSpec:
         for mode in modes:
             if mode not in MODES:
                 raise ValueError(f"modes must draw from {MODES}, got {mode!r}")
+        if len(set(modes)) < len(modes):
+            raise ValueError(f"modes must be distinct, got {list(modes)}")
         object.__setattr__(self, "modes", modes)
         for value in self.values:
             config_at(self, value)  # raises on an invalid point
@@ -151,10 +154,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     which stacks those that differ only in hub_links, L and mode (every
     point of a lambda or capacity_ratio sweep, whatever its modes), prices
     each trip table once for every mode, and keeps one generator for each
-    (mode, seed); each row equals what replicate gives for that point alone.
+    (mode, seed); each row is summarize of that point's runs, what
+    replicate gives for that point alone.
     """
     points = [(value, mode) for value in spec.values for mode in spec.modes]
-    results = replicate_points(
+    runs = replicate_points(
         [replace(config_at(spec, value), mode=mode) for value, mode in points],
         spec.replications,
     )
@@ -166,7 +170,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             ne_best=result.ne_best,
             ne_worst=result.ne_worst,
         )
-        for (value, mode), result in zip(points, results)
+        for (value, mode), result in zip(points, map(summarize, runs))
     ]
 
 
@@ -363,6 +367,7 @@ def _output(write, *args, **kwargs):
 
 def _cmd_run(args) -> int:
     cfg = config_with(SimConfig(), **_given(args))
+    _require_int(args.reps, "reps", 1)
     if args.trace and args.reps != 1:
         raise ValueError("--trace requires --reps 1")
     if args.out_dir is not None and not args.trace:

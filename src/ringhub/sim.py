@@ -3,8 +3,9 @@
 A run is fully determined by its SimConfig: the seed fixes the trip
 table, the strategy tables, the initial history, and every per-step
 draw, in the order documented in ringhub._engine; that order is part of the
-determinism contract. Replications use seeds seed+0 .. seed+R-1 and average
-each metric.
+determinism contract. Replications use seeds seed+0 .. seed+R-1:
+replicate_points returns each config's per-run arrays, and summarize
+reduces them to each metric's mean and standard error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "run",
     "replicate",
     "replicate_points",
+    "summarize",
     "write_trace_csv",
     "config_with",
 ]
@@ -144,24 +146,16 @@ def _seeds(cfg: SimConfig, R: int) -> np.ndarray:
     return cfg.seed + np.arange(R, dtype=np.int64)
 
 
-def _summary(batch, k: int, R: int) -> ReplicateResult:
-    """Mean and standard error of each metric over the k-th R runs of batch."""
-    rows = slice(k * R, (k + 1) * R)
-
-    def stats(arr):
-        arr = np.asarray(arr[rows], dtype=np.float64)
-        mean = float(arr.mean())
-        se = float(arr.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
-        return mean, se
-
-    means, ses = {}, {}
-    for name in METRIC_NAMES:
-        means[name], ses[name] = stats(getattr(batch, name))
+def summarize(runs: _engine.BatchResult) -> ReplicateResult:
+    """Mean and standard error of each metric over the runs of one config,
+    as replicate_points returns them."""
+    R = len(runs.n_p)
+    arrays = [np.asarray(getattr(runs, name), dtype=np.float64) for name in METRIC_NAMES]
     return ReplicateResult(
-        mean=Metrics(**means),
-        se=Metrics(**ses),
-        ne_best=float(batch.ne_best[rows].mean()),
-        ne_worst=float(batch.ne_worst[rows].mean()),
+        mean=Metrics(*(float(a.mean()) for a in arrays)),
+        se=Metrics(*(float(a.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0 for a in arrays)),
+        ne_best=float(runs.ne_best.mean()),
+        ne_worst=float(runs.ne_worst.mean()),
         replications=R,
     )
 
@@ -174,17 +168,18 @@ def replicate(cfg: SimConfig, R: int) -> ReplicateResult:
     independent of batch order.
     """
     _require_config(cfg, "cfg")
-    return _summary(_batch(cfg, _seeds(cfg, R)), 0, R)
+    return summarize(_batch(cfg, _seeds(cfg, R)))
 
 
-def replicate_points(cfgs: list[SimConfig], R: int) -> list[ReplicateResult]:
-    """replicate(cfg, R) for each of cfgs, in input order.
+def replicate_points(cfgs: list[SimConfig], R: int) -> list[_engine.BatchResult]:
+    """The R runs of each of cfgs, in input order: per-run arrays, run i at
+    seed cfg.seed + i; summarize(runs) is replicate(cfg, R).
 
     Configs that differ only in network.hub_links, network.L and mode form
     one stack, so they share the R seeds' trip tables, which the engine
     prices once for every mode; each (mode, seed) keeps a generator of its
     own. All the stacks run in one engine call, in order of first
-    appearance, and each result equals replicate's for its config exactly.
+    appearance, and each config's runs equal replicate's exactly.
     """
     if not isinstance(cfgs, (list, tuple)):
         raise ValueError(f"cfgs must be a list of SimConfig, got {cfgs!r}")
@@ -201,9 +196,9 @@ def replicate_points(cfgs: list[SimConfig], R: int) -> list[ReplicateResult]:
         for key, members in groups.items()
     ]
     results = [None] * len(cfgs)
-    for batch, members in zip(_engine.simulate_stacks(stacks), groups.values()):
-        for k, i in enumerate(members):
-            results[i] = _summary(batch, k, R)
+    for stack, members in zip(_engine.simulate_stacks(stacks), groups.values()):
+        for i, runs in zip(members, stack):
+            results[i] = runs
     return results
 
 

@@ -33,15 +33,12 @@ def fmt(x: float) -> str:
 
 
 @pytest.fixture(scope="module")
-def baseline_rows():
-    """Homogeneous lambda sweep with equilibrium baselines, R=200."""
-    spec = cli.SweepSpec(
-        base=BASE,
-        sweep_variable="lambda",
-        values=tuple(range(2, 10)) + (20,),
-        replications=BASELINE_R,
-    )
-    return {row.value: row for row in cli.run_sweep(spec)}
+def baseline_runs():
+    """Per-run records of a homogeneous lambda sweep with equilibrium
+    baselines, R=200, by lambda."""
+    values = tuple(range(2, 10)) + (20,)
+    cfgs = [config_with(BASE, hub_links=lam) for lam in values]
+    return dict(zip(values, rh.sim.replicate_points(cfgs, BASELINE_R)))
 
 
 @pytest.fixture(scope="module")
@@ -130,49 +127,41 @@ def band_text(cost: float, ne_best: float, ne_worst: float) -> tuple[bool, str]:
     return inside, f"<C>={fmt(cost)} {where} [{fmt(lo)}, {fmt(hi)}]"
 
 
-def np_split(lam: int) -> str:
-    """Criterion 1's runs at lambda split by n_p <= L and n_p > L.
+def np_split(runs) -> str:
+    """Criterion 1's runs at one lambda split by n_p <= L and n_p > L.
 
-    Reruns the baseline fixture's seeds through the engine for its per-run
-    arrays and reports, per group, the run count, <C> against the group's
-    own equilibrium band, and r.
+    Reads the baseline fixture's per-run records and reports, per group,
+    the run count, <C> against the group's own equilibrium band, and r.
     """
-    cfg = config_with(BASE, hub_links=lam)
-    batch = _engine.simulate_batch(
-        rh.build_network(cfg.network), cfg.M, cfg.S, cfg.mode, cfg.T, cfg.warmup,
-        cfg.seed + np.arange(BASELINE_R),
-    )
+    L = BASE.network.L
     groups = []
-    for label, runs in (
-        ("n_p<=L", batch.n_p <= cfg.network.L),
-        ("n_p>L", batch.n_p > cfg.network.L),
-    ):
-        if not runs.any():
+    for label, part in (("n_p<=L", runs.n_p <= L), ("n_p>L", runs.n_p > L)):
+        if not part.any():
             groups.append(f"{label}: 0 runs")
             continue
         _, band = band_text(
-            batch.avg_cost[runs].mean(), batch.ne_best[runs].mean(), batch.ne_worst[runs].mean()
+            runs.avg_cost[part].mean(), runs.ne_best[part].mean(), runs.ne_worst[part].mean()
         )
         groups.append(
-            f"{label}: {runs.sum()} runs, {band}, r={fmt(batch.congestion_ratio[runs].mean())}"
+            f"{label}: {part.sum()} runs, {band}, r={fmt(runs.congestion_ratio[part].mean())}"
         )
     return " / ".join(groups)
 
 
-def test_criterion_1_uncongested_equilibrium_band(baseline_rows, criterion):
+def test_criterion_1_uncongested_equilibrium_band(baseline_runs, criterion):
     failures = []
     for lam in range(2, 10):
-        row = baseline_rows[lam]
-        in_band, band = band_text(row.avg_cost, row.ne_best, row.ne_worst)
-        quiet = row.congestion_ratio < 0.05
+        row = rh.sim.summarize(baseline_runs[lam])
+        in_band, band = band_text(row.mean.avg_cost, row.ne_best, row.ne_worst)
+        quiet = row.mean.congestion_ratio < 0.05
         if not (in_band and quiet):
-            rate = f"r={fmt(row.congestion_ratio)}" + ("" if quiet else " >= 0.05")
+            rate = f"r={fmt(row.mean.congestion_ratio)}" + ("" if quiet else " >= 0.05")
             checks = ((band, in_band), (rate, quiet))
             failed = " and ".join(text for text, ok in checks if not ok)
             held = ", ".join(text for text, ok in checks if ok)
             failures.append(
                 f"lambda={lam}: {failed}" + (f" ({held})" if held else "")
-                + f" -- {np_split(lam)}"
+                + f" -- {np_split(baseline_runs[lam])}"
             )
     passed = not failures
     criterion(
@@ -184,11 +173,10 @@ def test_criterion_1_uncongested_equilibrium_band(baseline_rows, criterion):
     assert passed, "; ".join(failures)
 
 
-def test_criterion_2_congestion_phase_transition(baseline_rows, criterion):
-    r8 = baseline_rows[8].congestion_ratio
-    r20 = baseline_rows[20].congestion_ratio
-    cost20 = baseline_rows[20].avg_cost
-    worst20 = baseline_rows[20].ne_worst
+def test_criterion_2_congestion_phase_transition(baseline_runs, criterion):
+    at8, at20 = (rh.sim.summarize(baseline_runs[lam]) for lam in (8, 20))
+    r8, r20 = at8.mean.congestion_ratio, at20.mean.congestion_ratio
+    cost20, worst20 = at20.mean.avg_cost, at20.ne_worst
     passed = r20 >= 5 * r8 and r20 > 0 and cost20 > worst20
     criterion(
         2,

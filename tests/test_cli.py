@@ -67,6 +67,15 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="replications"):
             tiny_spec(replications=0)
 
+    def test_repeated_mode_rejected(self, capsys):
+        # it would simulate each point twice and write duplicate CSV rows
+        with pytest.raises(ValueError, match="^modes must be distinct"):
+            tiny_spec(modes=("random", "homogeneous", "random"))
+        argv = ["sweep", *TINY_FLAGS, "--variable", "lambda", "--values", "2",
+                "--modes", "homogeneous,homogeneous"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: modes must be distinct")
+
     def test_invalid_point_rejected_up_front(self):
         with pytest.raises(ValueError, match="values"):
             tiny_spec(values=(2, 1))
@@ -383,6 +392,13 @@ class TestMain:
         code = cli.main(["run", *TINY_FLAGS, "--trace", "--reps", "2"])
         assert code == 2
         assert "trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    @pytest.mark.parametrize("trace", [[], ["--trace"]])
+    def test_run_refuses_reps_below_one_naming_reps(self, capsys, reps, trace):
+        assert cli.main(["run", *TINY_FLAGS, *trace, "--reps", reps]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: reps must be an integer >= 1, got {reps}\n"
 
     def test_ne_prints_baseline(self, capsys):
         assert cli.main(["ne", *NET_FLAGS]) == 0

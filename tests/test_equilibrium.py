@@ -169,21 +169,22 @@ class TestBruteForce:
 
 class TestEngineAgreement:
     def test_per_run_baselines_match_exact_arithmetic(self):
-        # the vectorized per-run equilibrium inside the engine must agree
-        # with exhaustive enumeration on every draw
-        from ringhub import _engine
-
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            n = int(rng.integers(6, 13))
-            lam = int(rng.integers(2, n + 1))
-            cap = int(rng.integers(1, n + 1))
-            cfg = rh.NetworkConfig(N=n, hub_links=lam, L=cap)
-            net = rh.build_network(cfg)
-            seed = int(rng.integers(0, 10_000))
-            batch = _engine.simulate_batch(net, 2, 2, "homogeneous", 2, 1, [seed])
-            dests = draw_dests(n, np.random.default_rng(seed))
-            best, worst = brute_force_ne(net, dests, cap)
-            assert int(batch.n_p[0]) == potential_users(net, dests)
-            assert batch.ne_best[0] == pytest.approx(float(best), abs=1e-12)
-            assert batch.ne_worst[0] == pytest.approx(float(worst), abs=1e-12)
+        # each run's n_p and equilibrium band, from the engine's int64
+        # closed form, equal ne_costs' exact values on its own trip table:
+        # several capacities per interchange set and several interchange
+        # sets in one stack, at two pricings
+        R, base = 10, rh.SimConfig(T=2, warmup=1, seed=31)
+        cfgs = [
+            rh.config_with(base, N=12, hub_links=lam, L=cap, **prices)
+            for prices in ({}, {"alpha": Fraction(1, 3), "beta": Fraction(7, 5)})
+            for lam in (2, 5, 12)
+            for cap in (1, 4, 8, 12)
+        ]
+        for cfg, runs in zip(cfgs, rh.sim.replicate_points(cfgs, R), strict=True):
+            net = rh.build_network(cfg.network)
+            for i in range(R):
+                dests = np.array(draw_dests(net.N, np.random.default_rng(cfg.seed + i)))
+                want = rh.ne_costs(cfg.network, *rh.cost_advantages(net, dests))
+                assert int(runs.n_p[i]) == want.n_p
+                assert runs.ne_best[i] == float(want.c_best)
+                assert runs.ne_worst[i] == float(want.c_worst)

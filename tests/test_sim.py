@@ -213,13 +213,8 @@ class TestSlabs:
         monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's calls miss the spy
         split = _engine.simulate_batch(*args, collect_trace=True, collect_scores=True)
         assert slab_sizes == [1] * 5
-        for field in dataclasses.fields(_engine.BatchResult):
-            a, b = getattr(whole, field.name), getattr(split, field.name)
-            if field.name == "final_scores" and mode == "random":
-                assert a is None and b is None
-            else:
-                assert np.array_equal(a, b), field.name
-                assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
+        assert (whole.final_scores is None) == (mode == "random")
+        assert_same_batch(split, whole)
 
     @pytest.mark.parametrize("mode", rh.sim.MODES)
     @pytest.mark.parametrize("warmup", [0, 6, 57])
@@ -241,9 +236,9 @@ class TestSlabs:
         # rows that lock are compacted, and the metrics reduced, a row at a time
         monkeypatch.setattr(_engine, "CHUNK", 4)
         args = stacked_args(mode, traced)
-        whole = _engine.simulate_points(*args)
+        whole = simulate_stack(*args)
         monkeypatch.setattr(_engine, "BLOCK_BYTES", 1)
-        assert_same_batch(_engine.simulate_points(*args), whole)
+        assert_same_runs(simulate_stack(*args), whole)
 
     def test_seed_larger_than_memory_is_refused(self, monkeypatch):
         monkeypatch.setattr(_engine, "MEMORY_BYTES", 10_000)
@@ -255,7 +250,7 @@ class TestSlabs:
 
 
 class TestMemoryEstimate:
-    """One seed's tracemalloc peak stays within the bytes simulate_points
+    """One seed's tracemalloc peak stays within the bytes simulate_stacks
     counts for it, which its slab budget and its refusal of a seed larger
     than memory rely on."""
 
@@ -267,7 +262,7 @@ class TestMemoryEstimate:
             nets = [rh.build_network(rh.NetworkConfig(N=200, L=160))]
             if case.endswith("every mode"):  # a mixed slab plays its modes in turn
                 return (nets * 3, 10, 16, rh.sim.MODES, 200, 100, [1], False, True)
-            return (nets, 10, 16, "heterogeneous", 200, 100, [1], False, False)
+            return (nets, 10, 16, ["heterogeneous"], 200, 100, [1], False, False)
         # each perfbench workload's engine calls, at one seed
         if case.startswith("lambda-sweep"):
             lams = range(2, 101, 16)
@@ -277,11 +272,11 @@ class TestMemoryEstimate:
         if case.startswith("large-ring"):
             net = rh.NetworkConfig(N=1000, hub_links=100, L=800)
             traced = case.endswith("trace")
-            return ([rh.build_network(net)], 2, 8, "homogeneous", 1000, 500, [1], traced, False)
+            return ([rh.build_network(net)], 2, 8, ["homogeneous"], 1000, 500, [1], traced, False)
         cfg = default if case == "replicate-ref" else rh.config_with(
             default, M=8, mode="heterogeneous", hub_links=50
         )
-        return ([rh.build_network(cfg.network)], cfg.M, cfg.S, cfg.mode, cfg.T, cfg.warmup, [1])
+        return ([rh.build_network(cfg.network)], cfg.M, cfg.S, [cfg.mode], cfg.T, cfg.warmup, [1])
 
     @pytest.mark.parametrize(
         "case",
@@ -303,7 +298,7 @@ class TestMemoryEstimate:
         monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's memory is its own
         tracemalloc.start()
         try:
-            _engine.simulate_points(*args)
+            simulate_stack(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -393,7 +388,6 @@ class TestStackedPoints:
             rh.build_network(rh.NetworkConfig(N=12, hub_links=lam, L=L)) for lam, L in self.POINTS
         ]
         seeds = [5, 3, 5, 11, 2, 7]
-        args = (2, S, mode, 120, 10, seeds)
         monkeypatch.setattr(_engine, "CHUNK", 4)
         monkeypatch.setattr(_engine, "SLAB_BYTES", slab_bytes)
         monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's counters are its own
@@ -405,7 +399,7 @@ class TestStackedPoints:
 
         with monkeypatch.context() as m:
             m.setattr(np.random, "default_rng", counting_rng)
-            stacked = _engine.simulate_points(nets, *args, collect_trace=True, collect_scores=True)
+            stacked = simulate_stack(nets, 2, S, [mode] * len(nets), 120, 10, seeds, True, True)
 
         # one generator per seed, whether the seeds share one slab or not,
         # and no more keys than one point alone reads
@@ -414,16 +408,9 @@ class TestStackedPoints:
         drawn = [c.floats for c in counters]
         assert all(k % (4 * per_step) == 0 and k <= 120 * per_step for k in drawn)
 
-        r = len(seeds)
-        for k, net in enumerate(nets):
-            alone = _engine.simulate_batch(net, *args, collect_trace=True, collect_scores=True)
-            for field in dataclasses.fields(_engine.BatchResult):
-                a, b = getattr(stacked, field.name), getattr(alone, field.name)
-                if b is None:
-                    assert a is None and mode == "random" and field.name == "final_scores"
-                else:
-                    assert np.array_equal(a[k * r : (k + 1) * r], b), (self.POINTS[k], field.name)
-                    assert a.dtype == b.dtype, field.name
+        for runs, net in zip(stacked, nets, strict=True):
+            alone = _engine.simulate_batch(net, 2, S, mode, 120, 10, seeds, True, True)
+            assert_same_batch(runs, alone)
 
     def test_some_stacked_rows_lock(self, monkeypatch):
         """The stacked case above steps past locks: a seed whose rows all
@@ -438,7 +425,7 @@ class TestStackedPoints:
         nets = [rh.build_network(rh.NetworkConfig(N=12, hub_links=3, L=L)) for L in (8, 1)]
         monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's counters are its own
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        _engine.simulate_points(nets, 2, 3, "homogeneous", 120, 10, range(1, 21))
+        simulate_stack(nets, 2, 3, ["homogeneous"] * 2, 120, 10, range(1, 21))
         assert any(c.floats < 120 * 12 * 3 for c in counters)
 
     @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous"])
@@ -458,25 +445,25 @@ class TestStackedPoints:
         monkeypatch.setattr(_engine, "_locked_runs", spy)
         nets = [rh.NetworkConfig(N=12, hub_links=3, L=L) for L in (8, 1)]
         seeds = list(range(1, 9))
-        batch = _engine.simulate_points(
-            [rh.build_network(net) for net in nets], 2, 3, mode, 60, 10, seeds,
-            collect_trace=True, collect_scores=True,
+        stacked = simulate_stack(
+            [rh.build_network(net) for net in nets], 2, 3, [mode] * 2, 60, 10, seeds, True, True
         )
         assert 0 < sum(locked) < len(nets) * len(seeds)
         assert locked[0] < sum(locked)  # rows lock after others have locked
-        for row, (net, seed) in enumerate((net, seed) for net in nets for seed in seeds):
-            cfg = rh.SimConfig(network=net, M=2, S=3, mode=mode, T=60, warmup=10, seed=seed)
-            ref = reference_run(cfg)
-            assert list(batch.trace_n_in[row]) == ref.n_in, row
-            costs = [Fraction(int(c), net.scale) for c in batch.trace_cost[row]]
-            assert costs == ref.total_cost, row
-            want = np.stack(ref.final_scores).astype(np.float64)
-            assert np.array_equal(batch.final_scores[row], want), row
+        for net, runs in zip(nets, stacked, strict=True):
+            for i, seed in enumerate(seeds):
+                cfg = rh.SimConfig(network=net, M=2, S=3, mode=mode, T=60, warmup=10, seed=seed)
+                ref = reference_run(cfg)
+                assert list(runs.trace_n_in[i]) == ref.n_in, (net.L, seed)
+                costs = [Fraction(int(c), net.scale) for c in runs.trace_cost[i]]
+                assert costs == ref.total_cost, (net.L, seed)
+                want = np.stack(ref.final_scores).astype(np.float64)
+                assert np.array_equal(runs.final_scores[i], want), (net.L, seed)
 
     def test_refuses_networks_that_differ_in_more(self):
         nets = [rh.build_network(rh.NetworkConfig(N=n, hub_links=3, L=5)) for n in (12, 13)]
         with pytest.raises(ValueError, match="nets"):
-            _engine.simulate_points(nets, 2, 2, "homogeneous", 10, 0, [1])
+            simulate_stack(nets, 2, 2, ["homogeneous"] * 2, 10, 0, [1])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mixed_modes_equal_single_modes(self, monkeypatch, workers):
@@ -485,7 +472,6 @@ class TestStackedPoints:
         adaptive rows lock and others step on."""
         monkeypatch.setattr(_engine, "CHUNK", 4)
         nets, M, S, _, T, warmup, seeds, _, _ = stacked_args("homogeneous")
-        modes = rh.sim.MODES * len(nets)  # each network in every mode, interleaved
         locked = []
         real = _engine._locked_runs
 
@@ -496,24 +482,16 @@ class TestStackedPoints:
 
         monkeypatch.setattr(_engine, "_locked_runs", spy)
         monkeypatch.setattr(_engine, "WORKERS", workers)
-        mixed = _engine.simulate_points(
-            [net for net in nets for _ in rh.sim.MODES], M, S, modes, T, warmup, seeds, True, True
+        # each network in every mode, interleaved
+        mixed = simulate_stack(
+            [net for net in nets for _ in rh.sim.MODES], M, S, rh.sim.MODES * len(nets), T,
+            warmup, seeds, True, True,
         )
         assert 0 < sum(locked) < 2 * len(nets) * len(seeds)  # the caller's rows alone
         monkeypatch.setattr(_engine, "WORKERS", 1)
-        r = len(seeds)
         for m, mode in enumerate(rh.sim.MODES):
-            alone = _engine.simulate_points(nets, M, S, mode, T, warmup, seeds, True, True)
-            for k in range(len(nets)):
-                rows = slice((3 * k + m) * r, (3 * k + m + 1) * r)
-                for field in dataclasses.fields(_engine.BatchResult):
-                    a, b = getattr(mixed, field.name)[rows], getattr(alone, field.name)
-                    if b is None:  # random play has no scores
-                        assert mode == "random" and field.name == "final_scores"
-                        assert np.isnan(a).all()
-                    else:
-                        assert np.array_equal(a, b[k * r : (k + 1) * r]), (k, mode, field.name)
-                        assert a.dtype == b.dtype, field.name
+            alone = simulate_stack(nets, M, S, [mode] * len(nets), T, warmup, seeds, True, True)
+            assert_same_runs(mixed[m :: len(rh.sim.MODES)], alone)
 
     def test_route_table_once_per_interchange_set(self, monkeypatch):
         """Networks that differ only in L share a ring geometry, so a slab
@@ -527,19 +505,20 @@ class TestStackedPoints:
 
         monkeypatch.setattr(_engine, "route_table", spy)
         monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's calls miss the spy
-        nets, *args = stacked_args("random")
-        _engine.simulate_points(nets * 2, *args)
+        nets, M, S, modes, *rest = stacked_args("random")
+        simulate_stack(nets * 2, M, S, modes * 2, *rest)
         assert calls == [3, 5, 12, 2]  # POINTS holds (3, 8) and (3, 1)
 
     def test_refuses_a_mode_count_unlike_the_networks(self):
         nets = [rh.build_network(rh.NetworkConfig(N=12, hub_links=3, L=5))] * 2
-        with pytest.raises(ValueError, match="mode: 1 modes for 2 networks"):
-            _engine.simulate_points(nets, 2, 2, ["random"], 10, 0, [1])
+        with pytest.raises(ValueError, match="modes: 1 modes for 2 networks"):
+            simulate_stack(nets, 2, 2, ["random"], 10, 0, [1])
 
     def test_replicate_points_groups_mixed_configs(self, monkeypatch):
         """Configs equal but for hub_links, L and mode share one stack, the
         others form stacks of their own, all the stacks run in one engine
-        call, and each result is replicate's, in input order."""
+        call, and each config's runs are its own batch's, in input order,
+        and summarize to replicate's result."""
         lam3 = small_config()
         cfgs = [
             lam3,
@@ -566,7 +545,13 @@ class TestStackedPoints:
             [(3, 5, "homogeneous")],
         ]]
         monkeypatch.setattr(_engine, "simulate_stacks", real)
-        assert got == [rh.replicate(cfg, 3) for cfg in cfgs]
+        for cfg, runs in zip(cfgs, got, strict=True):
+            alone = _engine.simulate_batch(
+                rh.build_network(cfg.network), cfg.M, cfg.S, cfg.mode, cfg.T, cfg.warmup,
+                cfg.seed + np.arange(3),
+            )
+            assert_same_batch(runs, alone)
+            assert rh.sim.summarize(runs) == rh.replicate(cfg, 3)
         assert rh.sim.replicate_points([], 2) == []
 
     @pytest.mark.parametrize("R", [0, "x", 1.0])
@@ -575,14 +560,20 @@ class TestStackedPoints:
             rh.sim.replicate_points([], R)
 
 
+def simulate_stack(nets, M, S, modes, T, warmup, seeds, collect_trace=False, collect_scores=False):
+    """The engine's results of one stack, one BatchResult per network."""
+    stack = (nets, M, S, modes, T, warmup, seeds)
+    return _engine.simulate_stacks([stack], collect_trace, collect_scores)[0]
+
+
 def stacked_args(mode, traced=True):
-    """simulate_points arguments for TestStackedPoints.POINTS at six seeds,
-    whose rows lock at CHUNK=4."""
+    """simulate_stack arguments for TestStackedPoints.POINTS in one mode at
+    six seeds, whose rows lock at CHUNK=4."""
     nets = [
         rh.build_network(rh.NetworkConfig(N=12, hub_links=lam, L=L))
         for lam, L in TestStackedPoints.POINTS
     ]
-    return (nets, 2, 3, mode, 120, 10, [5, 3, 5, 11, 2, 7], traced, traced)
+    return (nets, 2, 3, [mode] * len(nets), 120, 10, [5, 3, 5, 11, 2, 7], traced, traced)
 
 
 def assert_same_batch(a, b):
@@ -596,6 +587,13 @@ def assert_same_batch(a, b):
             assert np.asarray(x).dtype == np.asarray(y).dtype, field.name
 
 
+def assert_same_runs(a, b):
+    """a and b hold as many BatchResults, each equal to its counterpart."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert_same_batch(x, y)
+
+
 class TestWorkers:
     """Seed groups run in forked workers that write into shared memory; no
     result depends on the number of workers."""
@@ -604,7 +602,7 @@ class TestWorkers:
     def serial(monkeypatch, args):
         with monkeypatch.context() as m:
             m.setattr(_engine, "WORKERS", 1)
-            return _engine.simulate_points(*args)
+            return simulate_stack(*args)
 
     @staticmethod
     def spy(monkeypatch, args):
@@ -632,11 +630,11 @@ class TestWorkers:
 
     @staticmethod
     def one_seed(monkeypatch, args) -> int:
-        """The bytes simulate_points counts for one seed of args."""
+        """The bytes simulate_stacks counts for one seed of args."""
         with monkeypatch.context() as m:
             m.setattr(_engine, "MEMORY_BYTES", 1)
             with pytest.raises(ValueError, match="bytes for one seed") as info:
-                _engine.simulate_points(*args)
+                simulate_stack(*args)
         return int(re.search(r"about ([\d,]+) bytes", str(info.value)).group(1).replace(",", ""))
 
     @pytest.mark.parametrize("mode", rh.sim.MODES)
@@ -652,12 +650,12 @@ class TestWorkers:
             monkeypatch.setattr(_engine, "SLAB_BYTES", groups * self.one_seed(monkeypatch, args))
         forks, seeds, by_worker = self.spy(monkeypatch, args)
         monkeypatch.setattr(_engine, "WORKERS", workers)
-        got = _engine.simulate_points(*args)
+        got = simulate_stack(*args)
         here = len(args[6]) // groups
         assert len(forks) == groups - 1
         assert seeds == args[6][:here]
         assert by_worker.sum() == len(args[0]) * (len(args[6]) - here)  # the rest
-        assert_same_batch(got, want)
+        assert_same_runs(got, want)
 
     # from Python 3.12 os.fork warns when a thread of the process outlives it
     @pytest.mark.filterwarnings("error::DeprecationWarning")
@@ -668,9 +666,9 @@ class TestWorkers:
         want = self.serial(monkeypatch, args)
         forks, seeds, by_worker = self.spy(monkeypatch, args)
         monkeypatch.setattr(_engine, "WORKERS", 2)
-        got = _engine.simulate_points(*args)
+        got = simulate_stack(*args)
         assert (len(forks), seeds, by_worker.sum()) == (1, args[6][:3], len(args[0]) * 3)
-        assert_same_batch(got, want)
+        assert_same_runs(got, want)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc thread list")
     def test_a_thread_outliving_the_fork_keeps_the_workers_idle(self, monkeypatch):
@@ -684,14 +682,14 @@ class TestWorkers:
         _thread.start_new_thread(release.acquire, ())  # an OS thread threading does not list
         try:
             assert threading.active_count() == 1
-            got = _engine.simulate_points(*args)
+            got = simulate_stack(*args)
         finally:
             release.release()
             deadline = time.monotonic() + 30
             while _engine._threads() > before and time.monotonic() < deadline:
                 time.sleep(0.01)
         assert (len(forks), seeds, by_worker.any()) == (1, args[6], False)  # all here
-        assert_same_batch(got, want)
+        assert_same_runs(got, want)
 
     @pytest.mark.parametrize("where", ["worker", "unpicklable", "killed", "caller", "fork"])
     def test_failure_reaches_the_caller_and_leaves_no_child(self, monkeypatch, where):
@@ -736,7 +734,7 @@ class TestWorkers:
         }[where]
         start = time.perf_counter()
         with pytest.raises(want[0], match=want[1]) as info:
-            _engine.simulate_points(*stacked_args("homogeneous"))
+            simulate_stack(*stacked_args("homogeneous"))
         assert type(info.value) is want[0]
         assert time.perf_counter() - start < 30
         with pytest.raises(ChildProcessError):
@@ -747,11 +745,11 @@ class TestWorkers:
         workers past a stack's seed count skipping it, and each result
         equals its stack run alone."""
         monkeypatch.setattr(_engine, "CHUNK", 4)
-        nets, M, S, mode, T, warmup, seeds, _, _ = stacked_args("heterogeneous")
+        nets, M, S, modes, T, warmup, seeds, _, _ = stacked_args("heterogeneous")
         stacks = [
-            (nets[:2], M, S, mode, T, warmup, seeds[:1]),
+            (nets[:2], M, S, modes[:2], T, warmup, seeds[:1]),
             (nets[2:], 3, S, ["random", "homogeneous", "random"], T, warmup, seeds[:2]),
-            (nets, M, S, mode, T, warmup, seeds),
+            (nets, M, S, modes, T, warmup, seeds),
         ]
         want = [self.serial(monkeypatch, stack) for stack in stacks]
         forks = []
@@ -765,8 +763,8 @@ class TestWorkers:
         monkeypatch.setattr(_engine, "WORKERS", 3)
         got = _engine.simulate_stacks(stacks)
         assert len(forks) == 2
-        for a, b in zip(got, want):
-            assert_same_batch(a, b)
+        for a, b in zip(got, want, strict=True):
+            assert_same_runs(a, b)
 
     @pytest.mark.parametrize("why", ["thread", "no fork", "budget"])
     def test_stays_serial(self, monkeypatch, why):
@@ -780,18 +778,18 @@ class TestWorkers:
         if why == "budget":  # one seed fits in the serial budget, two do not
             monkeypatch.setattr(_engine, "SLAB_BYTES", 2 * self.one_seed(monkeypatch, args) - 1)
         if why != "thread":
-            assert_same_batch(_engine.simulate_points(*args), want)
+            assert_same_runs(simulate_stack(*args), want)
             return
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(30,))
         thread.start()
         try:
-            got = _engine.simulate_points(*args)
+            got = simulate_stack(*args)
         finally:
             release.set()
             thread.join(timeout=30)
         assert not thread.is_alive()
-        assert_same_batch(got, want)
+        assert_same_runs(got, want)
 
 
 def assert_trace_matches_reference(cfg):
@@ -918,17 +916,14 @@ class TestRandomChunks:
             rh.build_network(dataclasses.replace(self.NET, hub_links=lam, L=L))
             for lam, L in [(4, 3), (2, 3), (10, 8), (7, 1)]
         ]
-        args = (2, 1, "random", self.T, warmup, self.SEEDS)
-        batch = _engine.simulate_points(nets, *args)
-        assert batch.trace_n_in is None
-        r = len(self.SEEDS)
-        for k, net in enumerate(nets):
-            alone = _engine.simulate_batch(net, *args)
-            for name in rh.sim.METRIC_NAMES + ("n_p", "ne_best", "ne_worst"):
-                got = getattr(batch, name)[k * r : (k + 1) * r]
-                assert np.array_equal(got, getattr(alone, name)), (k, name)
+        stacked = simulate_stack(nets, 2, 1, ["random"] * len(nets), self.T, warmup, self.SEEDS)
+        for runs, net in zip(stacked, nets, strict=True):
+            assert runs.trace_n_in is None
+            alone = _engine.simulate_batch(net, 2, 1, "random", self.T, warmup, self.SEEDS)
+            assert_same_batch(runs, alone)
+        batch = stacked[0]  # NET's runs
         steps = self.T - warmup
-        for i, seed in enumerate(self.SEEDS):  # nets[0] is NET
+        for i, seed in enumerate(self.SEEDS):
             cfg = rh.SimConfig(
                 network=self.NET, M=2, S=1, mode="random", T=self.T, warmup=warmup, seed=seed
             )
