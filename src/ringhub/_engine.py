@@ -67,30 +67,61 @@ points; a step's n_in is a per-seed sum, and the chunk is priced by the
 same product as adaptive play's. Warm-up steps draw their coins and record
 nothing.
 
-A run whose remaining steps are all alike stops stepping. At each chunk
-boundary after the first, a run is locked when, at its current history mu:
+A run whose hub states settle on a cycle can be locked, and then its steps
+need not be played one by one. Every adaptive run's hub states are
+followed: at each chunk boundary, a run whose last chunk is p-periodic,
+for the smallest p <= CHUNK/2, is on a cycle of period p, and it stays on
+it while each hub state equals the one p steps back. lock_step is the
+boundary from which a run stayed on its cycle to T (T if it never did) and
+period that cycle's length (0 if none); they read the hub states alone, as
+a trace would give them, whatever the lock below did. At each chunk
+boundary a row stepped one by one that is on a cycle and not locked takes
+the lock test (ringhub._cycles), for a period of 1 always and for a longer
+one when every row of its mode could then be locked:
 
-1. every agent's top-score strategies suggest one action a_n at mu;
-2. mu is all h*, where h* = (sum of a_n > L) is the hub state those
-   actions produce, so the step leaves mu unchanged;
-3. every agent either gains, d_n = sgn_n(h*) * (2*a_n - 1) >= 0, or has
-   all S strategies suggesting a_n at mu.
+1. phase f of the cycle is step t + f, played at the history mu_f with the
+   hub state h_f of the last chunk's last period, and mu_p = mu_0;
+2. stepping its doubled scores S_0 through the phases under h_f gives each
+   phase's scores S_f and the increment over a period, D = S_p - S_0;
+3. at every phase, each strategy with its agent's top score in S_f has its
+   agent's largest D;
+4. every h_f can still come about: h_f = 1 needs the sure agents and the
+   keyed ones together above L, and h_f = 0 the sure agents within L.
 
-Doubled scores differ by at least 2 and tie-break keys lie in [0, 1), so
-the action is a_n whatever the keys. The step adds 2*d_n to the top
-strategies and at most that to the others (the same to all of them under
-the second branch of 3), so the top set and mu are the same before the next
-step, which therefore repeats this one. A locked run's remaining n_in, h
-and cost are constants, its doubled scores grow by (T - t) times one
-integer step, exactly, and it reads no key again, so filling its records in
-one write and dropping its row from the step loop gives the same results as
-stepping it to T. Random mode has no scores and never locks.
+At phase f an agent whose top strategies all suggest one action at mu_f is
+sure of it; one whose top strategies disagree is keyed. While h follows the
+cycle, the doubled scores at phase f of period k are S_f + k*D: the top
+strategies grow by their agent's largest D a period and the others by no
+more, and doubled scores differ by at least 2 while keys lie in [0, 1), so
+every phase keeps its top sets, its sure actions and its keyed agents. A
+keyed agent's key for a top strategy is 2*score + key with the common top
+score, bit for bit the dense step's, and the first of the largest wins as
+there; no other strategy can.
+
+A locked run with no keyed agent never leaves its cycle: its records are
+filled to T from its phases, its row is dropped, and its final scores are
+S_0 advanced by T - t steps. (This is the lock of fixed points, p = 1.) A
+locked run with keyed agents stays locked while its hub states follow the
+cycle. It is held, played a chunk at a time, when every live row of its
+mode is locked, which ends the step loop, or when the locked rows whose
+keyed agents' strategies are fewer than their N agents are most rows, as
+those; else it steps one by one. (Held rows with many keyed agents cost
+about what stepping them costs: the gain is the step loop's per-step cost
+when no row is left to step, or few keyed agents.) A held chunk gathers the
+keyed agents' keys from the drawn chunk, chooses among their top
+strategies with _choose, and sums each step's n_in and cost from its
+phase's sums of the sure agents. Where a realised hub state leaves the
+cycle anywhere in a held chunk, the row is unlocked, its scores are
+restored exactly to where the chunk began, S_f + k*D at mu_f, and it steps
+that chunk one by one; a row stepped one by one is unlocked where its
+chunk leaves the cycle. Which way a row plays changes no result.
 
 Rows of one seed share its keys. A seed's generator draws the keys of a
-chunk when some row of that seed is still live at that chunk. Locking only
-ever removes rows, so once no row of a seed is live none will be again:
-the keys a generator skips are ones no row would have read, and every live
-row reads exactly the keys it would read alone.
+chunk when some row of that seed is still live, held or stepped, at that
+chunk. Only rows without keyed agents leave the batch, so once no row of a
+seed is live none will be again: the keys a generator skips are ones no
+row would have read, and every live row reads exactly the keys it would
+read alone.
 
 A batch runs on every CPU the process may use, and all the stacks of one
 simulate_stacks call run in one fork. Each stack's seeds are split into
@@ -123,6 +154,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._cycles import _Cycles, _find_cycles, _periods
 from .equilibrium import ne_totals, scaled_costs
 from .network import _ROUTE_BLOCK_BYTES, Network, draw_destinations, route_table
 
@@ -155,6 +187,8 @@ class BatchResult:
     n_p: np.ndarray
     ne_best: np.ndarray
     ne_worst: np.ndarray
+    lock_step: np.ndarray  # the step from which its hub states kept a cycle to T, else T
+    period: np.ndarray  # that cycle's length, 0 if none; random play reads T and 0
     trace_n_in: np.ndarray | None = None  # hub users per step; h is trace_n_in > L
     trace_cost: np.ndarray | None = None  # scaled integer totals per step
     final_scores: np.ndarray | None = None  # (R, N, S) virtual scores; None for random play
@@ -245,7 +279,11 @@ def _plan(nets, M, S, modes, T, warmup, seeds, collect_trace, collect_scores):
     def per_step(dtype):
         return _shared_empty((k * r, T), dtype=dtype) if collect_trace else None
 
-    scores = collect_scores and any(m != "random" for m in modes)
+    # final scores only for the adaptive networks: network q's are rows
+    # scored[q]*R .. scored[q]*R + R-1, and a random network's are None
+    adaptive = np.array([m != "random" for m in modes])
+    scored = np.cumsum(adaptive) - 1
+    scores = collect_scores and adaptive.any()
     res = BatchResult(
         avg_cost=_shared_empty(k * r),
         congestion_ratio=_shared_empty(k * r),
@@ -254,18 +292,19 @@ def _plan(nets, M, S, modes, T, warmup, seeds, collect_trace, collect_scores):
         n_p=_shared_empty(k * r, dtype=np.int64),
         ne_best=_shared_empty(k * r),
         ne_worst=_shared_empty(k * r),
+        lock_step=_shared_empty(k * r, dtype=np.int64),
+        period=_shared_empty(k * r, dtype=np.int64),
         trace_n_in=per_step(np.int32),
         trace_cost=per_step(np.int64),
-        final_scores=_shared_empty((k * r, n, S)) if scores else None,
+        final_scores=_shared_empty((int(scored[-1] + 1) * r, n, S)) if scores else None,
     )
-    results = [
-        BatchResult(**{
-            name: None if a is None or (name == "final_scores" and mode == "random")
-            else a[q * r : (q + 1) * r]
-            for name, a in vars(res).items()
-        })
-        for q, mode in enumerate(modes)
-    ]
+    results = []
+    for q in range(k):
+        views = {name: a if a is None else a[q * r : (q + 1) * r] for name, a in vars(res).items()}
+        if scores:
+            at = scored[q] * r
+            views["final_scores"] = res.final_scores[at : at + r] if adaptive[q] else None
+        results.append(BatchResult(**views))
 
     def run(g, workers):
         if g >= r:  # fewer seeds than workers
@@ -275,8 +314,10 @@ def _plan(nets, M, S, modes, T, warmup, seeds, collect_trace, collect_scores):
         lo, hi = r * g // groups, r * (g + 1) // groups
         for start in range(lo, hi, slab):
             stop = min(start + slab, hi)
-            rows = (np.arange(k)[:, None] * r + np.arange(start, stop)).ravel()
-            _simulate_slab(nets, M, S, modes, T, warmup, seeds[start:stop], rows, res)
+            seed_rows = np.arange(start, stop)
+            rows = (np.arange(k)[:, None] * r + seed_rows).ravel()
+            srows = (scored[:, None] * r + seed_rows).ravel()
+            _simulate_slab(nets, M, S, modes, T, warmup, seeds[start:stop], rows, srows, res)
 
     return results, r, one_seed, run
 
@@ -287,37 +328,46 @@ def _slab_bytes(n, M, S, points, geometries, lam, recorded, window, scores) -> t
     of networks, which have `geometries` distinct interchange sets.
 
     For each seed, the whole slab holds its trip table and every geometry's
-    savings and outside total; one geometry at a time holds its (N, lambda)
-    arrays of route_table, its costs and the equilibrium's temporaries.
-    Then the modes play in turn, so the largest of them counts. An adaptive
-    mode holds each seed's int8 strategy tables, int64 bias and one chunk of
-    keys, and for each of its rows doubled scores, keys and the keys
-    gathered for them once rows no longer form whole points, suggestions,
-    increments, the choice mask and its copy, and the chunk's actions.
+    savings and outside total. Before play, one geometry at a time holds
+    route_table's (N, lambda) sums and argmin of its stage 2, its costs and
+    the equilibrium's temporaries; then the modes play in turn, so the
+    largest of these counts. An adaptive mode holds each seed's int8
+    strategy tables and one chunk of keys, and for each of its rows doubled
+    scores, keys, increments, the choice mask, the chunk's actions, its
+    savings and the copies of its scores, keys and savings taken while
+    other rows are held on a cycle, which also cover its own cycle once it
+    is held: in the runs measured its keyed agent-phases take less (at most
+    CHUNK // 2 phases of N keyed agents, each (S + 13) bytes).
     Random play holds each seed's chunk of coins and its actions. Each row
-    of either holds its savings and their temporaries, one step's int64
-    copy of its actions for np.matmul, a chunk's n_in and costs, the final
-    scores when asked for, and `recorded` steps of records. Whatever the
-    seeds: one block of the table draw (int64 draws with their bool and two
-    int8 copies), one block of route_table's stage 1, and one block of row
-    compaction, of the int64 actions np.matmul prices or of the reductions
-    over the `window` measured steps, each within twice the larger of
-    BLOCK_BYTES and one row.
+    of either holds `recorded` steps of records, a chunk's n_in and costs,
+    and the final scores when asked for. Whatever the seeds: one block of
+    the table draw (int64 draws with their bool and two int8 copies), one
+    block of route_table's stage 1, one block of row compaction, of the
+    int64 actions np.matmul prices or of the reductions over the `window`
+    measured steps, each within twice the larger of BLOCK_BYTES and one
+    row, and the larger of the lock test's block and the held play's
+    buffers.
     """
-    p = 1 << M
+    p, width = 1 << M, CHUNK // 2
     table_block = 11 * S * p * min(n, max(1, BLOCK_BYTES // (8 * S * p)))
     route_block = 64 * n * min(lam, max(1, _ROUTE_BLOCK_BYTES // (64 * n)))
     row_block = 2 * max(BLOCK_BYTES, 9 * window, 8 * n * S)
-    shared = 8 * n + geometries * (16 * n + 8) + 112 * n + 48 * n * lam
-    row = 80 * n + 40 * CHUNK + 12 * recorded
+    held_block = 18 * S * max(n, BLOCK_BYTES // (16 * S))
+    lock_block = max(3 * BLOCK_BYTES // 2, 12 * width * S * n, held_block)
+    setup = 80 * n + 16 * n * lam
+    row = 24 * n + 24 * CHUNK + 12 * recorded
     played = []
     for mode, count in points.items():
         if mode == "random":
             played.append(9 * n * CHUNK + count * row)
         else:
-            per_row = row + n * S * (28 + 8 * scores) + n * CHUNK
-            played.append(n * S * (p + 8 + 8 * CHUNK) + count * per_row)
-    return table_block + route_block + row_block, shared + max(played)
+            # a dense row's copies while others are held, or a held row's
+            # cycle: (S + 13) bytes per keyed agent and phase, which the
+            # cycles measured keep below the copies
+            per_row = row + 16 * n * (S + 1) + n * S * (18 + 8 * scores) + n * CHUNK
+            played.append(n * S * (p + 8 * CHUNK) + count * per_row)
+    trips = 8 * n + geometries * (16 * n + 8)
+    return table_block + route_block + row_block + lock_block, trips + max(setup, *played)
 
 
 def _shared_empty(shape, dtype=np.float64) -> np.ndarray:
@@ -435,16 +485,20 @@ def _simulate_slab(
     warmup: int,
     seeds: np.ndarray,
     rows: np.ndarray,
+    srows: np.ndarray,
     res: BatchResult,
 ) -> None:
     """Simulate every network at every seed and write the results into
-    res[rows]; slab row k*len(seeds) + i is nets[k] at seeds[i], played in
-    mode[k]. Every mode's runs of a seed share its trip table, so it is
-    priced once: route_table and scaled_costs once per ring geometry and
-    ne_totals once per network. Then each mode's rows play in turn."""
+    res[rows], and the adaptive rows' final scores, when asked for, into
+    res.final_scores[srows]; slab row k*len(seeds) + i is nets[k] at
+    seeds[i], played in mode[k]. Every mode's runs of a seed share its trip
+    table, so it is priced once: route_table and scaled_costs once per ring
+    geometry and ne_totals once per network. Then each mode's rows play in
+    turn."""
     cfg = nets[0].config
     n, n_seeds = cfg.N, len(seeds)
     at = rows.reshape(len(nets), n_seeds)  # each network's result rows
+    score_at = srows.reshape(len(nets), n_seeds)
     # the networks by interchange set, then by capacity
     geometry: dict[tuple, tuple[Network, dict[int, list[int]]]] = {}
     for q, net in enumerate(nets):
@@ -479,7 +533,7 @@ def _simulate_slab(
         _play(
             played, rngs, M, S, T, warmup, cfg.scale,
             lk[geo[points]].reshape(-1, n, 2), out_sum[geo[points]].ravel(),
-            np.repeat(caps[points], n_seeds), at[points].ravel(), res,
+            np.repeat(caps[points], n_seeds), at[points].ravel(), score_at[points].ravel(), res,
         )
 
 
@@ -490,11 +544,12 @@ def _generators(seeds: np.ndarray, n: int) -> tuple[list[np.random.Generator], n
     return rngs, np.array([draw_destinations(n, rng) for rng in rngs])
 
 
-def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, res) -> None:
-    """Play one mode's rows and write their results into res[rows]. rngs are
-    the seeds' generators past their trip tables, and row q*len(rngs) + i a
-    network at seed i, with its savings lk (N, 2), its outside total out_sum
-    and its capacity L."""
+def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, srows, res) -> None:
+    """Play one mode's rows and write their results into res[rows], and
+    their final scores, when asked for, into res.final_scores[srows]. rngs
+    are the seeds' generators past their trip tables, and row q*len(rngs) + i
+    a network at seed i, with its savings lk (N, 2), its outside total
+    out_sum and its capacity L."""
     n_seeds, n_rows, n = len(rngs), len(rows), lk.shape[1]
     p = 1 << M
     adaptive = mode != "random"
@@ -533,12 +588,14 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, res) -> None
     off = 0 if res.trace_n_in is not None else warmup
     nin_rec = np.empty((n_rows, T - off), dtype=np.int32)
     cost_rec = np.empty((n_rows, T - off), dtype=np.int64)
+    lock_step = np.full(n_rows, T, dtype=np.int64)
+    period = np.zeros(n_rows, dtype=np.int64)
     mu = mu0[slot]
     if adaptive:
         scores2 = np.zeros((n_rows, S, n), dtype=np.float64)  # doubled scores
         sgn_u2 = 2 * np.sign(lk[..., 0]).astype(np.int8)
         sgn_c2 = 2 * np.sign(lk[..., 1]).astype(np.int8)
-        # step and chunk buffers; live rows use a prefix of each
+        # step and chunk buffers; the rows stepped one by one use a prefix
         bufs = (
             np.empty((n_rows, S, n), dtype=np.float64),  # keys
             np.empty((n_rows, S, n), dtype=np.int8),  # score increments
@@ -546,82 +603,161 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, res) -> None
             np.empty((n_rows, CHUNK, n), dtype=bool),  # actions, True inside
             np.empty((n_rows, CHUNK), dtype=np.int64),  # n_in
         )
-        keys, inc2, mask, acts, nin = bufs
+        nin = bufs[4]
         draw_shape = (n, S)  # one tie-break key per strategy, in stream order
     else:
         draw_shape = (n,)  # one coin per agent
-    draws = np.empty((n_seeds, CHUNK, *draw_shape), dtype=np.float64)
+    # each seed's chunk of draws, after a -inf that _Cycles.play reads
+    keys = np.empty(1 + n_seeds * CHUNK * int(np.prod(draw_shape)))
+    keys[0] = -np.inf
+    draws = keys[1:].reshape(n_seeds, CHUNK, *draw_shape)
     final = np.empty((n_rows, S, n)) if adaptive and res.final_scores is not None else None
-    # slab rows still stepping: a slice until a row locks, so records are
-    # written by basic indexing. While row j's seed is seed j % n_seeds, as
-    # when the live rows are whole points, each seed's keys broadcast over
-    # the rows; else they are gathered by slot
-    live = slice(None)
+    # live[j] is the row at position j of the per-row arrays, and dense the
+    # positions the last chunk stepped one by one. While those are every
+    # row and row j's seed is seed j % n_seeds, as when the rows are whole
+    # points, each seed's keys broadcast over the rows (grid); else they
+    # are gathered by slot
+    live, dense = np.arange(n_rows), np.arange(n_rows)
     grid = True
+    cycles = None  # the rows locked on a cycle, as _Cycles
+    holding = False  # whether some row is held this chunk
+    work = None  # _Cycles.play's buffers, made once a row is held
+    # each row's last hub states, to follow its cycle of hub states in
+    # lock_step, the chunk boundary it was found at (T while none), and
+    # period (0)
+    tail = np.zeros((n_rows, CHUNK // 2), dtype=bool)
 
     for t in range(0, T, CHUNK):
-        if adaptive and t:
-            hit, up = _locked_runs(signed, slot, scores2, mu, sgn_u2, sgn_c2, L)
-            if len(hit):
-                nin_hit = up.sum(axis=1)[:, None]
-                at = np.arange(n_rows)[live]
-                done = at[hit]
+        if adaptive and t and len(dense):
+            # the rows the last chunk stepped one by one: a locked one stays
+            # locked while its hub states follow its cycle, and the others
+            # on a cycle take the lock test, for a period of 1, or when every
+            # row could then be locked and so held
+            h = nin[: len(dense)] > L[dense, None]
+            per = period[live[dense]]
+            if cycles:
+                stay = lock_step[cycles.row] <= cycles.since  # still on the cycle it locked on
+                if not stay.all():
+                    cycles = cycles.select(stay) if stay.any() else None
+                per[np.isin(live[dense], cycles.row if cycles else ())] = 0
+            if len(cycles or ()) + np.count_nonzero(per) < len(live):
+                per[per > 1] = 0
+            found = None
+            if per.any():
+                found = _find_cycles(
+                    t, h, per, dense, live, signed, slot, scores2, mu, sgn_u2, sgn_c2, lk,
+                    out_sum, L,
+                )
+            # a run with no keyed agent can never leave its cycle: fill its
+            # records and drop its row
+            fixed = found.count.sum(axis=1) == 0 if found else np.zeros(0, dtype=bool)
+            if not fixed.all():
+                keyed = found.select(~fixed) if fixed.any() else found
+                cycles = cycles.join(keyed) if cycles else keyed
+            if fixed.any():
+                done = found.select(fixed)
                 fill = max(t - off, 0)
-                nin_rec[done, fill:] = nin_hit
-                cost_rec[done, fill:] = _costs(up[:, None], nin_hit, lk[hit], L[hit], out_sum[hit])
+                phase = (np.arange(fill, T - off) + off - t) % done.per[:, None]
+                nin_rec[done.row, fill:] = np.take_along_axis(done.nin, phase, axis=1)
+                cost_rec[done.row, fill:] = np.take_along_axis(done.cost, phase, axis=1)
+                at = np.searchsorted(live, done.row)
                 if final is not None:
-                    h = nin_hit > L[hit, None]
-                    step2 = np.where(h, sgn_c2[hit], sgn_u2[hit])[:, None, :]
-                    step2 = step2 * signed[mu[hit], slot[hit]]  # +-2 or 0, as int8
-                    final[done] = (scores2[hit] + float(T - t) * step2) / 2.0
-                keep = np.ones(len(at), dtype=bool)
-                keep[hit] = False
+                    s = done.advance(scores2, at, 0, T - t, signed, slot, sgn_u2, sgn_c2)
+                    final[done.row] = s / 2.0
+                keep = np.ones(len(live), dtype=bool)
+                keep[at] = False
                 kept = np.flatnonzero(keep)
-                live = at[kept]
-                m = len(live)
+                m = len(kept)
                 # the kept rows move forward within each array, so no
                 # per-row array is ever held twice
-                state = (slot, scores2, mu, sgn_u2, sgn_c2, out_sum, lk, L)
+                state = (live, slot, scores2, mu, sgn_u2, sgn_c2, out_sum, lk, L)
                 for a in state:
                     _compact(a, kept)
-                slot, scores2, mu, sgn_u2, sgn_c2, out_sum, lk, L = (a[:m] for a in state)
+                live, slot, scores2, mu, sgn_u2, sgn_c2, out_sum, lk, L = (a[:m] for a in state)
                 if not m:
                     break
-                keys, inc2, mask, acts, nin = (a[:m] for a in bufs)
                 grid = m % n_seeds == 0 and np.array_equal(slot, np.arange(m) % n_seeds)
         c = min(CHUNK, T - t)
         for i in np.flatnonzero(np.bincount(slot, minlength=n_seeds)):
             rngs[i].random(out=draws[i, :c])
         lo = max(off - t, 0)  # the chunk's first recorded step
+        steps = slice(t + lo - off, t + c - off)
         if adaptive:
-            if grid:  # rows as (points, seeds), keys as (seeds, steps, S, N)
-                grid_scores, grid_keys = (a.reshape(-1, n_seeds, S, n) for a in (scores2, keys))
-                seed_keys = draws.transpose(0, 1, 3, 2)
-            for j in range(c):
-                tmu = signed[mu, slot]  # (rows, S, N) suggestions as +-1
-                if grid:
-                    np.add(grid_scores, seed_keys[:, j], out=grid_keys)
-                else:
-                    np.add(scores2, draws[slot, j].transpose(0, 2, 1), out=keys)
-                _choose(keys, tmu, mask, out=acts[:, j])
-                acts[:, j].sum(axis=1, out=nin[:, j])
-                h = nin[:, j] > L
-                sgn2 = np.where(h[:, None], sgn_c2, sgn_u2)
-                np.multiply(sgn2[:, None, :], tmu, out=inc2)
-                scores2 += inc2
-                mu = ((mu << 1) | h) & (p - 1)
-            acts_c, nin_c, lk_c = acts[:, lo:c], nin[:, lo:c], lk
+            dense = np.arange(len(live))  # the rows stepped one by one
+            hold = cycles.held(len(live)) if cycles else None
+            if cycles and (hold is not None or holding):
+                if hold is None:
+                    hold = np.zeros(len(cycles), dtype=bool)
+                at = np.searchsorted(live, cycles.row)
+                was = cycles.base >= 0  # held in the last chunk
+                phase = (t - cycles.since[was]) % cycles.per[was]
+                mu[at[was]] = cycles.mu[np.flatnonzero(was), phase]
+                back = was & ~hold  # its scores catch up, and it steps one by one
+                if back.any():
+                    state = (signed, slot, sgn_u2, sgn_c2)
+                    scores2[at[back]] = cycles.scores(back, t, scores2, at, *state)
+                cycles.base[~hold] = -1
+                cycles.base[hold & ~was] = t
+            holding = hold is not None and hold.any()
+            if holding:
+                part = cycles if hold.all() else cycles.select(hold)
+                at = at[hold]
+                # a block of the chunk's entries at a time, one step's at least
+                need = (part.count.sum(axis=1) * (c // part.per + 1)).sum()
+                entries = max(n, min(need, BLOCK_BYTES // (16 * S)))
+                if work is None or len(work[-1]) < entries:
+                    kinds = (np.int64, np.float64, np.int8, bool)
+                    work = tuple(np.empty(S * entries, dtype=d) for d in kinds)
+                    work += (np.empty(entries, dtype=bool),)
+                nin_c, cost_c, ok = part.play(t, c, keys, slot[at], at, lk, L[at], work)
+                if not ok.all():
+                    # a row that left its cycle is unlocked and steps this
+                    # chunk one by one, from its scores where the chunk began
+                    state = (signed, slot, sgn_u2, sgn_c2)
+                    scores2[at[~ok]] = part.scores(~ok, t, scores2, at, *state)
+                    stay = np.ones(len(cycles), dtype=bool)
+                    stay[np.flatnonzero(hold)[~ok]] = False
+                    cycles = cycles.select(stay) if stay.any() else None
+                    at, nin_c, cost_c = at[ok], nin_c[ok], cost_c[ok]
+                dense = np.delete(dense, at)
+                _follow(live[at], nin_c > L[at, None], t, T, tail, lock_step, period)
+                if lo < c:
+                    nin_rec[live[at], steps] = nin_c[:, lo:]
+                    cost_rec[live[at], steps] = cost_c[:, lo:]
+            if not len(dense):
+                continue
+            # the rows stepped one by one: every row in place, else a copy
+            # of those rows' state
+            every = len(dense) == len(live)
+            sel = slice(None) if every else dense
+            if every:
+                mu = _step(c, draws, grid, signed, slot, scores2, mu, sgn_u2, sgn_c2, L, bufs)
+            else:
+                part = scores2[dense]
+                mu[dense] = _step(
+                    c, draws, False, signed, slot[dense], part, mu[dense],
+                    sgn_u2[dense], sgn_c2[dense], L[dense], bufs,
+                )
+                scores2[dense] = part
+            h = nin[: len(dense), :c] > L[dense, None]
+            _follow(live[dense], h, t, T, tail, lock_step, period)
+            acts_c, nin_c, lk_c = bufs[3][: len(dense), lo:c], nin[: len(dense), lo:c], lk[sel]
         elif lo < c:
             # random play: the chunk's recorded steps at once, each seed's
             # coins shared by the points, as its rows never lock
+            sel = slice(None)
             acts_c = draws[:, lo:c] < 0.5  # (seeds, steps, N)
             nin_c = acts_c.sum(axis=2)[slot]
             lk_c = lk.reshape(-1, n_seeds, n, 2)
         if lo < c:
-            steps = slice(t + lo - off, t + c - off)
-            nin_rec[live, steps] = nin_c
-            cost_rec[live, steps] = _costs(acts_c, nin_c, lk_c, L, out_sum)
+            nin_rec[live[sel], steps] = nin_c
+            cost_rec[live[sel], steps] = _costs(acts_c, nin_c, lk_c, L[sel], out_sum[sel])
 
+    if cycles:  # rows held to T catch their scores up
+        was = cycles.base >= 0
+        if final is not None and was.any():
+            at = np.searchsorted(live, cycles.row)
+            scores2[at[was]] = cycles.scores(was, T, scores2, at, signed, slot, sgn_u2, sgn_c2)
     # a block of rows' float64 records at a time; each row's reductions
     # read that row alone
     ms = slice(warmup - off, None)
@@ -633,11 +769,56 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, res) -> None
         res.congestion_ratio[at] = (nin_rec[part, ms] > cap[part, None]).mean(axis=1)
         res.avg_hub_users[at] = nin_m.mean(axis=1)
         res.std_hub_users[at] = nin_m.std(axis=1)
+    res.lock_step[rows], res.period[rows] = lock_step, period
     if res.trace_n_in is not None:
         res.trace_n_in[rows], res.trace_cost[rows] = nin_rec, cost_rec
     if final is not None:
         final[live] = scores2 / 2.0
-        res.final_scores[rows] = final.transpose(0, 2, 1)
+        res.final_scores[srows] = final.transpose(0, 2, 1)
+
+
+def _step(c, draws, grid, signed, slot, scores2, mu, sgn_u2, sgn_c2, L, bufs):
+    """Step rows c steps one by one, from their doubled scores, updated in
+    place, and histories mu: each step's actions and n_in go to a prefix of
+    the buffers bufs, and the histories after the chunk are returned. With
+    grid, row j's seed is seed j % len(draws)."""
+    n_seeds, (S, n) = len(draws), scores2.shape[1:]
+    keys, inc2, mask, acts, nin = (a[: len(mu)] for a in bufs)
+    p = len(signed)
+    if grid:  # rows as (points, seeds), keys as (seeds, steps, S, N)
+        grid_scores, grid_keys = (a.reshape(-1, n_seeds, S, n) for a in (scores2, keys))
+        seed_keys = draws.transpose(0, 1, 3, 2)
+    for j in range(c):
+        tmu = signed[mu, slot]  # (rows, S, N) suggestions as +-1
+        if grid:
+            np.add(grid_scores, seed_keys[:, j], out=grid_keys)
+        else:
+            np.add(scores2, draws[slot, j].transpose(0, 2, 1), out=keys)
+        _choose(keys, tmu, mask, out=acts[:, j])
+        acts[:, j].sum(axis=1, out=nin[:, j])
+        h = nin[:, j] > L
+        sgn2 = np.where(h[:, None], sgn_c2, sgn_u2)
+        np.multiply(sgn2[:, None, :], tmu, out=inc2)
+        scores2 += inc2
+        mu = ((mu << 1) | h) & (p - 1)
+    return mu
+
+
+def _follow(rows, h, t, T, tail, since, per):
+    """Follow the hub-state cycles of rows, given their hub states h over
+    the chunk from step t: a cycle of period p stays while h[j] equals the
+    state p steps back; else a whole chunk's smallest period, if any, starts
+    one at the boundary after it (since), and none leaves since at T. tail
+    holds each row's last CHUNK // 2 hub states."""
+    c, width = h.shape[1], tail.shape[1]
+    seen = np.concatenate((tail[rows], h), axis=1)
+    p = per[rows]
+    back = width + np.arange(c) - p[:, None]
+    stays = (p > 0) & (np.take_along_axis(seen, back, axis=1) == h).all(axis=1)
+    new = rows[~stays]
+    per[new] = _periods(h[~stays]) if c == 2 * width else 0
+    since[new] = np.where(per[new] > 0, t + c, T)
+    tail[rows] = seen[:, -width:]
 
 
 def _choose(keys: np.ndarray, tmu: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -683,25 +864,3 @@ def _compact(a: np.ndarray, kept: np.ndarray) -> None:
     for b in range(0, len(kept), block):
         part = kept[b : b + block]
         a[b : b + len(part)] = a[part]
-
-
-def _locked_runs(signed, slot, scores2, mu, sgn_u2, sgn_c2, L):
-    """The rows that pass the lock test of the module docstring, with their
-    actions: (row indices, (K, N) bool, True taking the hub).
-
-    Only rows whose history is all zeros or all ones can pass condition 2,
-    so the test looks at those alone.
-    """
-    p = len(signed)
-    cand = np.flatnonzero((mu == 0) | (mu == p - 1))
-    tmu = signed[mu[cand], slot[cand]]  # (K, S, N) suggestions as +-1
-    s = scores2[cand]
-    top = s == s.max(axis=1, keepdims=True)
-    up = (top & (tmu > 0)).any(axis=1)  # some top strategy takes the hub
-    down = (top & (tmu < 0)).any(axis=1)  # some top strategy keeps out
-    h = up.sum(axis=1) > L[cand]
-    gain2 = np.where(h[:, None], sgn_c2[cand], sgn_u2[cand]) * np.where(up, 1, -1)
-    unanimous = (tmu == tmu[:, :1]).all(axis=1)
-    ok = ((up != down) & ((gain2 >= 0) | unanimous)).all(axis=1)
-    ok &= h == (mu[cand] == p - 1)
-    return cand[ok], up[ok]

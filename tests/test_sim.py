@@ -304,6 +304,31 @@ class TestMemoryEstimate:
             tracemalloc.stop()
         assert peak <= estimate + self.ALLOWANCE, (peak, estimate)
 
+    def test_forty_seeds_peak_within_half_again_of_estimate(self, monkeypatch):
+        # lambda-sweep's homogeneous stack at 40 seeds, whose estimate once
+        # counted twice its peak and so cut large stacks into twice the slabs
+        args = list(self.one_seed_args("lambda-sweep homogeneous"))
+        args[6] = list(range(1, 41))
+        counted = []
+        real = _engine._slab_bytes
+
+        def spy(*args):
+            counted.append(real(*args))
+            return counted[-1]
+
+        monkeypatch.setattr(_engine, "_slab_bytes", spy)
+        monkeypatch.setattr(_engine, "WORKERS", 1)
+        tracemalloc.start()
+        try:
+            simulate_stack(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fixed, per_seed = counted[0]
+        estimate = fixed + 40 * per_seed
+        assert peak <= estimate + self.ALLOWANCE, (peak, estimate)
+        assert estimate <= 1.5 * peak, (peak, estimate)
+
 
 class KeyCounter:
     """A Generator stand-in that counts the floats drawn from it."""
@@ -317,12 +342,159 @@ class KeyCounter:
         return self._rng.integers(*args, **kwargs)
 
     def random(self, size=None, out=None):
-        self.floats += out.size if out is not None else math.prod(size)
+        self.floats += out.size if out is not None else math.prod(np.atleast_1d(size))
         return self._rng.random(size, out=out)
 
 
+class CoarseKeys(KeyCounter):
+    """A KeyCounter whose floats are rounded down to quarters, so that
+    tie-break keys often tie exactly."""
+
+    def random(self, size=None, out=None):
+        x = super().random(size, out=out)
+        np.floor(x * 4, out=x)
+        x /= 4
+        return x
+
+
 class TestLockedRuns:
-    """Runs locked into a fixed point stop stepping without changing a result."""
+    """Runs locked on a cycle of hub states, held a chunk at a time or
+    filled to T, give the scalar reference's traces and final scores."""
+
+    @staticmethod
+    def run_locked(monkeypatch, chunk, workers, net, S, seeds, T, rng=KeyCounter):
+        """The traced runs of net at seeds, each checked against the
+        reference, and what the caller's held chunks saw: (batch, plays,
+        locks, generators), plays holding each held row-chunk's ok and
+        locks each locked row's (step, period, keyed agent-phases)."""
+        monkeypatch.setattr(_engine, "CHUNK", chunk)
+        monkeypatch.setattr(_engine, "WORKERS", workers)
+        plays, locks, counters = [], [], []
+        play, find = _engine._Cycles.play, _engine._find_cycles
+
+        def spy_play(self, *args):
+            out = play(self, *args)
+            plays.extend(out[2].tolist())
+            return out
+
+        def spy_find(*args):
+            found = find(*args)
+            if found is not None:
+                keyed = found.count.sum(axis=1).tolist()
+                locks.extend(zip([args[0]] * len(found), found.per.tolist(), keyed))
+            return found
+
+        def counting_rng(seed):
+            counters.append(rng(seed))
+            return counters[-1]
+
+        monkeypatch.setattr(_engine._Cycles, "play", spy_play)
+        monkeypatch.setattr(_engine, "_find_cycles", spy_find)
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", counting_rng)
+            batch = _engine.simulate_batch(
+                rh.build_network(net), 2, S, "homogeneous", T, 10, seeds,
+                collect_trace=True, collect_scores=True,
+            )
+            for i, seed in enumerate(seeds):
+                cfg = rh.SimConfig(network=net, M=2, S=S, T=T, warmup=10, seed=seed)
+                ref = reference_run(cfg)
+                assert list(batch.trace_n_in[i]) == ref.n_in, seed
+                costs = [Fraction(int(c), net.scale) for c in batch.trace_cost[i]]
+                assert costs == ref.total_cost, seed
+                want = np.stack(ref.final_scores).astype(np.float64)
+                assert np.array_equal(batch.final_scores[i], want), seed
+        return batch, plays, locks, counters[: len(seeds)]
+
+    @pytest.mark.parametrize("chunk", [4, 32])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_period_one_lock_with_keyed_indifferent_agents(self, monkeypatch, chunk, workers):
+        # seed 23 settles uncongested while an agent with l = 0 keeps
+        # choosing by its keys between top strategies that disagree; the
+        # two runs lock together, so they are held also in one worker
+        net = rh.NetworkConfig(N=12, hub_links=3, L=3)
+        batch, plays, locks, _ = self.run_locked(monkeypatch, chunk, workers, net, 3, [23, 23], 120)
+        assert batch.period.tolist() == [1, 1] and batch.lock_step[0] <= 64
+        assert (batch.lock_step[0], 1) in [(t, p) for t, p, keyed in locks if keyed]
+        assert plays and all(plays[-4:])
+
+    @pytest.mark.parametrize("chunk", [4, 32])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_congested_cycle_leaves_and_locks_again(self, monkeypatch, chunk, workers):
+        # at CHUNK=32 seed 8 locks on a period-8 cycle at step 64, is held
+        # for two chunks, its keys send it off the cycle in the third, and it
+        # locks again at step 224; CHUNK=4 cannot see a period of 8
+        net = rh.NetworkConfig(N=20, hub_links=6, L=10)
+        batch, plays, locks, _ = self.run_locked(monkeypatch, chunk, workers, net, 4, [8, 8], 256)
+        if chunk == 32:
+            assert sorted({(t, p) for t, p, keyed in locks if keyed}) == [(64, 8), (224, 8)]
+            # held chunks at steps 64, 96, 128 (the roll-back) and 224, for
+            # each run the caller plays
+            assert plays == [ok for ok in (True, True, False, True) for _ in range(3 - workers)]
+            assert batch.lock_step.tolist() == [224, 224] and batch.period.tolist() == [8, 8]
+
+    @pytest.mark.parametrize("chunk", [4, 32])
+    def test_held_run_catches_up_when_another_leaves(self, monkeypatch, chunk):
+        # at CHUNK=32 seeds 8 and 17 lock at step 64 and are held together;
+        # seed 8 leaves its cycle at step 128, so from step 160 seed 17,
+        # still locked, steps one by one from its caught-up scores
+        caught = []
+        scores = _engine._Cycles.scores
+
+        def spy(self, keep, t, *args):
+            caught.append((t, keep.tolist()))
+            return scores(self, keep, t, *args)
+
+        monkeypatch.setattr(_engine._Cycles, "scores", spy)
+        net = rh.NetworkConfig(N=20, hub_links=6, L=10)
+        batch, _, _, _ = self.run_locked(monkeypatch, chunk, 1, net, 4, [8, 17], 256)
+        if chunk == 32:
+            assert caught[:2] == [(128, [True, False]), (160, [True])]
+            assert batch.lock_step.tolist() == [224, 64] and batch.period.tolist() == [8, 1]
+
+    @pytest.mark.parametrize("chunk", [4, 32])
+    def test_held_runs_draw_every_chunk_and_filled_runs_stop(self, monkeypatch, chunk):
+        # seed 23 of the first network is held with a keyed agent to T; the
+        # second network's seed 2 locks with none and its row is dropped
+        T, S = 120, 3
+        for L, seed, keyed in ((3, 23, True), (8, 2, False)):
+            net = rh.NetworkConfig(N=12, hub_links=3, L=L)
+            batch, plays, _, (counter,) = self.run_locked(monkeypatch, chunk, 1, net, S, [seed], T)
+            per_step = net.N * S
+            assert batch.lock_step[0] < T and bool(plays) == keyed
+            if keyed:
+                assert counter.floats == T * per_step
+            else:
+                assert counter.floats == batch.lock_step[0] * per_step
+                assert counter.floats % (chunk * per_step) == 0
+
+    @pytest.mark.parametrize("chunk", [4, 32])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exact_key_ties_inside_a_held_chunk(self, monkeypatch, chunk, workers):
+        # keys in quarters tie often; the runs lock with keyed agents, on a
+        # period of 4 at CHUNK=32 and of 1 at CHUNK=4
+        tied = []
+        choose = _engine._choose
+
+        def spy_choose(keys, tmu, mask, out):
+            tied.append(((keys == keys.max(axis=1, keepdims=True)).sum(axis=1) > 1).any())
+            return choose(keys, tmu, mask, out)
+
+        def spy_play(self, *args):
+            monkeypatch.setattr(_engine, "_choose", spy_choose)
+            try:
+                return play(self, *args)
+            finally:
+                monkeypatch.setattr(_engine, "_choose", choose)
+
+        play = _engine._Cycles.play
+        monkeypatch.setattr(_engine._Cycles, "play", spy_play)
+        net = rh.NetworkConfig(N=12, hub_links=3, L=3)
+        seeds = [2, 2] if chunk == 32 else [23, 23]
+        _, plays, _, _ = self.run_locked(
+            monkeypatch, chunk, workers, net, 3, seeds, 120, CoarseKeys
+        )
+        assert plays and any(tied)
 
     @pytest.mark.parametrize(
         "mode,L,S",
@@ -433,23 +605,14 @@ class TestStackedPoints:
         """Each row of a stack in which some rows lock mid-run, and so are
         compacted away while others step on, equals the scalar reference."""
         monkeypatch.setattr(_engine, "CHUNK", 4)
-        monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's locks are its own
-        locked = []
-        real = _engine._locked_runs
-
-        def spy(*args):
-            hit, acts = real(*args)
-            locked.append(len(hit))
-            return hit, acts
-
-        monkeypatch.setattr(_engine, "_locked_runs", spy)
         nets = [rh.NetworkConfig(N=12, hub_links=3, L=L) for L in (8, 1)]
         seeds = list(range(1, 9))
         stacked = simulate_stack(
             [rh.build_network(net) for net in nets], 2, 3, [mode] * 2, 60, 10, seeds, True, True
         )
-        assert 0 < sum(locked) < len(nets) * len(seeds)
-        assert locked[0] < sum(locked)  # rows lock after others have locked
+        lock_step = np.concatenate([runs.lock_step for runs in stacked])
+        assert 0 < np.count_nonzero(lock_step < 60) < len(nets) * len(seeds)
+        assert len(set(lock_step[lock_step < 60])) > 1  # rows lock after others have locked
         for net, runs in zip(nets, stacked, strict=True):
             for i, seed in enumerate(seeds):
                 cfg = rh.SimConfig(network=net, M=2, S=3, mode=mode, T=60, warmup=10, seed=seed)
@@ -472,26 +635,42 @@ class TestStackedPoints:
         adaptive rows lock and others step on."""
         monkeypatch.setattr(_engine, "CHUNK", 4)
         nets, M, S, _, T, warmup, seeds, _, _ = stacked_args("homogeneous")
-        locked = []
-        real = _engine._locked_runs
-
-        def spy(*args):
-            hit, acts = real(*args)
-            locked.append(len(hit))
-            return hit, acts
-
-        monkeypatch.setattr(_engine, "_locked_runs", spy)
         monkeypatch.setattr(_engine, "WORKERS", workers)
         # each network in every mode, interleaved
         mixed = simulate_stack(
             [net for net in nets for _ in rh.sim.MODES], M, S, rh.sim.MODES * len(nets), T,
             warmup, seeds, True, True,
         )
-        assert 0 < sum(locked) < 2 * len(nets) * len(seeds)  # the caller's rows alone
+        adaptive = [runs for runs in mixed if runs.final_scores is not None]
+        locked = sum(np.count_nonzero(runs.lock_step < T) for runs in adaptive)
+        assert 0 < locked < len(adaptive) * len(seeds)
         monkeypatch.setattr(_engine, "WORKERS", 1)
         for m, mode in enumerate(rh.sim.MODES):
             alone = simulate_stack(nets, M, S, [mode] * len(nets), T, warmup, seeds, True, True)
             assert_same_runs(mixed[m :: len(rh.sim.MODES)], alone)
+
+    def test_final_scores_only_for_adaptive_networks(self, monkeypatch):
+        """A stack one third random holds final scores for its adaptive
+        networks alone, and each network's are its own."""
+        nets, M, S, _, T, warmup, seeds, _, _ = stacked_args("homogeneous")
+        shapes = []
+        real = _engine._shared_empty
+
+        def spy(shape, dtype=np.float64):
+            shapes.append(shape)
+            return real(shape, dtype)
+
+        monkeypatch.setattr(_engine, "_shared_empty", spy)
+        mixed = simulate_stack(
+            [net for net in nets for _ in rh.sim.MODES], M, S, rh.sim.MODES * len(nets), T,
+            warmup, seeds, True, True,
+        )
+        adaptive = 2 * len(nets)
+        assert [s for s in shapes if len(np.atleast_1d(s)) == 3] == [(adaptive * len(seeds), 12, S)]
+        for runs, mode in zip(mixed, rh.sim.MODES * len(nets)):
+            assert (runs.final_scores is None) == (mode == "random")
+        scored = [runs.final_scores for runs in mixed if runs.final_scores is not None]
+        assert not any(np.shares_memory(a, b) for a, b in zip(scored, scored[1:]))
 
     def test_route_table_once_per_interchange_set(self, monkeypatch):
         """Networks that differ only in L share a ring geometry, so a slab
@@ -592,6 +771,22 @@ def assert_same_runs(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert_same_batch(x, y)
+
+
+class TestLockDiagnostics:
+    def test_large_ring_runs_lock_on_a_period_of_eight(self):
+        # perfbench's large-ring runs: N=1000, lambda=100, L=800, seeds 0
+        # and 1, locked from before step 128 to T on the 2*2^M cycle
+        net = rh.build_network(rh.NetworkConfig(N=1000, hub_links=100, L=800))
+        runs = _engine.simulate_batch(net, 2, 8, "homogeneous", 1000, 500, [0, 1])
+        assert runs.period.tolist() == [8, 8]
+        assert (runs.lock_step < 128).all()
+        assert (1000 - runs.lock_step).sum() >= 0.85 * 2 * 1000  # row-steps held
+
+    def test_random_runs_never_lock(self):
+        net = rh.build_network(rh.NetworkConfig(N=12, hub_links=3, L=8))
+        runs = _engine.simulate_batch(net, 2, 3, "random", 40, 10, [1, 2])
+        assert runs.lock_step.tolist() == [40, 40] and runs.period.tolist() == [0, 0]
 
 
 class TestWorkers:
