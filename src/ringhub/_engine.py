@@ -67,54 +67,16 @@ points; a step's n_in is a per-seed sum, and the chunk is priced by the
 same product as adaptive play's. Warm-up steps draw their coins and record
 nothing.
 
-A run whose hub states settle on a cycle can be locked, and then its steps
-need not be played one by one. Every adaptive run's hub states are
-followed: at each chunk boundary, a run whose last chunk is p-periodic,
-for the smallest p <= CHUNK/2, is on a cycle of period p, and it stays on
-it while each hub state equals the one p steps back. lock_step is the
-boundary from which a run stayed on its cycle to T (T if it never did) and
-period that cycle's length (0 if none); they read the hub states alone, as
-a trace would give them, whatever the lock below did. At each chunk
-boundary a row stepped one by one that is on a cycle and not locked takes
-the lock test (ringhub._cycles), for a period of 1 always and for a longer
-one when every row of its mode could then be locked:
-
-1. phase f of the cycle is step t + f, played at the history mu_f with the
-   hub state h_f of the last chunk's last period, and mu_p = mu_0;
-2. stepping its doubled scores S_0 through the phases under h_f gives each
-   phase's scores S_f and the increment over a period, D = S_p - S_0;
-3. at every phase, each strategy with its agent's top score in S_f has its
-   agent's largest D;
-4. every h_f can still come about: h_f = 1 needs the sure agents and the
-   keyed ones together above L, and h_f = 0 the sure agents within L.
-
-At phase f an agent whose top strategies all suggest one action at mu_f is
-sure of it; one whose top strategies disagree is keyed. While h follows the
-cycle, the doubled scores at phase f of period k are S_f + k*D: the top
-strategies grow by their agent's largest D a period and the others by no
-more, and doubled scores differ by at least 2 while keys lie in [0, 1), so
-every phase keeps its top sets, its sure actions and its keyed agents. A
-keyed agent's key for a top strategy is 2*score + key with the common top
-score, bit for bit the dense step's, and the first of the largest wins as
-there; no other strategy can.
-
-A locked run with no keyed agent never leaves its cycle: its records are
-filled to T from its phases, its row is dropped, and its final scores are
-S_0 advanced by T - t steps. (This is the lock of fixed points, p = 1.) A
-locked run with keyed agents stays locked while its hub states follow the
-cycle. It is held, played a chunk at a time, when every live row of its
-mode is locked, which ends the step loop, or when the locked rows whose
-keyed agents' strategies are fewer than their N agents are most rows, as
-those; else it steps one by one. (Held rows with many keyed agents cost
-about what stepping them costs: the gain is the step loop's per-step cost
-when no row is left to step, or few keyed agents.) A held chunk gathers the
-keyed agents' keys from the drawn chunk, chooses among their top
-strategies with _choose, and sums each step's n_in and cost from its
-phase's sums of the sure agents. Where a realised hub state leaves the
-cycle anywhere in a held chunk, the row is unlocked, its scores are
-restored exactly to where the chunk began, S_f + k*D at mu_f, and it steps
-that chunk one by one; a row stepped one by one is unlocked where its
-chunk leaves the cycle. Which way a row plays changes no result.
+A run whose hub states settle on an exact cycle is locked, as the
+docstring of ringhub._cycles sets out: its last chunk of hub states has a
+period p <= CHUNK/2, and over a period every top strategy grows by its
+agent's largest increment D, so that its top sets, sure actions and keyed
+agents repeat with the cycle. A locked run with no keyed agent is filled to
+T and its row dropped. Once every live row is locked they are held, each
+chunk played at once, and a held row whose hub states leave its cycle in a
+chunk is restored exactly to the chunk's start and steps that chunk one by
+one. Every row's hub states are kept, and lock_step and period read from
+them alone.
 
 Rows of one seed share its keys. A seed's generator draws the keys of a
 chunk when some row of that seed is still live, held or stepped, at that
@@ -154,7 +116,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._cycles import _Cycles, _find_cycles, _periods
+from ._cycles import _Lock, settled
 from .equilibrium import ne_totals, scaled_costs
 from .network import _ROUTE_BLOCK_BYTES, Network, draw_destinations, route_table
 
@@ -267,7 +229,7 @@ def _plan(nets, M, S, modes, T, warmup, seeds, collect_trace, collect_scores):
     fixed, per_seed = _slab_bytes(
         n, M, S, {m: modes.count(m) for m in modes},
         len({net.interchanges for net in nets}), max(net.config.hub_links for net in nets),
-        T if collect_trace else T - warmup, T - warmup, collect_scores,
+        T if collect_trace else T - warmup, T, collect_scores,
     )
     one_seed = fixed + per_seed
     if one_seed > MEMORY_BYTES:
@@ -322,7 +284,7 @@ def _plan(nets, M, S, modes, T, warmup, seeds, collect_trace, collect_scores):
     return results, r, one_seed, run
 
 
-def _slab_bytes(n, M, S, points, geometries, lam, recorded, window, scores) -> tuple[int, int]:
+def _slab_bytes(n, M, S, points, geometries, lam, recorded, T, scores) -> tuple[int, int]:
     """Rough peak bytes of a slab of runs at N = n, as (bytes whatever its
     seed count, bytes each seed adds). points maps each mode to its number
     of networks, which have `geometries` distinct interchange sets.
@@ -334,24 +296,23 @@ def _slab_bytes(n, M, S, points, geometries, lam, recorded, window, scores) -> t
     largest of these counts. An adaptive mode holds each seed's int8
     strategy tables and one chunk of keys, and for each of its rows doubled
     scores, keys, increments, the choice mask, the chunk's actions, its
-    savings and the copies of its scores, keys and savings taken while
-    other rows are held on a cycle, which also cover its own cycle once it
-    is held: in the runs measured its keyed agent-phases take less (at most
-    CHUNK // 2 phases of N keyed agents, each (S + 13) bytes).
-    Random play holds each seed's chunk of coins and its actions. Each row
-    of either holds `recorded` steps of records, a chunk's n_in and costs,
-    and the final scores when asked for. Whatever the seeds: one block of
-    the table draw (int64 draws with their bool and two int8 copies), one
-    block of route_table's stage 1, one block of row compaction, of the
-    int64 actions np.matmul prices or of the reductions over the `window`
-    measured steps, each within twice the larger of BLOCK_BYTES and one
-    row, and the larger of the lock test's block and the held play's
-    buffers.
+    savings, its T hub states, the lock's test of a chunk's periods and its
+    phases, and the copies of its scores, keys and savings taken while
+    other rows are held on a cycle, whose bytes also cap the keyed entries
+    of its own cycle once it is held (see ringhub._cycles). Random play
+    holds each seed's chunk of coins and its actions. Each row of either
+    holds `recorded` steps of records, a chunk's n_in and costs, and the
+    final scores when asked for. Whatever the seeds: one block of the table
+    draw (int64 draws with their bool and two int8 copies), one block of
+    route_table's stage 1, one block of row compaction, of the int64
+    actions np.matmul prices or of the reductions over the T steps, each
+    within twice the larger of BLOCK_BYTES and one row, and the larger of
+    the lock test's block and the held play's buffers.
     """
     p, width = 1 << M, CHUNK // 2
     table_block = 11 * S * p * min(n, max(1, BLOCK_BYTES // (8 * S * p)))
     route_block = 64 * n * min(lam, max(1, _ROUTE_BLOCK_BYTES // (64 * n)))
-    row_block = 2 * max(BLOCK_BYTES, 9 * window, 8 * n * S)
+    row_block = 2 * max(BLOCK_BYTES, 32 * T, 8 * n * S)
     held_block = 18 * S * max(n, BLOCK_BYTES // (16 * S))
     lock_block = max(3 * BLOCK_BYTES // 2, 12 * width * S * n, held_block)
     setup = 80 * n + 16 * n * lam
@@ -361,10 +322,8 @@ def _slab_bytes(n, M, S, points, geometries, lam, recorded, window, scores) -> t
         if mode == "random":
             played.append(9 * n * CHUNK + count * row)
         else:
-            # a dense row's copies while others are held, or a held row's
-            # cycle: (S + 13) bytes per keyed agent and phase, which the
-            # cycles measured keep below the copies
-            per_row = row + 16 * n * (S + 1) + n * S * (18 + 8 * scores) + n * CHUNK
+            lock = T + 24 * CHUNK + 33 * width
+            per_row = row + lock + 16 * n * (S + 1) + n * S * (18 + 8 * scores) + n * CHUNK
             played.append(n * S * (p + 8 * CHUNK) + count * per_row)
     trips = 8 * n + geometries * (16 * n + 8)
     return table_block + route_block + row_block + lock_block, trips + max(setup, *played)
@@ -580,21 +539,20 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, srows, res) 
             acc = (acc << 1) | int(b)
         mu0[i] = acc
 
-    # per-row state: slot is the row's seed. _compact overwrites L in
+    # per-row state; slot is the row's seed. _Live.compact overwrites L in
     # place, so the hub states recorded n_in implies are read against cap
     slot = np.tile(np.arange(n_seeds), n_rows // n_seeds)
     cap = L.copy()
+    live = _Live(np.arange(n_rows), slot, mu0[slot], out_sum, lk, L)
     # records start at the measured window unless the trace wants every step
     off = 0 if res.trace_n_in is not None else warmup
     nin_rec = np.empty((n_rows, T - off), dtype=np.int32)
     cost_rec = np.empty((n_rows, T - off), dtype=np.int64)
-    lock_step = np.full(n_rows, T, dtype=np.int64)
-    period = np.zeros(n_rows, dtype=np.int64)
-    mu = mu0[slot]
     if adaptive:
-        scores2 = np.zeros((n_rows, S, n), dtype=np.float64)  # doubled scores
-        sgn_u2 = 2 * np.sign(lk[..., 0]).astype(np.int8)
-        sgn_c2 = 2 * np.sign(lk[..., 1]).astype(np.int8)
+        live.signed = signed
+        live.scores2 = np.zeros((n_rows, S, n), dtype=np.float64)  # doubled scores
+        live.sgn_u2 = 2 * np.sign(lk[..., 0]).astype(np.int8)
+        live.sgn_c2 = 2 * np.sign(lk[..., 1]).astype(np.int8)
         # step and chunk buffers; the rows stepped one by one use a prefix
         bufs = (
             np.empty((n_rows, S, n), dtype=np.float64),  # keys
@@ -604,144 +562,60 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, srows, res) 
             np.empty((n_rows, CHUNK), dtype=np.int64),  # n_in
         )
         nin = bufs[4]
+        hub = np.empty((n_rows, T), dtype=bool)  # every step's hub state
         draw_shape = (n, S)  # one tie-break key per strategy, in stream order
     else:
         draw_shape = (n,)  # one coin per agent
-    # each seed's chunk of draws, after a -inf that _Cycles.play reads
+    # each seed's chunk of draws, after a -inf that the lock's held play reads
     keys = np.empty(1 + n_seeds * CHUNK * int(np.prod(draw_shape)))
     keys[0] = -np.inf
     draws = keys[1:].reshape(n_seeds, CHUNK, *draw_shape)
     final = np.empty((n_rows, S, n)) if adaptive and res.final_scores is not None else None
-    # live[j] is the row at position j of the per-row arrays, and dense the
-    # positions the last chunk stepped one by one. While those are every
-    # row and row j's seed is seed j % n_seeds, as when the rows are whole
-    # points, each seed's keys broadcast over the rows (grid); else they
-    # are gathered by slot
-    live, dense = np.arange(n_rows), np.arange(n_rows)
+    if adaptive:
+        lock = _Lock(T, off, nin_rec, cost_rec, hub, final, CHUNK, BLOCK_BYTES, _choose)
+    # dense holds the positions of the live rows the last chunk stepped one
+    # by one. While those are every row and row j's seed is seed j % n_seeds,
+    # as when the rows are whole points, each seed's keys broadcast over the
+    # rows (grid); else they are gathered by slot
+    dense = np.arange(n_rows)
     grid = True
-    cycles = None  # the rows locked on a cycle, as _Cycles
-    holding = False  # whether some row is held this chunk
-    work = None  # _Cycles.play's buffers, made once a row is held
-    # each row's last hub states, to follow its cycle of hub states in
-    # lock_step, the chunk boundary it was found at (T while none), and
-    # period (0)
-    tail = np.zeros((n_rows, CHUNK // 2), dtype=bool)
 
     for t in range(0, T, CHUNK):
         if adaptive and t and len(dense):
-            # the rows the last chunk stepped one by one: a locked one stays
-            # locked while its hub states follow its cycle, and the others
-            # on a cycle take the lock test, for a period of 1, or when every
-            # row could then be locked and so held
-            h = nin[: len(dense)] > L[dense, None]
-            per = period[live[dense]]
-            if cycles:
-                stay = lock_step[cycles.row] <= cycles.since  # still on the cycle it locked on
-                if not stay.all():
-                    cycles = cycles.select(stay) if stay.any() else None
-                per[np.isin(live[dense], cycles.row if cycles else ())] = 0
-            if len(cycles or ()) + np.count_nonzero(per) < len(live):
-                per[per > 1] = 0
-            found = None
-            if per.any():
-                found = _find_cycles(
-                    t, h, per, dense, live, signed, slot, scores2, mu, sgn_u2, sgn_c2, lk,
-                    out_sum, L,
-                )
-            # a run with no keyed agent can never leave its cycle: fill its
-            # records and drop its row
-            fixed = found.count.sum(axis=1) == 0 if found else np.zeros(0, dtype=bool)
-            if not fixed.all():
-                keyed = found.select(~fixed) if fixed.any() else found
-                cycles = cycles.join(keyed) if cycles else keyed
-            if fixed.any():
-                done = found.select(fixed)
-                fill = max(t - off, 0)
-                phase = (np.arange(fill, T - off) + off - t) % done.per[:, None]
-                nin_rec[done.row, fill:] = np.take_along_axis(done.nin, phase, axis=1)
-                cost_rec[done.row, fill:] = np.take_along_axis(done.cost, phase, axis=1)
-                at = np.searchsorted(live, done.row)
-                if final is not None:
-                    s = done.advance(scores2, at, 0, T - t, signed, slot, sgn_u2, sgn_c2)
-                    final[done.row] = s / 2.0
-                keep = np.ones(len(live), dtype=bool)
-                keep[at] = False
-                kept = np.flatnonzero(keep)
+            kept = lock.test(t, h, dense, live)
+            if kept is not None:
+                live.compact(kept)
                 m = len(kept)
-                # the kept rows move forward within each array, so no
-                # per-row array is ever held twice
-                state = (live, slot, scores2, mu, sgn_u2, sgn_c2, out_sum, lk, L)
-                for a in state:
-                    _compact(a, kept)
-                live, slot, scores2, mu, sgn_u2, sgn_c2, out_sum, lk, L = (a[:m] for a in state)
                 if not m:
                     break
-                grid = m % n_seeds == 0 and np.array_equal(slot, np.arange(m) % n_seeds)
+                grid = m % n_seeds == 0 and np.array_equal(live.slot, np.arange(m) % n_seeds)
         c = min(CHUNK, T - t)
-        for i in np.flatnonzero(np.bincount(slot, minlength=n_seeds)):
+        for i in np.flatnonzero(np.bincount(live.slot, minlength=n_seeds)):
             rngs[i].random(out=draws[i, :c])
         lo = max(off - t, 0)  # the chunk's first recorded step
-        steps = slice(t + lo - off, t + c - off)
         if adaptive:
-            dense = np.arange(len(live))  # the rows stepped one by one
-            hold = cycles.held(len(live)) if cycles else None
-            if cycles and (hold is not None or holding):
-                if hold is None:
-                    hold = np.zeros(len(cycles), dtype=bool)
-                at = np.searchsorted(live, cycles.row)
-                was = cycles.base >= 0  # held in the last chunk
-                phase = (t - cycles.since[was]) % cycles.per[was]
-                mu[at[was]] = cycles.mu[np.flatnonzero(was), phase]
-                back = was & ~hold  # its scores catch up, and it steps one by one
-                if back.any():
-                    state = (signed, slot, sgn_u2, sgn_c2)
-                    scores2[at[back]] = cycles.scores(back, t, scores2, at, *state)
-                cycles.base[~hold] = -1
-                cycles.base[hold & ~was] = t
-            holding = hold is not None and hold.any()
-            if holding:
-                part = cycles if hold.all() else cycles.select(hold)
-                at = at[hold]
-                # a block of the chunk's entries at a time, one step's at least
-                need = (part.count.sum(axis=1) * (c // part.per + 1)).sum()
-                entries = max(n, min(need, BLOCK_BYTES // (16 * S)))
-                if work is None or len(work[-1]) < entries:
-                    kinds = (np.int64, np.float64, np.int8, bool)
-                    work = tuple(np.empty(S * entries, dtype=d) for d in kinds)
-                    work += (np.empty(entries, dtype=bool),)
-                nin_c, cost_c, ok = part.play(t, c, keys, slot[at], at, lk, L[at], work)
-                if not ok.all():
-                    # a row that left its cycle is unlocked and steps this
-                    # chunk one by one, from its scores where the chunk began
-                    state = (signed, slot, sgn_u2, sgn_c2)
-                    scores2[at[~ok]] = part.scores(~ok, t, scores2, at, *state)
-                    stay = np.ones(len(cycles), dtype=bool)
-                    stay[np.flatnonzero(hold)[~ok]] = False
-                    cycles = cycles.select(stay) if stay.any() else None
-                    at, nin_c, cost_c = at[ok], nin_c[ok], cost_c[ok]
-                dense = np.delete(dense, at)
-                _follow(live[at], nin_c > L[at, None], t, T, tail, lock_step, period)
-                if lo < c:
-                    nin_rec[live[at], steps] = nin_c[:, lo:]
-                    cost_rec[live[at], steps] = cost_c[:, lo:]
+            dense = lock.hold(t, c, keys, live)
             if not len(dense):
                 continue
             # the rows stepped one by one: every row in place, else a copy
             # of those rows' state
-            every = len(dense) == len(live)
-            sel = slice(None) if every else dense
-            if every:
-                mu = _step(c, draws, grid, signed, slot, scores2, mu, sgn_u2, sgn_c2, L, bufs)
-            else:
-                part = scores2[dense]
-                mu[dense] = _step(
-                    c, draws, False, signed, slot[dense], part, mu[dense],
-                    sgn_u2[dense], sgn_c2[dense], L[dense], bufs,
+            if len(dense) == len(live):
+                sel = slice(None)
+                live.mu = _step(
+                    c, draws, grid, signed, live.slot, live.scores2, live.mu,
+                    live.sgn_u2, live.sgn_c2, live.L, bufs,
                 )
-                scores2[dense] = part
-            h = nin[: len(dense), :c] > L[dense, None]
-            _follow(live[dense], h, t, T, tail, lock_step, period)
-            acts_c, nin_c, lk_c = bufs[3][: len(dense), lo:c], nin[: len(dense), lo:c], lk[sel]
+            else:
+                sel = dense
+                part = live.scores2[dense]
+                live.mu[dense] = _step(
+                    c, draws, False, signed, live.slot[dense], part, live.mu[dense],
+                    live.sgn_u2[dense], live.sgn_c2[dense], live.L[dense], bufs,
+                )
+                live.scores2[dense] = part
+            h = nin[: len(dense), :c] > live.L[dense, None]
+            hub[live.row[dense], t : t + c] = h
+            acts_c, nin_c, lk_c = bufs[3][: len(dense), lo:c], nin[: len(dense), lo:c], live.lk[sel]
         elif lo < c:
             # random play: the chunk's recorded steps at once, each seed's
             # coins shared by the points, as its rows never lock
@@ -750,16 +624,14 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, srows, res) 
             nin_c = acts_c.sum(axis=2)[slot]
             lk_c = lk.reshape(-1, n_seeds, n, 2)
         if lo < c:
-            nin_rec[live[sel], steps] = nin_c
-            cost_rec[live[sel], steps] = _costs(acts_c, nin_c, lk_c, L[sel], out_sum[sel])
+            at = live.row[sel]
+            nin_rec[at, t + lo - off : t + c - off] = nin_c
+            cost_rec[at, t + lo - off : t + c - off] = _costs(
+                acts_c, nin_c, lk_c, live.L[sel], live.out_sum[sel]
+            )
 
-    if cycles:  # rows held to T catch their scores up
-        was = cycles.base >= 0
-        if final is not None and was.any():
-            at = np.searchsorted(live, cycles.row)
-            scores2[at[was]] = cycles.scores(was, T, scores2, at, signed, slot, sgn_u2, sgn_c2)
-    # a block of rows' float64 records at a time; each row's reductions
-    # read that row alone
+    # a block of rows' records at a time; each row's reductions read that
+    # row alone
     ms = slice(warmup - off, None)
     block = max(1, BLOCK_BYTES // (8 * (T - warmup)))
     for b in range(0, n_rows, block):
@@ -769,12 +641,51 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, srows, res) 
         res.congestion_ratio[at] = (nin_rec[part, ms] > cap[part, None]).mean(axis=1)
         res.avg_hub_users[at] = nin_m.mean(axis=1)
         res.std_hub_users[at] = nin_m.std(axis=1)
-    res.lock_step[rows], res.period[rows] = lock_step, period
+    if adaptive:
+        block = max(1, BLOCK_BYTES // (32 * T))
+        for b in range(0, n_rows, block):
+            at = rows[b : b + block]
+            res.lock_step[at], res.period[at] = settled(hub[b : b + block], CHUNK)
+    else:
+        res.lock_step[rows], res.period[rows] = T, 0
     if res.trace_n_in is not None:
         res.trace_n_in[rows], res.trace_cost[rows] = nin_rec, cost_rec
     if final is not None:
-        final[live] = scores2 / 2.0
+        lock.finish(live)  # the held rows' scores catch up to T
+        final[live.row] = live.scores2 / 2.0
         res.final_scores[srows] = final.transpose(0, 2, 1)
+
+
+@dataclass
+class _Live:
+    """The live rows of one mode, at positions 0..len-1 of each per-row
+    array: row holds their indices among the mode's rows and slot their
+    seeds, then their histories mu, outside totals, savings (N, 2) and
+    capacities L; for adaptive play also their doubled scores (S, N), the
+    doubled signs of their agents' cost advantages uncongested and
+    congested, and the seeds' strategy tables signed."""
+
+    row: np.ndarray
+    slot: np.ndarray
+    mu: np.ndarray
+    out_sum: np.ndarray
+    lk: np.ndarray
+    L: np.ndarray
+    scores2: np.ndarray | None = None
+    sgn_u2: np.ndarray | None = None
+    sgn_c2: np.ndarray | None = None
+    signed: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def compact(self, kept: np.ndarray) -> None:
+        """Keep the rows at positions kept, in order. The kept rows move
+        forward within each array, so no per-row array is ever held twice."""
+        for name in ("row", "slot", "mu", "out_sum", "lk", "L", "scores2", "sgn_u2", "sgn_c2"):
+            a = getattr(self, name)
+            _compact(a, kept)
+            setattr(self, name, a[: len(kept)])
 
 
 def _step(c, draws, grid, signed, slot, scores2, mu, sgn_u2, sgn_c2, L, bufs):
@@ -802,23 +713,6 @@ def _step(c, draws, grid, signed, slot, scores2, mu, sgn_u2, sgn_c2, L, bufs):
         scores2 += inc2
         mu = ((mu << 1) | h) & (p - 1)
     return mu
-
-
-def _follow(rows, h, t, T, tail, since, per):
-    """Follow the hub-state cycles of rows, given their hub states h over
-    the chunk from step t: a cycle of period p stays while h[j] equals the
-    state p steps back; else a whole chunk's smallest period, if any, starts
-    one at the boundary after it (since), and none leaves since at T. tail
-    holds each row's last CHUNK // 2 hub states."""
-    c, width = h.shape[1], tail.shape[1]
-    seen = np.concatenate((tail[rows], h), axis=1)
-    p = per[rows]
-    back = width + np.arange(c) - p[:, None]
-    stays = (p > 0) & (np.take_along_axis(seen, back, axis=1) == h).all(axis=1)
-    new = rows[~stays]
-    per[new] = _periods(h[~stays]) if c == 2 * width else 0
-    since[new] = np.where(per[new] > 0, t + c, T)
-    tail[rows] = seen[:, -width:]
 
 
 def _choose(keys: np.ndarray, tmu: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ringhub as rh
-from ringhub import _engine
+from ringhub import _cycles, _engine
 from ringhub.equilibrium import scaled_costs
 
 from reference import best_inside_route, inside_cost, outside_cost, reference_run
@@ -357,6 +357,24 @@ class CoarseKeys(KeyCounter):
         return x
 
 
+def spy_locks(monkeypatch):
+    """Each row that passes the engine's lock test, as it does: (boundary,
+    period, keyed agent-phases), the rows with none being filled and
+    dropped. A forked worker's locks are its own."""
+    locks = []
+    find = _cycles._find_cycles
+
+    def spy(t, *args):
+        found = find(t, *args)
+        if found is not None:
+            keyed = found.count.sum(axis=1).tolist()
+            locks.extend(zip([t] * len(found), found.per.tolist(), keyed))
+        return found
+
+    monkeypatch.setattr(_cycles, "_find_cycles", spy)
+    return locks
+
+
 class TestLockedRuns:
     """Runs locked on a cycle of hub states, held a chunk at a time or
     filled to T, give the scalar reference's traces and final scores."""
@@ -364,32 +382,25 @@ class TestLockedRuns:
     @staticmethod
     def run_locked(monkeypatch, chunk, workers, net, S, seeds, T, rng=KeyCounter):
         """The traced runs of net at seeds, each checked against the
-        reference, and what the caller's held chunks saw: (batch, plays,
-        locks, generators), plays holding each held row-chunk's ok and
+        reference, and what the caller's lock did: (batch, plays, locks,
+        generators), plays holding each held row-chunk's (step, ok) and
         locks each locked row's (step, period, keyed agent-phases)."""
         monkeypatch.setattr(_engine, "CHUNK", chunk)
         monkeypatch.setattr(_engine, "WORKERS", workers)
-        plays, locks, counters = [], [], []
-        play, find = _engine._Cycles.play, _engine._find_cycles
+        plays, counters = [], []
+        play = _cycles._Lock._play
 
-        def spy_play(self, *args):
-            out = play(self, *args)
-            plays.extend(out[2].tolist())
+        def spy_play(self, cyc, t, *args):
+            out = play(self, cyc, t, *args)
+            plays.extend((t, ok) for ok in out[2].tolist())
             return out
-
-        def spy_find(*args):
-            found = find(*args)
-            if found is not None:
-                keyed = found.count.sum(axis=1).tolist()
-                locks.extend(zip([args[0]] * len(found), found.per.tolist(), keyed))
-            return found
 
         def counting_rng(seed):
             counters.append(rng(seed))
             return counters[-1]
 
-        monkeypatch.setattr(_engine._Cycles, "play", spy_play)
-        monkeypatch.setattr(_engine, "_find_cycles", spy_find)
+        monkeypatch.setattr(_cycles._Lock, "_play", spy_play)
+        locks = spy_locks(monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(np.random, "default_rng", counting_rng)
             batch = _engine.simulate_batch(
@@ -416,7 +427,7 @@ class TestLockedRuns:
         batch, plays, locks, _ = self.run_locked(monkeypatch, chunk, workers, net, 3, [23, 23], 120)
         assert batch.period.tolist() == [1, 1] and batch.lock_step[0] <= 64
         assert (batch.lock_step[0], 1) in [(t, p) for t, p, keyed in locks if keyed]
-        assert plays and all(plays[-4:])
+        assert plays and all(ok for _, ok in plays[-4:])
 
     @pytest.mark.parametrize("chunk", [4, 32])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -430,7 +441,8 @@ class TestLockedRuns:
             assert sorted({(t, p) for t, p, keyed in locks if keyed}) == [(64, 8), (224, 8)]
             # held chunks at steps 64, 96, 128 (the roll-back) and 224, for
             # each run the caller plays
-            assert plays == [ok for ok in (True, True, False, True) for _ in range(3 - workers)]
+            held = [(64, True), (96, True), (128, False), (224, True)]
+            assert plays == [x for x in held for _ in range(3 - workers)]
             assert batch.lock_step.tolist() == [224, 224] and batch.period.tolist() == [8, 8]
 
     @pytest.mark.parametrize("chunk", [4, 32])
@@ -439,17 +451,17 @@ class TestLockedRuns:
         # seed 8 leaves its cycle at step 128, so from step 160 seed 17,
         # still locked, steps one by one from its caught-up scores
         caught = []
-        scores = _engine._Cycles.scores
+        restore = _cycles._Lock._restore
 
-        def spy(self, keep, t, *args):
-            caught.append((t, keep.tolist()))
-            return scores(self, keep, t, *args)
+        def spy(self, cyc, t, live):
+            caught.append((t, cyc.row.tolist()))
+            return restore(self, cyc, t, live)
 
-        monkeypatch.setattr(_engine._Cycles, "scores", spy)
+        monkeypatch.setattr(_cycles._Lock, "_restore", spy)
         net = rh.NetworkConfig(N=20, hub_links=6, L=10)
         batch, _, _, _ = self.run_locked(monkeypatch, chunk, 1, net, 4, [8, 17], 256)
         if chunk == 32:
-            assert caught[:2] == [(128, [True, False]), (160, [True])]
+            assert caught[:2] == [(128, [0]), (160, [1])]
             assert batch.lock_step.tolist() == [224, 64] and batch.period.tolist() == [8, 1]
 
     @pytest.mark.parametrize("chunk", [4, 32])
@@ -473,22 +485,23 @@ class TestLockedRuns:
     def test_exact_key_ties_inside_a_held_chunk(self, monkeypatch, chunk, workers):
         # keys in quarters tie often; the runs lock with keyed agents, on a
         # period of 4 at CHUNK=32 and of 1 at CHUNK=4
-        tied = []
-        choose = _engine._choose
+        tied, holding = [], []
+        choose, play = _engine._choose, _cycles._Lock._play
 
         def spy_choose(keys, tmu, mask, out):
-            tied.append(((keys == keys.max(axis=1, keepdims=True)).sum(axis=1) > 1).any())
+            if holding:
+                tied.append(((keys == keys.max(axis=1, keepdims=True)).sum(axis=1) > 1).any())
             return choose(keys, tmu, mask, out)
 
         def spy_play(self, *args):
-            monkeypatch.setattr(_engine, "_choose", spy_choose)
+            holding.append(True)
             try:
                 return play(self, *args)
             finally:
-                monkeypatch.setattr(_engine, "_choose", choose)
+                holding.pop()
 
-        play = _engine._Cycles.play
-        monkeypatch.setattr(_engine._Cycles, "play", spy_play)
+        monkeypatch.setattr(_engine, "_choose", spy_choose)
+        monkeypatch.setattr(_cycles._Lock, "_play", spy_play)
         net = rh.NetworkConfig(N=12, hub_links=3, L=3)
         seeds = [2, 2] if chunk == 32 else [23, 23]
         _, plays, _, _ = self.run_locked(
@@ -605,14 +618,16 @@ class TestStackedPoints:
         """Each row of a stack in which some rows lock mid-run, and so are
         compacted away while others step on, equals the scalar reference."""
         monkeypatch.setattr(_engine, "CHUNK", 4)
+        monkeypatch.setattr(_engine, "WORKERS", 1)  # a forked worker's locks are its own
+        locks = spy_locks(monkeypatch)
         nets = [rh.NetworkConfig(N=12, hub_links=3, L=L) for L in (8, 1)]
         seeds = list(range(1, 9))
         stacked = simulate_stack(
             [rh.build_network(net) for net in nets], 2, 3, [mode] * 2, 60, 10, seeds, True, True
         )
-        lock_step = np.concatenate([runs.lock_step for runs in stacked])
-        assert 0 < np.count_nonzero(lock_step < 60) < len(nets) * len(seeds)
-        assert len(set(lock_step[lock_step < 60])) > 1  # rows lock after others have locked
+        dropped = [t for t, _, keyed in locks if not keyed]
+        assert 0 < len(dropped) < len(nets) * len(seeds)
+        assert len(set(dropped)) > 1  # rows lock after others have locked
         for net, runs in zip(nets, stacked, strict=True):
             for i, seed in enumerate(seeds):
                 cfg = rh.SimConfig(network=net, M=2, S=3, mode=mode, T=60, warmup=10, seed=seed)
@@ -635,15 +650,15 @@ class TestStackedPoints:
         adaptive rows lock and others step on."""
         monkeypatch.setattr(_engine, "CHUNK", 4)
         nets, M, S, _, T, warmup, seeds, _, _ = stacked_args("homogeneous")
+        locks = spy_locks(monkeypatch)
         monkeypatch.setattr(_engine, "WORKERS", workers)
         # each network in every mode, interleaved
         mixed = simulate_stack(
             [net for net in nets for _ in rh.sim.MODES], M, S, rh.sim.MODES * len(nets), T,
             warmup, seeds, True, True,
         )
-        adaptive = [runs for runs in mixed if runs.final_scores is not None]
-        locked = sum(np.count_nonzero(runs.lock_step < T) for runs in adaptive)
-        assert 0 < locked < len(adaptive) * len(seeds)
+        dropped = [t for t, _, keyed in locks if not keyed]
+        assert 0 < len(dropped) < 2 * len(nets) * len(seeds)  # the caller's rows alone
         monkeypatch.setattr(_engine, "WORKERS", 1)
         for m, mode in enumerate(rh.sim.MODES):
             alone = simulate_stack(nets, M, S, [mode] * len(nets), T, warmup, seeds, True, True)
@@ -774,14 +789,29 @@ def assert_same_runs(a, b):
 
 
 class TestLockDiagnostics:
-    def test_large_ring_runs_lock_on_a_period_of_eight(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_large_ring_runs_lock_on_a_period_of_eight(self, monkeypatch, workers):
         # perfbench's large-ring runs: N=1000, lambda=100, L=800, seeds 0
         # and 1, locked from before step 128 to T on the 2*2^M cycle
+        # and held from there, in one process as in two
+        held = []
+        play = _cycles._Lock._play
+
+        def spy(self, cyc, t, c, *args):
+            out = play(self, cyc, t, c, *args)
+            held.append(c * np.count_nonzero(out[2]))
+            return out
+
+        monkeypatch.setattr(_cycles._Lock, "_play", spy)
+        monkeypatch.setattr(_engine, "WORKERS", workers)
         net = rh.build_network(rh.NetworkConfig(N=1000, hub_links=100, L=800))
         runs = _engine.simulate_batch(net, 2, 8, "homogeneous", 1000, 500, [0, 1])
         assert runs.period.tolist() == [8, 8]
         assert (runs.lock_step < 128).all()
-        assert (1000 - runs.lock_step).sum() >= 0.85 * 2 * 1000  # row-steps held
+        assert (1000 - runs.lock_step).sum() >= 0.85 * 2 * 1000  # row-steps on the cycle
+        # a forked worker's held chunks are its own: the caller holds seed 0's
+        caller = runs.lock_step[: 3 - workers]
+        assert sum(held) == (1000 - caller).sum()
 
     def test_random_runs_never_lock(self):
         net = rh.build_network(rh.NetworkConfig(N=12, hub_links=3, L=8))
