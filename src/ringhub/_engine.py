@@ -54,12 +54,12 @@ the history mu; it keeps the chunk's actions and n_in. After the chunk,
 int64 matrix products of the actions with each row's savings, l = out - inu
 and k = out - inc, price every recorded step, as many steps a product as
 keep numpy's int64 copy of the actions within BLOCK_BYTES (one step at
-least): a step costs out_sum, the
-row's total outside cost, less the k savings of the agents inside when
-congested, else the l savings. That is an exact int64 identity within the
-bound NetworkConfig.check_cost_sums enforces, whatever order the sums take.
-Records hold each step's n_in and cost, the hub state being n_in > L, and
-cover the measured window only, unless a trace asks for every step.
+least): a step costs out_sum, the row's total outside cost, less the k
+savings of the agents inside when congested, else the l savings. That is an
+exact int64 identity within the bound NetworkConfig.check_cost_sums
+enforces, whatever order the sums take. Records hold each step's n_in and
+cost (the hub state is n_in > L), over the measured window only unless a
+trace asks for every step.
 
 Random play carries nothing from step to step. Its actions are each seed's
 coins of the chunk's recorded steps, a (seeds, steps, N) array shared by the
@@ -67,16 +67,12 @@ points; a step's n_in is a per-seed sum, and the chunk is priced by the
 same product as adaptive play's. Warm-up steps draw their coins and record
 nothing.
 
-A run whose hub states settle on an exact cycle is locked, as the
-docstring of ringhub._cycles sets out: its last chunk of hub states has a
-period p <= CHUNK/2, and over a period every top strategy grows by its
-agent's largest increment D, so that its top sets, sure actions and keyed
-agents repeat with the cycle. A locked run with no keyed agent is filled to
-T and its row dropped. Once every live row is locked they are held, each
-chunk played at once, and a held row whose hub states leave its cycle in a
-chunk is restored exactly to the chunk's start and steps that chunk one by
-one. Every row's hub states are kept, and lock_step and period read from
-them alone.
+A run whose hub states settle on an exact cycle is locked by a
+ringhub._cycles._Lock: hold plays a chunk of the rows held on their cycles
+and returns the rows to step one by one; stepped records their hub states
+and, at a boundary, drops from the live rows those it filled to T; and
+finish returns each row's lock_step and period. The lock owns the record of
+hub states and its share of a slab's bytes (_cycles.lock_bytes).
 
 Rows of one seed share its keys. A seed's generator draws the keys of a
 chunk when some row of that seed is still live, held or stepped, at that
@@ -116,7 +112,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._cycles import _Lock, settled
+from ._cycles import _Lock, lock_bytes
 from .equilibrium import ne_totals, scaled_costs
 from .network import _ROUTE_BLOCK_BYTES, Network, draw_destinations, route_table
 
@@ -296,25 +292,20 @@ def _slab_bytes(n, M, S, points, geometries, lam, recorded, T, scores) -> tuple[
     largest of these counts. An adaptive mode holds each seed's int8
     strategy tables and one chunk of keys, and for each of its rows doubled
     scores, keys, increments, the choice mask, the chunk's actions, its
-    savings, its T hub states, the lock's test of a chunk's periods and its
-    phases, and the copies of its scores, keys and savings taken while
-    other rows are held on a cycle, whose bytes also cap the keyed entries
-    of its own cycle once it is held (see ringhub._cycles). Random play
-    holds each seed's chunk of coins and its actions. Each row of either
-    holds `recorded` steps of records, a chunk's n_in and costs, and the
-    final scores when asked for. Whatever the seeds: one block of the table
-    draw (int64 draws with their bool and two int8 copies), one block of
-    route_table's stage 1, one block of row compaction, of the int64
-    actions np.matmul prices or of the reductions over the T steps, each
-    within twice the larger of BLOCK_BYTES and one row, and the larger of
-    the lock test's block and the held play's buffers.
+    savings and the lock's bytes (_cycles.lock_bytes). Random play holds
+    each seed's chunk of coins and its actions. Each row of either holds
+    `recorded` steps of records, a chunk's n_in and costs, and the final
+    scores when asked for. Whatever the seeds: one block of the table draw
+    (int64 draws with their bool and two int8 copies), of route_table's
+    stage 1, of row compaction, of the int64 actions np.matmul prices or of
+    the reductions over the T steps, each within twice the larger of
+    BLOCK_BYTES and one row, and the lock's blocks.
     """
-    p, width = 1 << M, CHUNK // 2
+    p = 1 << M
     table_block = 11 * S * p * min(n, max(1, BLOCK_BYTES // (8 * S * p)))
     route_block = 64 * n * min(lam, max(1, _ROUTE_BLOCK_BYTES // (64 * n)))
-    row_block = 2 * max(BLOCK_BYTES, 32 * T, 8 * n * S)
-    held_block = 18 * S * max(n, BLOCK_BYTES // (16 * S))
-    lock_block = max(3 * BLOCK_BYTES // 2, 12 * width * S * n, held_block)
+    row_block = 2 * max(BLOCK_BYTES, 16 * T, 8 * n * S)
+    lock_block, lock_row = lock_bytes(n, S, T, CHUNK, BLOCK_BYTES)
     setup = 80 * n + 16 * n * lam
     row = 24 * n + 24 * CHUNK + 12 * recorded
     played = []
@@ -322,8 +313,7 @@ def _slab_bytes(n, M, S, points, geometries, lam, recorded, T, scores) -> tuple[
         if mode == "random":
             played.append(9 * n * CHUNK + count * row)
         else:
-            lock = T + 24 * CHUNK + 33 * width
-            per_row = row + lock + 16 * n * (S + 1) + n * S * (18 + 8 * scores) + n * CHUNK
+            per_row = row + lock_row + n * S * (18 + 8 * scores) + n * CHUNK
             played.append(n * S * (p + 8 * CHUNK) + count * per_row)
     trips = 8 * n + geometries * (16 * n + 8)
     return table_block + route_block + row_block + lock_block, trips + max(setup, *played)
@@ -562,39 +552,25 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, srows, res) 
             np.empty((n_rows, CHUNK), dtype=np.int64),  # n_in
         )
         nin = bufs[4]
-        hub = np.empty((n_rows, T), dtype=bool)  # every step's hub state
         draw_shape = (n, S)  # one tie-break key per strategy, in stream order
     else:
         draw_shape = (n,)  # one coin per agent
-    # each seed's chunk of draws, after a -inf that the lock's held play reads
-    keys = np.empty(1 + n_seeds * CHUNK * int(np.prod(draw_shape)))
-    keys[0] = -np.inf
-    draws = keys[1:].reshape(n_seeds, CHUNK, *draw_shape)
+    draws = np.empty((n_seeds, CHUNK, *draw_shape))  # each seed's chunk of draws
     final = np.empty((n_rows, S, n)) if adaptive and res.final_scores is not None else None
     if adaptive:
-        lock = _Lock(T, off, nin_rec, cost_rec, hub, final, CHUNK, BLOCK_BYTES, _choose)
-    # dense holds the positions of the live rows the last chunk stepped one
-    # by one. While those are every row and row j's seed is seed j % n_seeds,
-    # as when the rows are whole points, each seed's keys broadcast over the
-    # rows (grid); else they are gathered by slot
-    dense = np.arange(n_rows)
+        lock = _Lock(T, off, nin_rec, cost_rec, final, CHUNK, BLOCK_BYTES, _choose)
+    # while the rows stepped one by one are every row and row j's seed is
+    # seed j % n_seeds, as when the rows are whole points, each seed's keys
+    # broadcast over the rows (grid); else they are gathered by slot
     grid = True
 
     for t in range(0, T, CHUNK):
-        if adaptive and t and len(dense):
-            kept = lock.test(t, h, dense, live)
-            if kept is not None:
-                live.compact(kept)
-                m = len(kept)
-                if not m:
-                    break
-                grid = m % n_seeds == 0 and np.array_equal(live.slot, np.arange(m) % n_seeds)
         c = min(CHUNK, T - t)
         for i in np.flatnonzero(np.bincount(live.slot, minlength=n_seeds)):
             rngs[i].random(out=draws[i, :c])
         lo = max(off - t, 0)  # the chunk's first recorded step
         if adaptive:
-            dense = lock.hold(t, c, keys, live)
+            dense = lock.hold(t, c, draws, live)  # the rows to step one by one
             if not len(dense):
                 continue
             # the rows stepped one by one: every row in place, else a copy
@@ -614,7 +590,6 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, srows, res) 
                 )
                 live.scores2[dense] = part
             h = nin[: len(dense), :c] > live.L[dense, None]
-            hub[live.row[dense], t : t + c] = h
             acts_c, nin_c, lk_c = bufs[3][: len(dense), lo:c], nin[: len(dense), lo:c], live.lk[sel]
         elif lo < c:
             # random play: the chunk's recorded steps at once, each seed's
@@ -629,6 +604,11 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, srows, res) 
             cost_rec[at, t + lo - off : t + c - off] = _costs(
                 acts_c, nin_c, lk_c, live.L[sel], live.out_sum[sel]
             )
+        if adaptive and lock.stepped(t, h, dense, live):  # rows were dropped
+            m = len(live)
+            if not m:
+                break
+            grid = m % n_seeds == 0 and np.array_equal(live.slot, np.arange(m) % n_seeds)
 
     # a block of rows' records at a time; each row's reductions read that
     # row alone
@@ -641,17 +621,11 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, srows, res) 
         res.congestion_ratio[at] = (nin_rec[part, ms] > cap[part, None]).mean(axis=1)
         res.avg_hub_users[at] = nin_m.mean(axis=1)
         res.std_hub_users[at] = nin_m.std(axis=1)
-    if adaptive:
-        block = max(1, BLOCK_BYTES // (32 * T))
-        for b in range(0, n_rows, block):
-            at = rows[b : b + block]
-            res.lock_step[at], res.period[at] = settled(hub[b : b + block], CHUNK)
-    else:
-        res.lock_step[rows], res.period[rows] = T, 0
+    # the held rows' scores catch up to T, and each row's cycle; random play has none
+    res.lock_step[rows], res.period[rows] = lock.finish(live) if adaptive else (T, 0)
     if res.trace_n_in is not None:
         res.trace_n_in[rows], res.trace_cost[rows] = nin_rec, cost_rec
     if final is not None:
-        lock.finish(live)  # the held rows' scores catch up to T
         final[live.row] = live.scores2 / 2.0
         res.final_scores[srows] = final.transpose(0, 2, 1)
 

@@ -6,7 +6,8 @@ trip, an (origin, destination) node pair, at a time. scalar_costs,
 potential_users and brute_force_ne take a trip table as a sequence dests
 with agent n travelling from node n to dests[n], the form
 ringhub.draw_destinations returns; brute_force_ne enumerates hub
-allocations. reference_run is a self-contained loop over agents and steps.
+allocations. reference_run is a self-contained loop over agents and steps, and
+settled reads each run's cycle of hub states from the states one by one.
 They share no draw, geometry, cost or equilibrium code with ringhub, only
 its configs and build_network. reference_run consumes random samples in the
 draw order documented in ringhub._engine (destinations, bias draws, tables,
@@ -243,3 +244,27 @@ def reference_run(cfg: rh.SimConfig) -> ReferenceTrace:
         trace.mu_after.append(mu)
     trace.final_scores = [s.copy() for s in scores]
     return trace
+
+
+def last_changes(hub: list[int], chunk: int) -> list[int]:
+    """For each lag q = 1 .. chunk // 2, the last step of the hub states hub
+    whose state differs from the one q steps back; -1 where none does."""
+    last = []
+    for q in range(1, chunk // 2 + 1):
+        changed = [i for i in range(q, len(hub)) if hub[i] != hub[i - q]]
+        last.append(changed[-1] if changed else -1)
+    return last
+
+
+def settled(hub: list[int], chunk: int) -> tuple[int, int]:
+    """A run's cycle of hub states, (lock_step, period), as
+    BatchResult.lock_step and period report it: the smallest lag q whose
+    q-periodic tail, from its last change - q + 1, holds a whole chunk ending
+    before T, and the end of the first such chunk; (T, 0) where none does."""
+    T = len(hub)
+    for q, last in enumerate(last_changes(hub, chunk), start=1):
+        start = max(last - q + 1, 0)
+        step = (start + chunk - 1) // chunk * chunk + chunk
+        if step < T:
+            return step, q
+    return T, 0

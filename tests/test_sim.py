@@ -29,6 +29,7 @@ import ringhub as rh
 from ringhub import _cycles, _engine
 from ringhub.equilibrium import scaled_costs
 
+import reference
 from reference import best_inside_route, inside_cost, outside_cost, reference_run
 
 
@@ -509,6 +510,28 @@ class TestLockedRuns:
         )
         assert plays and any(tied)
 
+    def test_stepped_run_that_leaves_its_cycle_is_unlocked(self, monkeypatch):
+        # at CHUNK=4 seed 28 locks with keyed agents at step 4 while seed 27
+        # steps on, so it steps one by one too; its keys take it off the
+        # cycle before step 8, where seed 27 is filled and dropped. The check
+        # at step 8 unlocks it, and it locks again at 12: held from 8 on the
+        # cycle it left, it would miss the reference
+        net = rh.NetworkConfig(N=20, hub_links=5, L=12)
+        _, plays, locks, _ = self.run_locked(monkeypatch, 4, 1, net, 2, [27, 28], 256)
+        assert [(t, p) for t, p, keyed in locks if keyed][:2] == [(4, 1), (12, 1)]
+        assert (8, 1, 0) in locks and plays[0][0] == 12
+
+    @pytest.mark.parametrize("chunk", [4, 32])
+    def test_keyed_entries_past_the_room_are_not_locked(self, monkeypatch, chunk):
+        # test_period_one_lock_with_keyed_indifferent_agents' runs, with no
+        # room for a single keyed entry: the guard refuses their cycles, so
+        # they step one by one to T
+        monkeypatch.setattr(_cycles, "held_room", lambda n, S: S + 12)
+        net = rh.NetworkConfig(N=12, hub_links=3, L=3)
+        batch, plays, locks, _ = self.run_locked(monkeypatch, chunk, 1, net, 3, [23, 23], 120)
+        assert not [lock for lock in locks if lock[2]] and not plays
+        assert batch.period.tolist() == [1, 1] and batch.lock_step[0] <= 64
+
     @pytest.mark.parametrize(
         "mode,L,S",
         [
@@ -786,6 +809,55 @@ def assert_same_runs(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert_same_batch(x, y)
+
+
+@st.composite
+def hub_runs(draw):
+    """(chunk, runs): a few runs of T hub states each, random, on a periodic
+    tail from some step, or constant, at a chunk of 4, 8 or 32 steps."""
+    chunk = draw(st.sampled_from([4, 8, 32]))
+    T = draw(st.integers(1, 5 * chunk + 3))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        hub = draw(st.lists(st.booleans(), min_size=T, max_size=T))
+        kind = draw(st.sampled_from(["random", "periodic tail", "constant"]))
+        if kind == "periodic tail":
+            cycle = draw(st.lists(st.booleans(), min_size=1, max_size=chunk))
+            start = draw(st.integers(0, T))
+            hub[start:] = [cycle[i % len(cycle)] for i in range(T - start)]
+        elif kind == "constant":
+            hub = [hub[0]] * T
+        runs.append(hub)
+    return chunk, runs
+
+
+class TestHubWords:
+    """The lock's record of hub states, one int64 word per run and chunk,
+    read by _cycles._changes, against plain loops over the states."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(hub_runs())
+    def test_words_read_as_the_states(self, case):
+        chunk, runs = case
+        T = len(runs[0])
+        words = _cycles._pack(np.array(runs, dtype=bool), chunk)
+        assert words.shape == (len(runs), -(-T // chunk))
+        # each lag's last marked step, read bit by bit from the words
+        def last(w):
+            return max([i for i in range(T) if w[i // chunk] >> (i % chunk) & 1], default=-1)
+
+        got = [[last(w) for w in run] for run in _cycles._changes(words, chunk).tolist()]
+        assert got == [reference.last_changes(hub, chunk) for hub in runs]
+        lock_step, period = _cycles.settled(words, chunk, T)
+        want = [reference.settled(hub, chunk) for hub in runs]
+        assert list(zip(lock_step.tolist(), period.tolist())) == want
+        # a whole chunk's word alone marks no step at the lags it repeats at
+        for i in range(T // chunk):
+            marks = _cycles._changes(words[:, i : i + 1], chunk)[..., 0]
+            for hub, got in zip(runs, marks.tolist()):
+                states = hub[i * chunk : (i + 1) * chunk]
+                want = [states[q:] == states[:-q] for q in range(1, chunk // 2 + 1)]
+                assert [m == 0 for m in got] == want
 
 
 class TestLockDiagnostics:
