@@ -21,7 +21,7 @@ then be locked:
    agent's largest D;
 4. every h_f can still come about: h_f = 1 needs the sure agents and the
    keyed ones together above L, and h_f = 0 the sure agents within L;
-5. its keyed entries, (S + 13) bytes each, fit in held_room.
+5. its keyed entries, entry_bytes(S) each, fit in held_room.
 
 At phase f an agent whose top strategies all suggest one action at mu_f is
 sure of it; one whose top strategies disagree is keyed. While h follows the
@@ -33,12 +33,33 @@ a keyed agent's key for a top strategy is the dense step's bit for bit.
 
 A locked run with no keyed agent never leaves its cycle: its records are
 filled to T from its phases and its row is dropped. Once every live row of
-its mode is locked, they are held: each chunk of them is played at once,
-choosing among the keyed agents' top strategies with the engine's choice
-rule. A held row whose hub states leave the cycle in a chunk is restored
-exactly to the chunk's start, S_f + k*D at mu_f, and steps that chunk one
-by one; once not every row is locked, the held rows step one by one from
-their scores caught up. Which way a row plays changes no result.
+its mode is locked, they are held and played a chunk at a time. A held row
+whose hub states leave the cycle in a chunk is restored exactly to the
+chunk's start, S_f + k*D at mu_f, and steps that chunk one by one; once not
+every row is locked, the held rows step one by one from their scores caught
+up. Which way a row plays changes no result.
+
+The held play follows a plan made once per held set. Its rows are ordered
+by (p, the step of their phase 0 mod p), as rows that agree on both are at
+the same phase at every step, and cut into blocks of such rows. A keyed
+entry (row, phase, agent) keeps what its plays need: the offset of its
+agent's keys in a chunk of keys at its phase's step, its top doubled score
+c at period 0 and growth a period (c + k*grow at period k), its strategies'
+codes (+-1 for the top ones, 0 else) and its saving inside at its phase's
+hub state. A chunk plays each block as repetitions of its period: each
+gathers the block's keys at the offsets shifted by the repetition's first
+step, and multiplies them by the codes, so that a max and a min over the
+strategies give each entry's largest in-key kin and largest out-key kout;
+a repetition cut by the chunk's edge plays the entries of its phases in
+the chunk. As x -> fl(c + x) is monotone, the dense step's largest key
+among the top strategies that go inside is fl(c + kin), and among those
+that keep out fl(c + kout), and the others' keys lie below both, since
+their doubled scores are at least 2 less. So the agent goes inside exactly
+when fl(c + kin) > fl(c + kout), and keeps out when it is less. Where the
+two are equal, keys that differ may round to one sum at large c, and the
+dense step plays its first strategy of that sum: those entries alone go
+through the engine's choice rule over their strategies' sums, the others 2
+below their top score.
 """
 
 from __future__ import annotations
@@ -48,19 +69,22 @@ from dataclasses import dataclass
 import numpy as np
 
 _ROW_FIELDS = ("row", "since", "per", "base", "h", "mu", "nin", "cost", "count")
-_ENTRY_FIELDS = ("agent", "top", "grow", "code")
+_ENTRY_FIELDS = ("key", "top", "grow", "code", "save")
 
 
 @dataclass
 class _Cycles:
     """Rows locked on a cycle of hub states. Per row (_ROW_FIELDS): its index
-    among the mode's rows, the step its lock began (phase 0), its period p,
-    the step from which it is held (-1 while it steps), and for each phase
-    f < p, in columns of width CHUNK // 2, the hub state h, the history mu,
-    its sure agents' n_in and cost, and its count of keyed agents. Per keyed
-    agent and phase (_ENTRY_FIELDS), in (row, phase) order: the agent, its
-    top doubled score at the lock and its growth per period, and its
-    strategies' suggestions at mu, +-1 for the top ones and 0 else."""
+    among the mode's rows, the first step of phase 0 (its lock's step mod
+    p), its period p, the step from which it is held (-1 while it steps),
+    and for each phase f < p, in columns of width CHUNK // 2, the hub state
+    h, the history mu, its sure agents' n_in and cost, and its count of
+    keyed agents. Per keyed agent and phase (_ENTRY_FIELDS), in (row, phase)
+    order: the offset of its keys in a chunk of keys, (seeds, CHUNK, N, S),
+    at the phase's step of the chunk, its top doubled score at period 0
+    counted from since and its growth per period, its strategies'
+    suggestions at mu, +-1 for the top ones and 0 else, and its saving
+    inside at h. plan is the held play's, made once these rows are held."""
 
     row: np.ndarray
     since: np.ndarray
@@ -71,32 +95,52 @@ class _Cycles:
     nin: np.ndarray
     cost: np.ndarray
     count: np.ndarray
-    agent: np.ndarray
+    key: np.ndarray
     top: np.ndarray
     grow: np.ndarray
-    code: np.ndarray  # (entries, S)
+    code: np.ndarray  # (S, entries)
+    save: np.ndarray
+    plan: list | None = None
 
     def __len__(self) -> int:
         return len(self.row)
 
-    def select(self, keep: np.ndarray) -> _Cycles | None:
-        """The rows where keep is True, with their entries; None for none."""
-        if not keep.any():
+    def select(self, rows: np.ndarray) -> _Cycles | None:
+        """The rows at indices rows, or where rows is True, in that order,
+        with their entries; None for none."""
+        if rows.dtype == bool:
+            rows = np.flatnonzero(rows)
+        if not len(rows):
             return None
-        entries = np.repeat(keep, self.count.sum(axis=1))
+        size = self.count.sum(axis=1)
+        first, size = (np.cumsum(size) - size)[rows], size[rows]
+        entries = np.repeat(first - (np.cumsum(size) - size), size) + np.arange(size.sum())
         return _Cycles(
-            **{name: getattr(self, name)[keep] for name in _ROW_FIELDS},
-            **{name: getattr(self, name)[entries] for name in _ENTRY_FIELDS},
+            **{name: getattr(self, name)[rows] for name in _ROW_FIELDS},
+            **{name: getattr(self, name)[..., entries] for name in _ENTRY_FIELDS},
         )
 
     def join(self, other: _Cycles | None) -> _Cycles:
         if other is None:
             return self
-        return _Cycles(*map(np.concatenate, zip(vars(self).values(), vars(other).values())))
+
+        def both(name, axis):
+            return np.concatenate((getattr(self, name), getattr(other, name)), axis=axis)
+
+        return _Cycles(
+            **{name: both(name, 0) for name in _ROW_FIELDS},
+            **{name: both(name, -1) for name in _ENTRY_FIELDS},
+        )
+
+    def grouped(self) -> _Cycles:
+        """These rows ordered by (per, since), so that rows which play alike
+        are neighbours."""
+        order = np.lexsort((self.since, self.per))
+        return self if (order == np.arange(len(order))).all() else self.select(order)
 
     def advance(self, live, pos, a, b):
         """The doubled scores of these rows, at positions pos of the live
-        rows' scores, where they are a steps after the lock, b steps after
+        rows' scores, where they are a steps after since, b steps after
         it: phase f adds its increment once for each step s in a..b-1 with
         s % p == f."""
         f = np.arange(self.per.max())
@@ -120,7 +164,6 @@ class _Lock:
         self.words = np.zeros((len(nin_rec), -(-T // chunk)), dtype=np.int64)
         self.cycles: _Cycles | None = None
         self.held = False  # whether the locked rows were held in the last chunk
-        self.work = None  # the held play's buffers, made once a row is held
 
     def stepped(self, t, h, dense, live):
         """After the live rows at positions dense stepped chunk t one by one
@@ -128,18 +171,23 @@ class _Lock:
         locked rows that left their cycles and test the others. Those that
         lock with no keyed agent are filled to T and dropped from live;
         returns whether any was."""
-        i = t // self.chunk
-        self.words[live.row[dense], i] = word = _pack(h, self.chunk)[:, 0]
+        i, rows = t // self.chunk, live.row[dense]
+        self.words[rows, i] = _pack(h, self.chunk)[:, 0]
         t += self.chunk
         if t >= self.T:
             return False
-        still = _changes(word[:, None], self.chunk)[..., 0] == 0  # (rows, lags)
+        # each lag's changes in the chunk, its first q steps against the
+        # chunk before where a locked row may have stepped: past them, the
+        # chunk's own period
+        back = i > 0 and self.cycles is not None
+        marks = _changes(self.words[rows, i - back : i + 1], self.chunk)[..., -1]
+        still = marks >> np.arange(1, self.chunk // 2 + 1) == 0  # (rows, lags)
         per = np.where(still.any(axis=1), still.argmax(axis=1) + 1, 0)
         cyc = self.cycles
         if cyc is not None and not self.held:  # every row was stepped
-            marks = _changes(self.words[cyc.row, i - 1 : i + 1], self.chunk)
-            stay = marks[np.arange(len(cyc)), cyc.per - 1, 1] == 0
-            per[np.searchsorted(live.row, cyc.row[stay])] = 0
+            at = np.searchsorted(live.row, cyc.row)
+            stay = marks[at, cyc.per - 1] == 0
+            per[at[stay]] = 0
             if not stay.all():
                 cyc = cyc.select(stay)
         # a cycle longer than 1 is tested only when every row could then be
@@ -158,9 +206,12 @@ class _Lock:
             return False
         at = np.searchsorted(live.row, done.row)
         # a run with no keyed agent can never leave its cycle: fill its
-        # records, each step's phase indexing the flat phase fields
+        # records, each step's phase, read once per period, indexing the
+        # flat phase fields
         width = done.h.shape[1]
-        phase = np.arange(self.T - t) % done.per[:, None] + width * np.arange(len(done))[:, None]
+        pers, which = np.unique(done.per, return_inverse=True)
+        phase = (np.arange(self.T - t) % pers[:, None])[which]
+        phase += width * np.arange(len(done))[:, None]
         rec = phase[:, max(self.off - t, 0) :]
         nin, cost = done.nin.ravel()[rec], done.cost.ravel()[rec]
         self._record(done.row, t, done.h.ravel()[phase], nin, cost)
@@ -184,6 +235,9 @@ class _Lock:
             return everyone
         self.held = True
         cyc.base[cyc.base < 0] = t
+        if cyc.plan is None:  # a new held set
+            self.cycles = cyc = cyc.grouped()
+            cyc.plan = _plan(cyc, self._cap(keys))
         at = np.searchsorted(live.row, cyc.row)
         nin_c, cost_c, ok = self._play(cyc, t, c, keys, live, at)
         if not ok.all():
@@ -223,65 +277,121 @@ class _Lock:
         live.scores2[at] = cyc.advance(live, at, cyc.base - cyc.since, t - cyc.since)
         live.mu[at] = cyc.mu[np.arange(len(cyc)), (t - cyc.since) % cyc.per]
 
+    def _cap(self, keys):
+        """Keyed entries the held play takes at once, over its repetitions:
+        as many as keep their temporaries within the lock test's block, and
+        one phase of every agent at least. keys is a chunk of keys, (seeds,
+        CHUNK, N, S)."""
+        n, S = keys.shape[2:]
+        return max(n, 3 * self.block_bytes // (2 * held_entry(S)))
+
     def _play(self, cyc, t, c, keys, live, at):
         """The n_in and cost of the c steps of chunk t of the held rows cyc,
         at positions at of the live rows, (rows, c) each, and whether every
         step's hub state was the cycle's, (rows,).
 
         A step's n_in and cost are its phase's plus the keyed agents that
-        its keys send inside. A keyed agent's top strategies get their keys
-        plus its top score at the step, and the others 2 less: no less than
-        their own doubled scores give, and below every top strategy's, so the
-        choice rule picks what it would among all of them."""
+        its keys send inside. Each block of cyc.plan plays as repetitions of
+        its period, as many at once as keep its entries within _cap, each
+        gathering its keys at the block's offsets from its first step on;
+        a repetition that the chunk cuts plays the entries of its phases in
+        the chunk."""
         K, width = cyc.h.shape
-        S, n = cyc.code.shape[1], live.lk.shape[1]
-        # a block of the chunk's entries at a time, one step's at least
-        need = (cyc.count.sum(axis=1) * (c // cyc.per + 1)).sum()
-        block = max(n, min(need, self.block_bytes // held_entry(S)))
-        if self.work is None or len(self.work[-1]) < block:
-            kinds = (np.int64, np.float64, np.int8, bool)
-            self.work = [np.empty(S * block, dtype=d) for d in kinds] + [np.empty(block, bool)]
         steps = (t - cyc.since)[:, None] + np.arange(c)
-        phase, k = steps % cyc.per[:, None], steps // cyc.per[:, None]
-        # each (row, step) group reads its phase's sums and contiguous
-        # entries, its keys from key_at + agent*S on and its savings from
-        # lk.ravel()[save_at + 2*agent]
-        group = np.arange(K)[:, None] * width + phase
-        n_in, cost, h = cyc.nin.ravel()[group], cyc.cost.ravel()[group], cyc.h.ravel()[group]
-        group = group.ravel()
-        bounds = np.concatenate(([0], np.cumsum(cyc.count)))
-        first, size = bounds[group], cyc.count.ravel()[group]
-        end = np.cumsum(size)
-        start = end - size
-        key_at = ((live.slot[at, None] * self.chunk + np.arange(c)) * n * S).ravel()
-        save_at = (at[:, None] * 2 * n + h).ravel()
-        n_flat, cost_flat, k_flat = n_in.ravel(), cost.ravel(), k.ravel()
-        g0 = 0
-        while g0 < len(group):
-            g1 = max(g0 + 1, int(np.searchsorted(end, start[g0] + block, side="right")))
-            part, sz = slice(g0, g1), size[g0:g1]
-            m = int(sz.sum())
-            if m:
-                kidx, chosen, code, others = (a[: S * m].reshape(S, m) for a in self.work[:4])
-                acts = self.work[4][:m]
-                e = np.arange(m) + np.repeat(first[part] - start[part] + start[g0], sz)
-                agent = cyc.agent[e]
-                np.copyto(code, np.take(cyc.code, e, axis=0).T)
-                np.add(np.repeat(key_at[part], sz) + agent * S, np.arange(S)[:, None], out=kidx)
-                np.take(keys, kidx, out=chosen, mode="clip")  # "clip" takes without a buffer
-                chosen += cyc.top[e] + np.repeat(k_flat[part], sz) * cyc.grow[e]
-                np.equal(code, 0, out=others)
-                sink = kidx.view(np.float64)  # kidx was read: 2 less for the others
-                np.multiply(others, -2.0, out=sink)
-                chosen += sink
-                self.choose(chosen[None], code[None], others[None], acts[None])
-                save = live.lk.ravel()[np.repeat(save_at[part], sz) + 2 * agent] * acts
-                on = np.flatnonzero(sz) + g0
-                first_on = start[on] - start[g0]
-                n_flat[on] += np.add.reduceat(acts, first_on, dtype=np.int64)
-                cost_flat[on] -= np.add.reduceat(save, first_on)
-            g0 = g1
+        phase = np.arange(K)[:, None] * width + steps % cyc.per[:, None]
+        n_in, cost, h = cyc.nin.ravel()[phase], cyc.cost.ravel()[phase], cyc.h.ravel()[phase]
+        flat, cap, (n, S) = keys.ravel(), self._cap(keys), keys.shape[2:]
+        for per, since, e0, e1, starts, seg_row, seg_f in cyc.plan:
+            # repetition r has phase 0 at step first[r] of the chunk, and its
+            # top scores are period k[r]'s
+            lead = (t - since) % per
+            first = np.arange(-lead, c, per)
+            k = (t - lead - since) // per + np.arange(len(first))
+            at0 = seg_row * c + seg_f  # each segment's record at its phase's step
+            inner = (first >= 0) & (first + per <= c)
+            whole = np.flatnonzero(inner)
+            if len(whole):
+                offsets = cyc.key[e0:e1] + np.arange(S)[:, None]  # (S, entries)
+                step = max(1, cap // (e1 - e0))
+                for b in range(0, len(whole), step):
+                    r = whole[b : b + step]
+                    got = np.empty((len(r), *offsets.shape))
+                    for i, j in enumerate(first[r] * n * S):
+                        np.take(flat[j:], offsets, out=got[i], mode="clip")  # "clip": unbuffered
+                    rec = at0 + first[r, None]
+                    self._add(cyc, slice(e0, e1), got, k[r], starts, rec, n_in, cost)
+            for r in np.flatnonzero(~inner):
+                on = (seg_f >= -first[r]) & (seg_f < c - first[r])
+                if on.any():
+                    size = np.diff(starts, append=e1 - e0)
+                    e = e0 + np.flatnonzero(np.repeat(on, size))
+                    offsets = cyc.key[e] + first[r] * n * S + np.arange(S)[:, None]
+                    got = np.take(flat, offsets, mode="clip")[None]
+                    kept = size[on]
+                    rec = at0[on] + first[r]
+                    self._add(cyc, e, got, k[[r]], np.cumsum(kept) - kept, rec, n_in, cost)
         return n_in, cost, ((n_in > live.L[at, None]) == h).all(axis=1)
+
+    def _add(self, cyc, e, keys, k, starts, rec, n_in, cost):
+        """Add to n_in and cost, (rows, c), the keyed entries e of cyc that
+        go inside in repetitions of periods k, whose keys are keys, (reps,
+        S, entries). starts are e's (row, phase) segments, as positions in
+        e, and rec their records' flat positions in each repetition."""
+        top = cyc.top[e] + k[:, None] * cyc.grow[e]
+        inside = _keyed_choice(top, keys, cyc.code[:, e], self.choose)
+        rec = rec.ravel()
+        n_in.ravel()[rec] += np.add.reduceat(inside, starts, axis=1, dtype=np.int64).ravel()
+        cost.ravel()[rec] -= np.add.reduceat(inside * cyc.save[e], starts, axis=1).ravel()
+
+
+def _keyed_choice(top, keys, code, choose):
+    """Whether each keyed entry goes inside, (reps, entries): top is its
+    top strategies' doubled score, keys (reps, S, entries) its strategies'
+    keys, which it overwrites, and code (S, entries) their suggestions, +-1
+    for the top strategies and 0 for the others. It goes inside when the
+    largest key of a top strategy suggesting so, fl(top + kin), beats the
+    largest of one keeping out, fl(top + kout); where they are equal,
+    choose, the engine's choice rule, picks among its strategies' sums, the
+    others' 2 below."""
+    signed = np.multiply(keys, code, out=keys)  # the in-keys, the out-keys negated, and 0
+    kin = np.maximum.reduce(signed, axis=1)
+    kin += top
+    kout = np.minimum.reduce(signed, axis=1)  # -kout
+    np.subtract(top, kout, out=kout)
+    inside = kin > kout
+    tie = kin == kout
+    if tie.any():
+        r, e = np.nonzero(tie)
+        tied = code[:, e]
+        # a top strategy's key is its signed key times its code, exactly
+        sums = np.where(tied == 0, top[r, e] - 2, top[r, e] + signed[r, :, e].T * tied)
+        out = np.empty((1, len(e)), dtype=bool)
+        inside[r, e] = choose(sums[None], tied[None], np.empty((1, *sums.shape), bool), out)[0]
+    return inside
+
+
+def _plan(cyc, cap):
+    """The held play's plan of cyc, whose rows are grouped by (per, since):
+    a list of blocks of neighbouring rows of one (per, since), cut where the
+    entries before a row pass a multiple of cap, each as (per, since, first
+    and end entries, and for each of its nonempty (row, phase) segments its
+    first entry within the block, its row and its phase)."""
+    size = cyc.count.sum(axis=1)
+    first = np.cumsum(size) - size
+    cut = np.flatnonzero(
+        (np.diff(cyc.per) != 0) | (np.diff(cyc.since) != 0) | (np.diff(first // cap) != 0)
+    ) + 1
+    seg_row, seg_f = np.nonzero(cyc.count)
+    seg_size = cyc.count[seg_row, seg_f]
+    seg_first = np.cumsum(seg_size) - seg_size
+    plan = []
+    for r0, r1 in zip(np.r_[0, cut], np.r_[cut, len(cyc)]):
+        e0, e1 = first[r0], first[r1 - 1] + size[r1 - 1]
+        if e0 < e1:
+            s = slice(*np.searchsorted(seg_row, [r0, r1]))
+            plan.append((int(cyc.per[r0]), int(cyc.since[r0]), int(e0), int(e1), seg_first[s] - e0,
+                         seg_row[s], seg_f[s]))
+    return plan
 
 
 def _increments(live, pos, h, mu, per):
@@ -346,18 +456,21 @@ def _find_cycles(t, h, per, pos, live, block_bytes):
         cost[k, :p] = live.out_sum[a, None] - (sure * save).sum(axis=2)
         count[k, :p] = keyed.sum(axis=2)
         i, f, j = np.nonzero(keyed)  # in (row, phase, agent) order
-        code = code.transpose(0, 1, 3, 2)[i, f, j]
-        parts.append((j.astype(np.int32), best[i, f, j], most[i, j].astype(np.int8), code))
+        key = ((live.slot[a[i]] * c + f) * n + j) * S
+        # the top score at period 0, counted from since = t % p
+        top0 = best[i, f, j] - t // per[k][i] * most[i, j]
+        code = code[i, f, :, j].T
+        parts.append((key, top0, most[i, j].astype(np.int8), code, save[i, f, j]))
     # every phase's hub state can still come about
     lim = live.L[at, None]
     good &= (np.where(hp, nin + count > lim, nin <= lim) | (phase >= per[:, None])).all(axis=1)
     # its keyed entries fit in the room a held row has for them
-    good &= (S + 13) * count.sum(axis=1) <= held_room(n, S)
+    good &= entry_bytes(S) * count.sum(axis=1) <= held_room(n, S)
     if not good.any():
         return None
-    agent, top, grow, code = (np.concatenate(x) for x in zip(*parts))
-    found = _Cycles(live.row[at], np.full(len(at), t), per, np.full(len(at), -1), hp, mus, nin,
-                    cost, count, agent, top, grow, code)
+    entries = (np.concatenate(x, axis=-1) for x in zip(*parts))
+    found = _Cycles(live.row[at], t % per, per, np.full(len(at), -1), hp, mus, nin, cost, count,
+                    *entries)
     return found if good.all() else found.select(good)
 
 
@@ -407,24 +520,35 @@ def settled(words, chunk, T):
 
 
 def held_entry(S):
-    """Bytes of a keyed entry in the held play's five buffers."""
-    return 18 * S + 1
+    """Bytes of the held play's temporaries for a keyed entry in one
+    repetition: its S keys, signed in place, and its sums."""
+    return 8 * S + 48
+
+
+def entry_bytes(S):
+    """Bytes of a keyed entry in _Cycles: its key offset, top score,
+    growth, S codes and saving."""
+    return S + 25
 
 
 def held_room(n, S):
-    """Bytes a held row's keyed entries may take, (S + 13) each: the copies
-    of its scores, keys and savings it takes if stepped while others are
-    held."""
+    """Bytes a held row's keyed entries may take, entry_bytes(S) each: the
+    copies of its scores, keys and savings it takes if stepped while others
+    are held."""
     return 16 * n * (S + 1)
 
 
 def lock_bytes(n, S, T, chunk, block_bytes):
     """Rough peak bytes of the lock at N = n, as (bytes whatever its rows,
-    bytes each row adds: hub-state words, a chunk's test, its phases and
-    held_room). The first is the largest of the lock test's block, one
-    row's phases, the held play's buffers and settled's block of rows."""
+    bytes each row adds: hub-state words, a chunk's test, its phases, the
+    plan's segments and held_room). The first is the largest of the lock
+    test's block, one row's phases, the held play's temporaries and
+    settled's block of rows. The held play takes at once the entries of
+    its cap (_Lock._cap), and one row's more where a block's rows pass it,
+    with their S offsets."""
     width = chunk // 2
-    held = (held_entry(S) + 56) * max(n, block_bytes // held_entry(S))  # 56: temporaries
+    cap = max(n, 3 * block_bytes // (2 * held_entry(S))) + held_room(n, S) // entry_bytes(S)
+    held = (held_entry(S) + 8 * S) * cap
     fixed = max(3 * block_bytes // 2, 12 * width * S * n, held, 16 * (T + 4 * chunk))
-    per_row = 8 * -(-T // chunk) + 24 * chunk + 33 * width + held_room(n, S)
+    per_row = 8 * -(-T // chunk) + 24 * chunk + 57 * width + held_room(n, S)
     return fixed, per_row

@@ -465,6 +465,40 @@ class TestLockedRuns:
             assert caught[:2] == [(128, [0]), (160, [1])]
             assert batch.lock_step.tolist() == [224, 64] and batch.period.tolist() == [8, 1]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_held_plan_is_made_again_for_a_new_held_set(self, monkeypatch, workers):
+        # test_held_run_catches_up_when_another_leaves' runs at CHUNK=32:
+        # seeds 8 and 17 are held together on periods of 8 and 1, seed 8
+        # leaves its cycle at step 128 and locks again at 224, where both
+        # are held again on a plan made anew
+        made = []
+        plan = _cycles._plan
+
+        def spy(cyc, cap):
+            made.append((cyc.row.tolist(), cyc.per.tolist(), cyc.base.tolist()))
+            return plan(cyc, cap)
+
+        monkeypatch.setattr(_cycles, "_plan", spy)
+        net = rh.NetworkConfig(N=20, hub_links=6, L=10)
+        batch, plays, _, _ = self.run_locked(monkeypatch, 32, workers, net, 4, [8, 17], 256)
+        assert batch.lock_step.tolist() == [224, 64] and batch.period.tolist() == [8, 1]
+        if workers == 1:  # the rows by period, seed 17's first
+            assert made == [([1, 0], [1, 8], [64, 64]), ([1, 0], [1, 8], [224, 224])]
+            assert (128, False) in plays
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_held_period_that_does_not_divide_the_chunk(self, monkeypatch, workers):
+        # seed 20 locks on a period of 3 at step 64 with keyed agents and is
+        # held to T: every chunk of 32 steps starts at another phase of the
+        # cycle than the one before, and the chunk's edges cut repetitions
+        net = rh.NetworkConfig(N=12, hub_links=3, L=2)
+        batch, plays, locks, _ = self.run_locked(monkeypatch, 32, workers, net, 2, [20, 20], 256)
+        assert (64, 3) in [(t, p) for t, p, keyed in locks if keyed]
+        assert batch.period.tolist() == [3, 3] and all(ok for _, ok in plays)
+        held = sorted({t for t, _ in plays})
+        assert held == list(range(64, 256, 32))
+        assert [(t - 64) % 3 for t in held] == [0, 2, 1, 0, 2, 1]
+
     @pytest.mark.parametrize("chunk", [4, 32])
     def test_held_runs_draw_every_chunk_and_filled_runs_stop(self, monkeypatch, chunk):
         # seed 23 of the first network is held with a keyed agent to T; the
@@ -1137,6 +1171,41 @@ class TestChoice:
         tmu = data.draw(arrays(np.int8, shape, elements=st.sampled_from([-1, 1])), label="tmu")
         want = np.take_along_axis(tmu, keys.argmax(axis=1)[:, None], axis=1)[:, 0] > 0
         assert np.array_equal(self.choose(keys, tmu), want)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_held_choice_by_in_and_out_key_maxima(self, data):
+        # a held chunk's keyed agents choose by their largest key inside and
+        # outside, fl(c + kin) against fl(c + kout), and the engine's rule
+        # where those tie; the dense step picks among the sums fl(c + key)
+        # of the top strategies and the others', at least 2 below. Keys in
+        # quarters tie exactly; keys a few ulps apart round to one sum at a
+        # large c
+        T = 1000
+        S = data.draw(st.integers(2, 8), label="S")
+        m = data.draw(st.integers(1, 6), label="agents")
+        top = 2.0 * np.array(data.draw(st.lists(st.integers(-T, T), min_size=m, max_size=m)))
+        base = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]), st.floats(0, 1, exclude_max=True))
+
+        def key():  # in [0, 1), as every key is
+            x = data.draw(base)
+            for _ in range(data.draw(st.integers(0, 3))):
+                x = np.nextafter(x, data.draw(st.sampled_from([0.0, 1.0])))
+            return min(max(x, 0.0), np.nextafter(1.0, 0.0))
+
+        keys = np.array([[key() for _ in range(m)] for _ in range(S)])
+        code = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([-1, 0, 1]), min_size=S, max_size=S), min_size=m, max_size=m,
+        )), dtype=np.int8).T
+        for a in range(m):  # a keyed agent has top strategies of both suggestions
+            inside, outside = data.draw(st.permutations(range(S)))[:2]
+            code[inside, a], code[outside, a] = 1, -1
+        others = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=S * m, max_size=S * m)))
+        tmu = np.where(code == 0, others.reshape(S, m), code)
+        sums = np.where(code == 0, top - 2 + keys, top + keys)
+        want = self.choose(sums[None], tmu[None])
+        got = _cycles._keyed_choice(top[None], keys[None].copy(), code, _engine._choose)
+        assert np.array_equal(got, want)
 
 
 class TestEngineMatchesReference:
