@@ -32,12 +32,14 @@ every phase keeps its top sets, its sure actions and its keyed agents, and
 a keyed agent's key for a top strategy is the dense step's bit for bit.
 
 A locked run with no keyed agent never leaves its cycle: its records are
-filled to T from its phases and its row is dropped. Once every live row of
-its mode is locked, they are held and played a chunk at a time. A held row
-whose hub states leave the cycle in a chunk is restored exactly to the
-chunk's start, S_f + k*D at mu_f, and steps that chunk one by one; once not
-every row is locked, the held rows step one by one from their scores caught
-up. Which way a row plays changes no result.
+filled to T from its phases and its row is dropped. The others are held all
+or none: once every live row of its mode is locked, they are held and
+played a chunk at a time. When a held row's hub states leave the cycle in a
+chunk, every held row is restored exactly to the chunk's start, S_f + k*D
+at mu_f, the rows that left are unlocked, and every live row steps that
+chunk one by one. A locked row that steps keeps its lock while each chunk's
+hub states keep its cycle, so it is not tested again. Which way a row plays
+changes no result.
 
 The held play follows a plan made once per held set. Its rows are ordered
 by (p, the step of their phase 0 mod p), as rows that agree on both are at
@@ -68,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_ROW_FIELDS = ("row", "since", "per", "base", "h", "mu", "nin", "cost", "count")
+_ROW_FIELDS = ("row", "since", "per", "h", "mu", "nin", "cost", "count")
 _ENTRY_FIELDS = ("key", "top", "grow", "code", "save")
 
 
@@ -76,20 +78,19 @@ _ENTRY_FIELDS = ("key", "top", "grow", "code", "save")
 class _Cycles:
     """Rows locked on a cycle of hub states. Per row (_ROW_FIELDS): its index
     among the mode's rows, the first step of phase 0 (its lock's step mod
-    p), its period p, the step from which it is held (-1 while it steps),
-    and for each phase f < p, in columns of width CHUNK // 2, the hub state
-    h, the history mu, its sure agents' n_in and cost, and its count of
-    keyed agents. Per keyed agent and phase (_ENTRY_FIELDS), in (row, phase)
-    order: the offset of its keys in a chunk of keys, (seeds, CHUNK, N, S),
-    at the phase's step of the chunk, its top doubled score at period 0
-    counted from since and its growth per period, its strategies'
-    suggestions at mu, +-1 for the top ones and 0 else, and its saving
-    inside at h. plan is the held play's, made once these rows are held."""
+    p), its period p, and for each phase f < p, in columns of width
+    CHUNK // 2, the hub state h, the history mu, its sure agents' n_in and
+    cost, and its count of keyed agents. Per keyed agent and phase
+    (_ENTRY_FIELDS), in (row, phase) order: the offset of its keys in a
+    chunk of keys, (seeds, CHUNK, N, S), at the phase's step of the chunk,
+    its top doubled score at period 0 counted from since and its growth per
+    period, its strategies' suggestions at mu, +-1 for the top ones and 0
+    else, and its saving inside at h. plan is the held play's, made once
+    these rows are held."""
 
     row: np.ndarray
     since: np.ndarray
     per: np.ndarray
-    base: np.ndarray
     h: np.ndarray
     mu: np.ndarray
     nin: np.ndarray
@@ -163,28 +164,28 @@ class _Lock:
         self.block_bytes, self.choose = block_bytes, choose
         self.words = np.zeros((len(nin_rec), -(-T // chunk)), dtype=np.int64)
         self.cycles: _Cycles | None = None
-        self.held = False  # whether the locked rows were held in the last chunk
+        self.start = None  # the step from which every locked row is held, else None
 
-    def stepped(self, t, h, dense, live):
-        """After the live rows at positions dense stepped chunk t one by one
-        with hub states h: record h and, at a boundary before T, unlock the
-        locked rows that left their cycles and test the others. Those that
-        lock with no keyed agent are filled to T and dropped from live;
-        returns whether any was."""
-        i, rows = t // self.chunk, live.row[dense]
-        self.words[rows, i] = _pack(h, self.chunk)[:, 0]
+    def stepped(self, t, h, live):
+        """After the live rows stepped chunk t one by one with hub states h:
+        record h and, at a boundary before T, unlock the locked rows that
+        left their cycles and test the others. Those that lock with no keyed
+        agent are filled to T and dropped from live; returns whether any
+        was."""
+        i = t // self.chunk
+        self.words[live.row, i] = _pack(h, self.chunk)[:, 0]
         t += self.chunk
         if t >= self.T:
             return False
         # each lag's changes in the chunk, its first q steps against the
-        # chunk before where a locked row may have stepped: past them, the
-        # chunk's own period
+        # chunk before, so that a locked row's check spans the boundary: past
+        # them, the chunk's own period
         back = i > 0 and self.cycles is not None
-        marks = _changes(self.words[rows, i - back : i + 1], self.chunk)[..., -1]
+        marks = _changes(self.words[live.row, i - back : i + 1], self.chunk)[..., -1]
         still = marks >> np.arange(1, self.chunk // 2 + 1) == 0  # (rows, lags)
         per = np.where(still.any(axis=1), still.argmax(axis=1) + 1, 0)
         cyc = self.cycles
-        if cyc is not None and not self.held:  # every row was stepped
+        if cyc is not None:
             at = np.searchsorted(live.row, cyc.row)
             stay = marks[at, cyc.per - 1] == 0
             per[at[stay]] = 0
@@ -194,7 +195,7 @@ class _Lock:
         # locked, and so held
         if len(cyc or ()) + np.count_nonzero(per) < len(live):
             per[per > 1] = 0
-        found = _find_cycles(t, h, per, dense, live, self.block_bytes) if per.any() else None
+        found = _find_cycles(t, h, per, live, self.block_bytes) if per.any() else None
         if found is None:
             self.cycles = cyc
             return False
@@ -222,38 +223,31 @@ class _Lock:
 
     def hold(self, t, c, keys, live):
         """Play chunk t of the locked rows when they are every live row,
-        with keys the drawn chunk. Returns the positions of the rows to step
-        one by one: every row while some is not locked, else those that left
-        their cycles in the chunk, unlocked and restored to step t."""
+        with keys the drawn chunk, and return whether they were held. When
+        some row left its cycle in the chunk, every row is restored to step
+        t and those that left are unlocked: the live rows then step the
+        chunk one by one."""
         cyc = self.cycles
-        everyone = np.arange(len(live))
         if cyc is None or len(cyc) < len(live):
-            if self.held:  # the held rows catch up, and step one by one
-                self._restore(cyc.select(cyc.base >= 0), t, live)
-                cyc.base[:] = -1
-                self.held = False
-            return everyone
-        self.held = True
-        cyc.base[cyc.base < 0] = t
-        if cyc.plan is None:  # a new held set
+            return False
+        if self.start is None:  # a new held set
+            self.start = t
             self.cycles = cyc = cyc.grouped()
             cyc.plan = _plan(cyc, self._cap(keys))
         at = np.searchsorted(live.row, cyc.row)
         nin_c, cost_c, ok = self._play(cyc, t, c, keys, live, at)
         if not ok.all():
-            self._restore(cyc.select(~ok), t, live)
-            self.cycles = cyc = cyc.select(ok)
-            self.held = cyc is not None
-            at, nin_c, cost_c = at[ok], nin_c[ok], cost_c[ok]
-        if cyc is not None:
-            self._record(cyc.row, t, nin_c > live.L[at, None], nin_c, cost_c)
-        return np.delete(everyone, at)
+            self._restore(cyc, t, live)
+            self.cycles, self.start = cyc.select(ok), None
+            return False
+        self._record(cyc.row, t, nin_c > live.L[at, None], nin_c, cost_c)
+        return True
 
     def finish(self, live):
         """After the last chunk: the held rows' scores catch up to T, and
         each row's (lock_step, period) is settled's, a block of rows at a
         time."""
-        if self.held and self.final is not None:
+        if self.start is not None and self.final is not None:
             self._restore(self.cycles, self.T, live)
         w, block = self.words, max(1, self.block_bytes // (16 * (self.T + 4 * self.chunk)))
         parts = [settled(w[b : b + block], self.chunk, self.T) for b in range(0, len(w), block)]
@@ -272,9 +266,9 @@ class _Lock:
 
     def _restore(self, cyc, t, live):
         """The held rows cyc's scores and histories at step t, into the live
-        rows' state, where their scores stand at step base."""
+        rows' state, where their scores stand at step start."""
         at = np.searchsorted(live.row, cyc.row)
-        live.scores2[at] = cyc.advance(live, at, cyc.base - cyc.since, t - cyc.since)
+        live.scores2[at] = cyc.advance(live, at, self.start - cyc.since, t - cyc.since)
         live.mu[at] = cyc.mu[np.arange(len(cyc)), (t - cyc.since) % cyc.per]
 
     def _cap(self, keys):
@@ -404,11 +398,11 @@ def _increments(live, pos, h, mu, per):
     return tmu, sgn2[:, :, None, :] * tmu
 
 
-def _find_cycles(t, h, per, pos, live, block_bytes):
-    """The live rows at positions pos that pass the lock test at chunk
-    boundary t, as _Cycles, or None if none does. h is their hub states in
-    the chunk before it, (rows, CHUNK), and per a period of h for the rows
-    to test and 0 for the others. Phase f of a row's cycle is step t + f."""
+def _find_cycles(t, h, per, live, block_bytes):
+    """The live rows that pass the lock test at chunk boundary t, as
+    _Cycles, or None if none does. h is their hub states in the chunk before
+    it, (rows, CHUNK), and per a period of h for the rows to test and 0 for
+    the others. Phase f of a row's cycle is step t + f."""
     c, width = h.shape[1], h.shape[1] // 2
     r = np.flatnonzero(per)
     per = per[r]
@@ -418,10 +412,10 @@ def _find_cycles(t, h, per, pos, live, block_bytes):
     hp = h[r[:, None], c - per[:, None] + phase % per[:, None]]
     bits = (hp << (width - 1 - phase)).sum(axis=1)
     ahead = np.arange(width + 1)
-    mus = ((live.mu[pos[r], None] << ahead) | (bits[:, None] >> (width - ahead)))
+    mus = ((live.mu[r, None] << ahead) | (bits[:, None] >> (width - ahead)))
     mus &= len(live.signed) - 1
     back = mus[np.arange(len(r)), per] == mus[:, 0]  # mu returns after a period
-    at, per, hp, mus = pos[r[back]], per[back], hp[back], mus[back, :width]
+    at, per, hp, mus = r[back], per[back], hp[back], mus[back, :width]
     if not len(at):
         return None
 
@@ -469,8 +463,7 @@ def _find_cycles(t, h, per, pos, live, block_bytes):
     if not good.any():
         return None
     entries = (np.concatenate(x, axis=-1) for x in zip(*parts))
-    found = _Cycles(live.row[at], t % per, per, np.full(len(at), -1), hp, mus, nin, cost, count,
-                    *entries)
+    found = _Cycles(live.row[at], t % per, per, hp, mus, nin, cost, count, *entries)
     return found if good.all() else found.select(good)
 
 
@@ -532,9 +525,10 @@ def entry_bytes(S):
 
 
 def held_room(n, S):
-    """Bytes a held row's keyed entries may take, entry_bytes(S) each: the
-    copies of its scores, keys and savings it takes if stepped while others
-    are held."""
+    """Bytes a held row's keyed entries may take, entry_bytes(S) each: its
+    doubled scores' and keys' bytes when it steps, 16 an agent and strategy,
+    and 16 an agent more, so that a held row takes about what a stepped one
+    does."""
     return 16 * n * (S + 1)
 
 

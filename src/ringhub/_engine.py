@@ -68,11 +68,12 @@ same product as adaptive play's. Warm-up steps draw their coins and record
 nothing.
 
 A run whose hub states settle on an exact cycle is locked by a
-ringhub._cycles._Lock: hold plays a chunk of the rows held on their cycles
-and returns the rows to step one by one; stepped records their hub states
-and, at a boundary, drops from the live rows those it filled to T; and
-finish returns each row's lock_step and period. The lock owns the record of
-hub states and its share of a slab's bytes (_cycles.lock_bytes).
+ringhub._cycles._Lock: hold plays a chunk of the live rows when every one
+is locked and returns whether it did, else every live row steps the chunk
+one by one; stepped records their hub states and, at a boundary, drops
+from the live rows those it filled to T; and finish returns each row's
+lock_step and period. The lock owns the record of hub states and its share
+of a slab's bytes (_cycles.lock_bytes).
 
 Rows of one seed share its keys. A seed's generator draws the keys of a
 chunk when some row of that seed is still live, held or stepped, at that
@@ -543,7 +544,7 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, srows, res) 
         live.scores2 = np.zeros((n_rows, S, n), dtype=np.float64)  # doubled scores
         live.sgn_u2 = 2 * np.sign(lk[..., 0]).astype(np.int8)
         live.sgn_c2 = 2 * np.sign(lk[..., 1]).astype(np.int8)
-        # step and chunk buffers; the rows stepped one by one use a prefix
+        # step and chunk buffers; the live rows use a prefix
         bufs = (
             np.empty((n_rows, S, n), dtype=np.float64),  # keys
             np.empty((n_rows, S, n), dtype=np.int8),  # score increments
@@ -559,9 +560,9 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, srows, res) 
     final = np.empty((n_rows, S, n)) if adaptive and res.final_scores is not None else None
     if adaptive:
         lock = _Lock(T, off, nin_rec, cost_rec, final, CHUNK, BLOCK_BYTES, _choose)
-    # while the rows stepped one by one are every row and row j's seed is
-    # seed j % n_seeds, as when the rows are whole points, each seed's keys
-    # broadcast over the rows (grid); else they are gathered by slot
+    # while row j's seed is seed j % n_seeds, as when the live rows are
+    # whole points, each seed's keys broadcast over the rows (grid); else
+    # they are gathered by slot
     grid = True
 
     for t in range(0, T, CHUNK):
@@ -570,41 +571,26 @@ def _play(mode, rngs, M, S, T, warmup, scale, lk, out_sum, L, rows, srows, res) 
             rngs[i].random(out=draws[i, :c])
         lo = max(off - t, 0)  # the chunk's first recorded step
         if adaptive:
-            dense = lock.hold(t, c, draws, live)  # the rows to step one by one
-            if not len(dense):
+            if lock.hold(t, c, draws, live):  # every live row was held
                 continue
-            # the rows stepped one by one: every row in place, else a copy
-            # of those rows' state
-            if len(dense) == len(live):
-                sel = slice(None)
-                live.mu = _step(
-                    c, draws, grid, signed, live.slot, live.scores2, live.mu,
-                    live.sgn_u2, live.sgn_c2, live.L, bufs,
-                )
-            else:
-                sel = dense
-                part = live.scores2[dense]
-                live.mu[dense] = _step(
-                    c, draws, False, signed, live.slot[dense], part, live.mu[dense],
-                    live.sgn_u2[dense], live.sgn_c2[dense], live.L[dense], bufs,
-                )
-                live.scores2[dense] = part
-            h = nin[: len(dense), :c] > live.L[dense, None]
-            acts_c, nin_c, lk_c = bufs[3][: len(dense), lo:c], nin[: len(dense), lo:c], live.lk[sel]
+            live.mu = _step(
+                c, draws, grid, signed, live.slot, live.scores2, live.mu,
+                live.sgn_u2, live.sgn_c2, live.L, bufs,
+            )
+            h = nin[: len(live), :c] > live.L[:, None]
+            acts_c, nin_c, lk_c = bufs[3][: len(live), lo:c], nin[: len(live), lo:c], live.lk
         elif lo < c:
             # random play: the chunk's recorded steps at once, each seed's
             # coins shared by the points, as its rows never lock
-            sel = slice(None)
             acts_c = draws[:, lo:c] < 0.5  # (seeds, steps, N)
             nin_c = acts_c.sum(axis=2)[slot]
             lk_c = lk.reshape(-1, n_seeds, n, 2)
         if lo < c:
-            at = live.row[sel]
-            nin_rec[at, t + lo - off : t + c - off] = nin_c
-            cost_rec[at, t + lo - off : t + c - off] = _costs(
-                acts_c, nin_c, lk_c, live.L[sel], live.out_sum[sel]
+            nin_rec[live.row, t + lo - off : t + c - off] = nin_c
+            cost_rec[live.row, t + lo - off : t + c - off] = _costs(
+                acts_c, nin_c, lk_c, live.L, live.out_sum
             )
-        if adaptive and lock.stepped(t, h, dense, live):  # rows were dropped
+        if adaptive and lock.stepped(t, h, live):  # rows were dropped
             m = len(live)
             if not m:
                 break

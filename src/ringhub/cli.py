@@ -243,9 +243,14 @@ def read_rows(path) -> list[SweepRow]:
     """Parse a CSV file produced by emit_outputs back into SweepRows.
 
     A malformed file is refused with a ValueError naming the line, and the
-    column where there is one.
+    column where there is one, and a path that cannot be read with one
+    naming the path.
     """
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    try:
+        fh = Path(path).open(newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header != CSV_HEADER:

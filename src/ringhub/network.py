@@ -205,6 +205,12 @@ def route_table(net: Network, origins, dests) -> tuple[np.ndarray, np.ndarray, n
     p = int(net.config.alpha.numerator)
     q = int(net.config.alpha.denominator)
     origins, dests = (_nodes(x, n, name) for x, name in ((origins, "origins"), (dests, "dests")))
+    try:
+        np.broadcast(origins, dests)
+    except ValueError:
+        raise ValueError(
+            f"origins and dests must broadcast to one shape, not {origins.shape} and {dests.shape}"
+        ) from None
 
     def ring(a, b):
         diff = np.abs(a - b)

@@ -302,6 +302,14 @@ class TestOutputs:
         with pytest.raises(ValueError, match="header"):
             cli.read_rows(path)
 
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+    def test_read_rows_refuses_an_unreadable_path(self, tmp_path, missing):
+        path = tmp_path / "gone.csv" if missing else tmp_path
+        reason = "No such file or directory" if missing else "Is a directory"
+        with pytest.raises(ValueError) as exc:
+            cli.read_rows(path)
+        assert str(exc.value) == f"cannot read {path}: {reason}"
+
     @pytest.mark.parametrize(
         "text,message",
         [

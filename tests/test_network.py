@@ -379,6 +379,15 @@ class TestRouteTable:
         with pytest.raises(ValueError, match=field):
             rh.route_table(net, origins, dests)
 
+    def test_refuses_origins_and_dests_that_do_not_broadcast(self):
+        net = rh.build_network(rh.NetworkConfig(N=20, hub_links=5, L=1))
+        origins, dests = np.zeros((3, 4), dtype=int), np.ones((4, 4), dtype=int)
+        with pytest.raises(ValueError) as exc:
+            rh.route_table(net, origins, dests)
+        assert str(exc.value) == (
+            "origins and dests must broadcast to one shape, not (3, 4) and (4, 4)"
+        )
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint32, np.uint64, np.int64])
     def test_takes_any_integer_dtype(self, dtype):
         net = rh.build_network(rh.NetworkConfig(N=20, hub_links=5, L=1))

@@ -376,6 +376,47 @@ def spy_locks(monkeypatch):
     return locks
 
 
+def spy_chunks(monkeypatch):
+    """What the caller's engine did with each adaptive chunk, as it does:
+    [step, live rows, each held row's ok from the held play or None where
+    none played, rows stepped one by one]."""
+    chunks = []
+    hold, play, step = _cycles._Lock.hold, _cycles._Lock._play, _engine._step
+
+    def spy_hold(self, t, c, keys, live):
+        chunks.append([t, len(live), None, 0])
+        return hold(self, t, c, keys, live)
+
+    def spy_play(self, *args):
+        out = play(self, *args)
+        chunks[-1][2] = out[2].tolist()
+        return out
+
+    def spy_step(c, draws, grid, signed, slot, *args):
+        chunks[-1][3] += len(slot)
+        return step(c, draws, grid, signed, slot, *args)
+
+    monkeypatch.setattr(_cycles._Lock, "hold", spy_hold)
+    monkeypatch.setattr(_cycles._Lock, "_play", spy_play)
+    monkeypatch.setattr(_engine, "_step", spy_step)
+    return chunks
+
+
+def assert_held_all_or_none(chunks):
+    """Every chunk was held for every live row, each keeping its cycle, or
+    stepped one by one for every live row, after a held play that saw a row
+    leave if any played. Returns the steps of those plays."""
+    left = []
+    for t, live, ok, stepped in chunks:
+        if stepped:
+            assert stepped == live and (ok is None or not all(ok)), (t, live, ok, stepped)
+            if ok is not None:
+                left.append(t)
+        else:
+            assert ok is not None and len(ok) == live and all(ok), (t, live, ok)
+    return left
+
+
 class TestLockedRuns:
     """Runs locked on a cycle of hub states, held a chunk at a time or
     filled to T, give the scalar reference's traces and final scores."""
@@ -449,8 +490,9 @@ class TestLockedRuns:
     @pytest.mark.parametrize("chunk", [4, 32])
     def test_held_run_catches_up_when_another_leaves(self, monkeypatch, chunk):
         # at CHUNK=32 seeds 8 and 17 lock at step 64 and are held together;
-        # seed 8 leaves its cycle at step 128, so from step 160 seed 17,
-        # still locked, steps one by one from its caught-up scores
+        # seed 8 leaves its cycle at step 128, so both are restored to step
+        # 128 and step from there one by one, seed 17 still locked. Seed 8
+        # locks again at 224, where both are held to T and caught up to it
         caught = []
         restore = _cycles._Lock._restore
 
@@ -461,30 +503,47 @@ class TestLockedRuns:
         monkeypatch.setattr(_cycles._Lock, "_restore", spy)
         net = rh.NetworkConfig(N=20, hub_links=6, L=10)
         batch, _, _, _ = self.run_locked(monkeypatch, chunk, 1, net, 4, [8, 17], 256)
-        if chunk == 32:
-            assert caught[:2] == [(128, [0]), (160, [1])]
+        if chunk == 32:  # the rows by period, seed 17's first
+            assert caught == [(128, [1, 0]), (256, [1, 0])]
             assert batch.lock_step.tolist() == [224, 64] and batch.period.tolist() == [8, 1]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_held_plan_is_made_again_for_a_new_held_set(self, monkeypatch, workers):
         # test_held_run_catches_up_when_another_leaves' runs at CHUNK=32:
-        # seeds 8 and 17 are held together on periods of 8 and 1, seed 8
-        # leaves its cycle at step 128 and locks again at 224, where both
-        # are held again on a plan made anew
-        made = []
-        plan = _cycles._plan
+        # seeds 8 and 17 are held together on periods of 8 and 1 from step
+        # 64, seed 8 leaves its cycle at step 128 and locks again at 224,
+        # where both are held again on a plan made anew
+        made, lock = [], []
+        plan, hold = _cycles._plan, _cycles._Lock.hold
+
+        def spy_hold(self, *args):
+            lock[:] = [self]
+            return hold(self, *args)
 
         def spy(cyc, cap):
-            made.append((cyc.row.tolist(), cyc.per.tolist(), cyc.base.tolist()))
+            made.append((cyc.row.tolist(), cyc.per.tolist(), lock[0].start))
             return plan(cyc, cap)
 
+        monkeypatch.setattr(_cycles._Lock, "hold", spy_hold)
         monkeypatch.setattr(_cycles, "_plan", spy)
         net = rh.NetworkConfig(N=20, hub_links=6, L=10)
         batch, plays, _, _ = self.run_locked(monkeypatch, 32, workers, net, 4, [8, 17], 256)
         assert batch.lock_step.tolist() == [224, 64] and batch.period.tolist() == [8, 1]
         if workers == 1:  # the rows by period, seed 17's first
-            assert made == [([1, 0], [1, 8], [64, 64]), ([1, 0], [1, 8], [224, 224])]
+            assert made == [([1, 0], [1, 8], 64), ([1, 0], [1, 8], 224)]
             assert (128, False) in plays
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_live_row_is_held_or_none(self, monkeypatch, workers):
+        # test_held_run_catches_up_when_another_leaves' runs at CHUNK=32:
+        # seed 8 leaves its cycle in the held chunk at step 128, and with it
+        # every live row steps that chunk; the caller of two workers holds
+        # seed 8 alone
+        chunks = spy_chunks(monkeypatch)
+        net = rh.NetworkConfig(N=20, hub_links=6, L=10)
+        self.run_locked(monkeypatch, 32, workers, net, 4, [8, 17], 256)
+        assert assert_held_all_or_none(chunks) == [128]
+        assert [t for t, _, ok, stepped in chunks if not stepped] == [64, 96, 224]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_held_period_that_does_not_divide_the_chunk(self, monkeypatch, workers):
@@ -685,9 +744,31 @@ class TestStackedPoints:
         dropped = [t for t, _, keyed in locks if not keyed]
         assert 0 < len(dropped) < len(nets) * len(seeds)
         assert len(set(dropped)) > 1  # rows lock after others have locked
+        self.assert_match_reference(nets, stacked, mode, 60, seeds)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stacked_rows_are_held_all_or_none(self, monkeypatch, workers):
+        """test_stacked_rows_that_lock_match_reference's stack at CHUNK=32:
+        the caller's live rows are all held at step 64, some leave their
+        cycles in that chunk, and so every live row steps it one by one."""
+        monkeypatch.setattr(_engine, "CHUNK", 32)
+        monkeypatch.setattr(_engine, "WORKERS", workers)
+        chunks = spy_chunks(monkeypatch)
+        nets = [rh.NetworkConfig(N=12, hub_links=3, L=L) for L in (8, 1)]
+        seeds = list(range(1, 9))
+        stacked = simulate_stack(
+            [rh.build_network(net) for net in nets], 2, 3, ["homogeneous"] * 2, 120, 10, seeds,
+            True, True,
+        )
+        assert assert_held_all_or_none(chunks) == [64]
+        self.assert_match_reference(nets, stacked, "homogeneous", 120, seeds)
+
+    @staticmethod
+    def assert_match_reference(nets, stacked, mode, T, seeds):
+        """Each traced run of the stack of nets equals the scalar reference."""
         for net, runs in zip(nets, stacked, strict=True):
             for i, seed in enumerate(seeds):
-                cfg = rh.SimConfig(network=net, M=2, S=3, mode=mode, T=60, warmup=10, seed=seed)
+                cfg = rh.SimConfig(network=net, M=2, S=3, mode=mode, T=T, warmup=10, seed=seed)
                 ref = reference_run(cfg)
                 assert list(runs.trace_n_in[i]) == ref.n_in, (net.L, seed)
                 costs = [Fraction(int(c), net.scale) for c in runs.trace_cost[i]]
