@@ -4,9 +4,9 @@ Every row's hub states are kept as words, one int64 per row and chunk with
 bit j for step k*CHUNK + j (CHUNK < 64). One reader, _changes, marks for
 each lag q <= CHUNK/2 the steps whose state differs from the one q steps
 back, a word's first q steps comparing with the word before. It gives a
-stepped chunk's smallest period (its word alone), whether a locked row kept
-its cycle (its word after the one before) and settled's cycle of each run
-(all its words). lock_bytes holds the lock's memory terms for the engine.
+stepped chunk's smallest period (its word alone) and settled's cycle of
+each run (all its words). lock_bytes holds the lock's memory terms for the
+engine.
 
 At each chunk boundary t, a row that the last chunk stepped one by one and
 whose chunk of hub states has a smallest period p <= CHUNK/2 takes the lock
@@ -14,7 +14,7 @@ test, for p = 1 always and for a longer p when every row of its mode could
 then be locked:
 
 1. phase f of the cycle is step t + f, played at the history mu_f with the
-   hub state h_f of the last chunk's last period, and mu_p = mu_0;
+   hub state h_f of the last chunk's last period;
 2. stepping its doubled scores S_0 through the phases under h_f gives each
    phase's scores S_f and the increment over a period, D = S_p - S_0;
 3. at every phase, each strategy with its agent's top score in S_f has its
@@ -22,6 +22,10 @@ then be locked:
 4. every h_f can still come about: h_f = 1 needs the sure agents and the
    keyed ones together above L, and h_f = 0 the sure agents within L;
 5. its keyed entries, entry_bytes(S) each, fit in held_room.
+
+The history returns after a period, mu_p = mu_0, with no test: the chunk is
+p-periodic and mu_0 is its last M states, M <= CHUNK, so the last M states
+of the chunk followed by a period of its own are those M states again.
 
 At phase f an agent whose top strategies all suggest one action at mu_f is
 sure of it; one whose top strategies disagree is keyed. While h follows the
@@ -33,35 +37,37 @@ a keyed agent's key for a top strategy is the dense step's bit for bit.
 
 A locked run with no keyed agent never leaves its cycle: its records are
 filled to T from its phases and its row is dropped. The others are held all
-or none: once every live row of its mode is locked, they are held and
-played a chunk at a time. When a held row's hub states leave the cycle in a
-chunk, every held row is restored exactly to the chunk's start, S_f + k*D
-at mu_f, the rows that left are unlocked, and every live row steps that
-chunk one by one. A locked row that steps keeps its lock while each chunk's
-hub states keep its cycle, so it is not tested again. Which way a row plays
-changes no result.
+or none: when they are every live row left, they are held from t, the held
+set's start, and played a chunk at a time; else they are unlocked at once
+and step on. When a held row's hub states leave the cycle in a chunk, every
+held row is restored exactly to the chunk's start, S_f + k*D at mu_f, the
+held set is dropped, and every live row steps that chunk one by one. So no
+locked row steps, and every row of a held set locked at its start. A row
+that stays on its cycle takes the test again at each boundary and passes
+it, as its phases keep their top sets, sure actions and keyed agents; only
+the number of tests depends on this. Which way a row plays changes no
+result.
 
-The held play follows a plan made once per held set. Its rows are ordered
-by (p, the step of their phase 0 mod p), as rows that agree on both are at
-the same phase at every step, and cut into blocks of such rows. A keyed
-entry (row, phase, agent) keeps what its plays need: the offset of its
-agent's keys in a chunk of keys at its phase's step, its top doubled score
-c at period 0 and growth a period (c + k*grow at period k), its strategies'
-codes (+-1 for the top ones, 0 else) and its saving inside at its phase's
-hub state. A chunk plays each block as repetitions of its period: each
-gathers the block's keys at the offsets shifted by the repetition's first
-step, and multiplies them by the codes, so that a max and a min over the
-strategies give each entry's largest in-key kin and largest out-key kout;
-a repetition cut by the chunk's edge plays the entries of its phases in
-the chunk. As x -> fl(c + x) is monotone, the dense step's largest key
-among the top strategies that go inside is fl(c + kin), and among those
-that keep out fl(c + kout), and the others' keys lie below both, since
-their doubled scores are at least 2 less. So the agent goes inside exactly
-when fl(c + kin) > fl(c + kout), and keeps out when it is less. Where the
-two are equal, keys that differ may round to one sum at large c, and the
-dense step plays its first strategy of that sum: those entries alone go
-through the engine's choice rule over their strategies' sums, the others 2
-below their top score.
+The held play follows a plan made when its set is found. Its rows are
+ordered by p, as rows of one p are at the same phase at every step, and cut
+into blocks of such rows. A keyed entry (row, phase, agent) keeps what its
+plays need: the offset of its agent's keys in a chunk of keys at its
+phase's step, its top doubled score c at period 0 and growth a period (c +
+k*grow at period k), its strategies' codes (+-1 for the top ones, 0 else)
+and its saving inside at its phase's hub state. A chunk plays each block as
+repetitions of its period: each gathers the block's keys at the offsets
+shifted by the repetition's first step, and multiplies them by the codes,
+so that a max and a min over the strategies give each entry's largest
+in-key kin and largest out-key kout; a repetition cut by the chunk's edge
+plays the entries of its phases in the chunk. As x -> fl(c + x) is
+monotone, the dense step's largest key among the top strategies that go
+inside is fl(c + kin), and among those that keep out fl(c + kout), and the
+others' keys lie below both, since their doubled scores are at least 2
+less. So the agent goes inside exactly when fl(c + kin) > fl(c + kout), and
+keeps out when it is less. Where the two are equal, keys that differ may
+round to one sum at large c, and the dense step plays its first strategy of
+that sum: those entries alone go through the engine's choice rule over
+their strategies' sums, the others 2 below their top score.
 """
 
 from __future__ import annotations
@@ -70,26 +76,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_ROW_FIELDS = ("row", "since", "per", "h", "mu", "nin", "cost", "count")
+_ROW_FIELDS = ("row", "per", "h", "mu", "nin", "cost", "count")
 _ENTRY_FIELDS = ("key", "top", "grow", "code", "save")
 
 
 @dataclass
 class _Cycles:
-    """Rows locked on a cycle of hub states. Per row (_ROW_FIELDS): its index
-    among the mode's rows, the first step of phase 0 (its lock's step mod
-    p), its period p, and for each phase f < p, in columns of width
-    CHUNK // 2, the hub state h, the history mu, its sure agents' n_in and
-    cost, and its count of keyed agents. Per keyed agent and phase
-    (_ENTRY_FIELDS), in (row, phase) order: the offset of its keys in a
-    chunk of keys, (seeds, CHUNK, N, S), at the phase's step of the chunk,
-    its top doubled score at period 0 counted from since and its growth per
-    period, its strategies' suggestions at mu, +-1 for the top ones and 0
-    else, and its saving inside at h. plan is the held play's, made once
-    these rows are held."""
+    """Rows locked on a cycle of hub states at one chunk boundary, whose
+    step is phase 0. Per row (_ROW_FIELDS): its index among the mode's rows,
+    its period p, and for each phase f < p, in columns of width CHUNK // 2,
+    the hub state h, the history mu, its sure agents' n_in and cost, and its
+    count of keyed agents. Per keyed agent and phase (_ENTRY_FIELDS), in
+    (row, phase) order: the offset of its keys in a chunk of keys, (seeds,
+    CHUNK, N, S), at the phase's step of the chunk, its top doubled score at
+    period 0 and its growth per period, its strategies' suggestions at mu,
+    +-1 for the top ones and 0 else, and its saving inside at h. plan is the
+    held play's, made when these rows are held."""
 
     row: np.ndarray
-    since: np.ndarray
     per: np.ndarray
     h: np.ndarray
     mu: np.ndarray
@@ -121,33 +125,19 @@ class _Cycles:
             **{name: getattr(self, name)[..., entries] for name in _ENTRY_FIELDS},
         )
 
-    def join(self, other: _Cycles | None) -> _Cycles:
-        if other is None:
-            return self
-
-        def both(name, axis):
-            return np.concatenate((getattr(self, name), getattr(other, name)), axis=axis)
-
-        return _Cycles(
-            **{name: both(name, 0) for name in _ROW_FIELDS},
-            **{name: both(name, -1) for name in _ENTRY_FIELDS},
-        )
-
     def grouped(self) -> _Cycles:
-        """These rows ordered by (per, since), so that rows which play alike
-        are neighbours."""
-        order = np.lexsort((self.since, self.per))
+        """These rows ordered by per, so that rows which play alike are
+        neighbours."""
+        order = np.argsort(self.per, kind="stable")
         return self if (order == np.arange(len(order))).all() else self.select(order)
 
-    def advance(self, live, pos, a, b):
+    def advance(self, live, pos, b):
         """The doubled scores of these rows, at positions pos of the live
-        rows' scores, where they are a steps after since, b steps after
-        it: phase f adds its increment once for each step s in a..b-1 with
-        s % p == f."""
+        rows' scores, where they stand at phase 0, b steps later: phase f
+        adds its increment once for each step s < b with s % p == f."""
         f = np.arange(self.per.max())
         per = self.per[:, None]
-        a, b = (np.broadcast_to(x, len(pos))[:, None] for x in (a, b))
-        times = (b - f + per - 1) // per - (a - f + per - 1) // per
+        times = (b - f + per - 1) // per
         _, inc = _increments(live, pos, self.h[:, f], self.mu[:, f], self.per)
         return live.scores2[pos] + np.einsum("rf,rfsn->rsn", times, inc)
 
@@ -163,45 +153,36 @@ class _Lock:
         self.nin_rec, self.cost_rec, self.final = nin_rec, cost_rec, final
         self.block_bytes, self.choose = block_bytes, choose
         self.words = np.zeros((len(nin_rec), -(-T // chunk)), dtype=np.int64)
-        self.cycles: _Cycles | None = None
-        self.start = None  # the step from which every locked row is held, else None
+        self.cycles: _Cycles | None = None  # the held set
+        self.start = None  # the step from which the held set is held, else None
 
     def stepped(self, t, h, live):
         """After the live rows stepped chunk t one by one with hub states h:
-        record h and, at a boundary before T, unlock the locked rows that
-        left their cycles and test the others. Those that lock with no keyed
-        agent are filled to T and dropped from live; returns whether any
-        was."""
-        i = t // self.chunk
-        self.words[live.row, i] = _pack(h, self.chunk)[:, 0]
+        record h and, at a boundary before T, test the rows whose chunk is
+        periodic. Those that lock with no keyed agent are filled to T and
+        dropped from live, and those with keyed agents are held from the
+        boundary when they are every live row left; returns whether any row
+        was dropped."""
+        word = _pack(h, self.chunk)[:, 0]
+        self.words[live.row, t // self.chunk] = word
         t += self.chunk
         if t >= self.T:
             return False
-        # each lag's changes in the chunk, its first q steps against the
-        # chunk before, so that a locked row's check spans the boundary: past
-        # them, the chunk's own period
-        back = i > 0 and self.cycles is not None
-        marks = _changes(self.words[live.row, i - back : i + 1], self.chunk)[..., -1]
+        marks = _changes(word[:, None], self.chunk)[..., 0]  # the chunk's own period
         still = marks >> np.arange(1, self.chunk // 2 + 1) == 0  # (rows, lags)
         per = np.where(still.any(axis=1), still.argmax(axis=1) + 1, 0)
-        cyc = self.cycles
-        if cyc is not None:
-            at = np.searchsorted(live.row, cyc.row)
-            stay = marks[at, cyc.per - 1] == 0
-            per[at[stay]] = 0
-            if not stay.all():
-                cyc = cyc.select(stay)
         # a cycle longer than 1 is tested only when every row could then be
         # locked, and so held
-        if len(cyc or ()) + np.count_nonzero(per) < len(live):
+        if np.count_nonzero(per) < len(live):
             per[per > 1] = 0
         found = _find_cycles(t, h, per, live, self.block_bytes) if per.any() else None
         if found is None:
-            self.cycles = cyc
             return False
         fixed = found.count.sum(axis=1) == 0
-        keyed = found.select(~fixed)
-        self.cycles = cyc.join(keyed) if cyc is not None else keyed
+        if len(found) == len(live) and not fixed.all():  # held only as every live row
+            S, n = live.scores2.shape[1:]
+            self.cycles, self.start = found.select(~fixed).grouped(), t
+            self.cycles.plan = _plan(self.cycles, self._cap(n, S))
         done = found.select(fixed)
         if done is None:
             return False
@@ -217,28 +198,23 @@ class _Lock:
         nin, cost = done.nin.ravel()[rec], done.cost.ravel()[rec]
         self._record(done.row, t, done.h.ravel()[phase], nin, cost)
         if self.final is not None:
-            self.final[done.row] = done.advance(live, at, 0, self.T - t) / 2.0
+            self.final[done.row] = done.advance(live, at, self.T - t) / 2.0
         live.compact(np.delete(np.arange(len(live)), at))
         return True
 
     def hold(self, t, c, keys, live):
-        """Play chunk t of the locked rows when they are every live row,
-        with keys the drawn chunk, and return whether they were held. When
-        some row left its cycle in the chunk, every row is restored to step
-        t and those that left are unlocked: the live rows then step the
-        chunk one by one."""
+        """Play chunk t of the held set, every live row, with keys the drawn
+        chunk, and return whether it was held. When some row left its cycle
+        in the chunk, every row is restored to step t and the set is
+        dropped: the live rows then step the chunk one by one."""
         cyc = self.cycles
-        if cyc is None or len(cyc) < len(live):
+        if cyc is None:
             return False
-        if self.start is None:  # a new held set
-            self.start = t
-            self.cycles = cyc = cyc.grouped()
-            cyc.plan = _plan(cyc, self._cap(keys))
         at = np.searchsorted(live.row, cyc.row)
         nin_c, cost_c, ok = self._play(cyc, t, c, keys, live, at)
         if not ok.all():
             self._restore(cyc, t, live)
-            self.cycles, self.start = cyc.select(ok), None
+            self.cycles = self.start = None
             return False
         self._record(cyc.row, t, nin_c > live.L[at, None], nin_c, cost_c)
         return True
@@ -268,15 +244,13 @@ class _Lock:
         """The held rows cyc's scores and histories at step t, into the live
         rows' state, where their scores stand at step start."""
         at = np.searchsorted(live.row, cyc.row)
-        live.scores2[at] = cyc.advance(live, at, self.start - cyc.since, t - cyc.since)
-        live.mu[at] = cyc.mu[np.arange(len(cyc)), (t - cyc.since) % cyc.per]
+        live.scores2[at] = cyc.advance(live, at, t - self.start)
+        live.mu[at] = cyc.mu[np.arange(len(cyc)), (t - self.start) % cyc.per]
 
-    def _cap(self, keys):
-        """Keyed entries the held play takes at once, over its repetitions:
-        as many as keep their temporaries within the lock test's block, and
-        one phase of every agent at least. keys is a chunk of keys, (seeds,
-        CHUNK, N, S)."""
-        n, S = keys.shape[2:]
+    def _cap(self, n, S):
+        """Keyed entries the held play takes at once, over its repetitions,
+        at N = n: as many as keep their temporaries within the lock test's
+        block, and one phase of every agent at least."""
         return max(n, 3 * self.block_bytes // (2 * held_entry(S)))
 
     def _play(self, cyc, t, c, keys, live, at):
@@ -291,16 +265,16 @@ class _Lock:
         a repetition that the chunk cuts plays the entries of its phases in
         the chunk."""
         K, width = cyc.h.shape
-        steps = (t - cyc.since)[:, None] + np.arange(c)
-        phase = np.arange(K)[:, None] * width + steps % cyc.per[:, None]
+        u = t - self.start  # steps since phase 0
+        phase = np.arange(K)[:, None] * width + (u + np.arange(c)) % cyc.per[:, None]
         n_in, cost, h = cyc.nin.ravel()[phase], cyc.cost.ravel()[phase], cyc.h.ravel()[phase]
-        flat, cap, (n, S) = keys.ravel(), self._cap(keys), keys.shape[2:]
-        for per, since, e0, e1, starts, seg_row, seg_f in cyc.plan:
+        n, S = keys.shape[2:]
+        flat, cap = keys.ravel(), self._cap(n, S)
+        for per, e0, e1, starts, seg_row, seg_f in cyc.plan:
             # repetition r has phase 0 at step first[r] of the chunk, and its
             # top scores are period k[r]'s
-            lead = (t - since) % per
-            first = np.arange(-lead, c, per)
-            k = (t - lead - since) // per + np.arange(len(first))
+            first = np.arange(-(u % per), c, per)
+            k = u // per + np.arange(len(first))
             at0 = seg_row * c + seg_f  # each segment's record at its phase's step
             inner = (first >= 0) & (first + per <= c)
             whole = np.flatnonzero(inner)
@@ -365,16 +339,14 @@ def _keyed_choice(top, keys, code, choose):
 
 
 def _plan(cyc, cap):
-    """The held play's plan of cyc, whose rows are grouped by (per, since):
-    a list of blocks of neighbouring rows of one (per, since), cut where the
-    entries before a row pass a multiple of cap, each as (per, since, first
-    and end entries, and for each of its nonempty (row, phase) segments its
-    first entry within the block, its row and its phase)."""
+    """The held play's plan of cyc, whose rows are grouped by per: a list of
+    blocks of neighbouring rows of one per, cut where the entries before a
+    row pass a multiple of cap, each as (per, first and end entries, and for
+    each of its nonempty (row, phase) segments its first entry within the
+    block, its row and its phase)."""
     size = cyc.count.sum(axis=1)
     first = np.cumsum(size) - size
-    cut = np.flatnonzero(
-        (np.diff(cyc.per) != 0) | (np.diff(cyc.since) != 0) | (np.diff(first // cap) != 0)
-    ) + 1
+    cut = np.flatnonzero((np.diff(cyc.per) != 0) | (np.diff(first // cap) != 0)) + 1
     seg_row, seg_f = np.nonzero(cyc.count)
     seg_size = cyc.count[seg_row, seg_f]
     seg_first = np.cumsum(seg_size) - seg_size
@@ -383,8 +355,8 @@ def _plan(cyc, cap):
         e0, e1 = first[r0], first[r1 - 1] + size[r1 - 1]
         if e0 < e1:
             s = slice(*np.searchsorted(seg_row, [r0, r1]))
-            plan.append((int(cyc.per[r0]), int(cyc.since[r0]), int(e0), int(e1), seg_first[s] - e0,
-                         seg_row[s], seg_f[s]))
+            segs = seg_first[s] - e0, seg_row[s], seg_f[s]
+            plan.append((int(cyc.per[r0]), int(e0), int(e1), *segs))
     return plan
 
 
@@ -404,20 +376,15 @@ def _find_cycles(t, h, per, live, block_bytes):
     it, (rows, CHUNK), and per a period of h for the rows to test and 0 for
     the others. Phase f of a row's cycle is step t + f."""
     c, width = h.shape[1], h.shape[1] // 2
-    r = np.flatnonzero(per)
-    per = per[r]
+    at = np.flatnonzero(per)
+    per = per[at]
     # phase f is step t + f, for f < width: h repeats the chunk's last period,
     # and mu is the history before it
     phase = np.arange(width)
-    hp = h[r[:, None], c - per[:, None] + phase % per[:, None]]
+    hp = h[at[:, None], c - per[:, None] + phase % per[:, None]]
     bits = (hp << (width - 1 - phase)).sum(axis=1)
-    ahead = np.arange(width + 1)
-    mus = ((live.mu[r, None] << ahead) | (bits[:, None] >> (width - ahead)))
+    mus = (live.mu[at, None] << phase) | (bits[:, None] >> (width - phase))
     mus &= len(live.signed) - 1
-    back = mus[np.arange(len(r)), per] == mus[:, 0]  # mu returns after a period
-    at, per, hp, mus = r[back], per[back], hp[back], mus[back, :width]
-    if not len(at):
-        return None
 
     S, n = live.scores2.shape[1:]
     nin, cost, count = np.zeros((3, len(at), width), dtype=np.int64)
@@ -451,10 +418,8 @@ def _find_cycles(t, h, per, live, block_bytes):
         count[k, :p] = keyed.sum(axis=2)
         i, f, j = np.nonzero(keyed)  # in (row, phase, agent) order
         key = ((live.slot[a[i]] * c + f) * n + j) * S
-        # the top score at period 0, counted from since = t % p
-        top0 = best[i, f, j] - t // per[k][i] * most[i, j]
         code = code[i, f, :, j].T
-        parts.append((key, top0, most[i, j].astype(np.int8), code, save[i, f, j]))
+        parts.append((key, best[i, f, j], most[i, j].astype(np.int8), code, save[i, f, j]))
     # every phase's hub state can still come about
     lim = live.L[at, None]
     good &= (np.where(hp, nin + count > lim, nin <= lim) | (phase >= per[:, None])).all(axis=1)
@@ -463,7 +428,7 @@ def _find_cycles(t, h, per, live, block_bytes):
     if not good.any():
         return None
     entries = (np.concatenate(x, axis=-1) for x in zip(*parts))
-    found = _Cycles(live.row[at], t % per, per, hp, mus, nin, cost, count, *entries)
+    found = _Cycles(live.row[at], per, hp, mus, nin, cost, count, *entries)
     return found if good.all() else found.select(good)
 
 

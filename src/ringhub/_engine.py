@@ -68,10 +68,11 @@ same product as adaptive play's. Warm-up steps draw their coins and record
 nothing.
 
 A run whose hub states settle on an exact cycle is locked by a
-ringhub._cycles._Lock: hold plays a chunk of the live rows when every one
-is locked and returns whether it did, else every live row steps the chunk
-one by one; stepped records their hub states and, at a boundary, drops
-from the live rows those it filled to T; and finish returns each row's
+ringhub._cycles._Lock. stepped records the hub states of a stepped chunk
+and, at a boundary, tests them: it drops from the live rows those it
+filled to T, and holds the others that locked when they are every live
+row left. hold plays a chunk of that held set and returns whether it did,
+else every live row steps the chunk one by one; finish returns each row's
 lock_step and period. The lock owns the record of hub states and its share
 of a slab's bytes (_cycles.lock_bytes).
 
@@ -122,7 +123,9 @@ __all__ = [
     "CHUNK", "SLAB_BYTES", "WORKERS",
 ]
 
-CHUNK = 32  # steps per draw block; per-step semantics do not depend on it
+# steps per draw block; per-step semantics do not depend on it. At least
+# SimConfig's largest M, 12, as the lock test reads a chunk's last M states
+CHUNK = 32
 SLAB_BYTES = 1_500_000_000  # rough memory budget of the slabs that run at once
 BLOCK_BYTES = 1 << 20  # bound on the temporaries of a row-wise copy or reduction
 try:  # the CPUs this process may run on: one seed group runs on each

@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -212,10 +213,13 @@ def optimal_lambda(
 def emit_outputs(rows: list[SweepRow], out_dir, basename: str = "results") -> Path:
     """Write sweep rows as the CSV table out_dir/basename.csv; returns its path.
 
-    Refuses empty input before touching disk.
+    Refuses empty input, and a basename that is not a file name, before
+    touching disk.
     """
     if not rows:
         raise ValueError("rows is empty; nothing to emit")
+    if basename in ("", ".", "..") or {os.sep, os.altsep} & set(basename):
+        raise ValueError(f"basename must be a file name, got {basename!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = ([getattr(row, col) for col in CSV_HEADER] for row in rows)
@@ -358,7 +362,10 @@ def _given(args) -> dict:
 
 
 def _value_list(text: str) -> list:
-    return [_parse_value(v) for v in text.split(",")]
+    try:
+        return [_parse_value(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of numbers") from None
 
 
 def _output(write, *args, **kwargs):

@@ -290,6 +290,14 @@ class TestOutputs:
         b = cli.emit_outputs(rows, tmp_path / "b")
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("basename", ["", ".", "..", "a/b"])
+    def test_basename_that_is_not_a_file_name_refused(self, tmp_path, basename):
+        rows = cli.run_sweep(tiny_spec(values=(2,), replications=1))
+        target = tmp_path / "never"
+        with pytest.raises(ValueError, match="^basename"):
+            cli.emit_outputs(rows, target, basename=basename)
+        assert not target.exists()
+
     def test_empty_rows_refused_before_writing(self, tmp_path):
         target = tmp_path / "never"
         with pytest.raises(ValueError, match="empty"):
@@ -631,6 +639,20 @@ class TestMain:
     def test_sweep_variable_requires_values(self, capsys):
         assert cli.main(["sweep", *TINY_FLAGS, "--variable", "lambda"]) == 2
         assert "--values" in capsys.readouterr().err
+
+    def test_sweep_float_values_read_back(self, tmp_path):
+        argv = ["sweep", *TINY_FLAGS, "--variable", "capacity_ratio", "--values", "0.5,0.9",
+                "--modes", "random", "--reps", "1", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        rows = cli.read_rows(tmp_path / "results.csv")
+        assert [row.value for row in rows] == [0.5, 0.9]
+
+    def test_sweep_malformed_values_name_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", *TINY_FLAGS, "--variable", "lambda", "--values", "2,,3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --values: '2,,3'" in err and "_value_list" not in err
 
     def test_sweep_invalid_value_exits_cleanly(self, capsys):
         code = cli.main([

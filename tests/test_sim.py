@@ -46,6 +46,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="M"):
             rh.SimConfig(network=net, M=13, S=2, mode="homogeneous", T=10, warmup=2, seed=0)
 
+    def test_chunk_holds_the_longest_memory(self):
+        # the lock test takes a chunk's last M hub states as its history
+        with pytest.raises(ValueError, match="M"):
+            rh.SimConfig(M=_engine.CHUNK + 1)
+
     def test_strategy_count_positive(self):
         net = rh.NetworkConfig(N=12, hub_links=3, L=5)
         with pytest.raises(ValueError, match="S"):
@@ -79,6 +84,7 @@ class TestConfigValidation:
             # accepted for one step, but T=40 steps of cost sums pass int64
             ({"N": 100, "L": 80, "alpha": Fraction(1, 2**44)}, "alpha"),
             ({"foo": 1}, "foo"),  # no such field
+            ({"network": 1}, "network"),
         ],
     )
     def test_rejection_names_the_field(self, changes, field):
@@ -605,10 +611,10 @@ class TestLockedRuns:
 
     def test_stepped_run_that_leaves_its_cycle_is_unlocked(self, monkeypatch):
         # at CHUNK=4 seed 28 locks with keyed agents at step 4 while seed 27
-        # steps on, so it steps one by one too; its keys take it off the
-        # cycle before step 8, where seed 27 is filled and dropped. The check
-        # at step 8 unlocks it, and it locks again at 12: held from 8 on the
-        # cycle it left, it would miss the reference
+        # steps on, so it is not held and steps one by one too; its keys take
+        # it off the cycle before step 8, where its chunk has no period and
+        # seed 27 is filled and dropped. It locks again at 12 and is held:
+        # held from 8 on the cycle it left, it would miss the reference
         net = rh.NetworkConfig(N=20, hub_links=5, L=12)
         _, plays, locks, _ = self.run_locked(monkeypatch, 4, 1, net, 2, [27, 28], 256)
         assert [(t, p) for t, p, keyed in locks if keyed][:2] == [(4, 1), (12, 1)]
@@ -762,6 +768,52 @@ class TestStackedPoints:
         )
         assert assert_held_all_or_none(chunks) == [64]
         self.assert_match_reference(nets, stacked, "homogeneous", 120, seeds)
+
+    @pytest.mark.parametrize("chunk", [4, 32])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_locked_row_steps(self, monkeypatch, chunk, workers):
+        """In a stack whose rows lock at different boundaries while others
+        step on, a boundary keeps its locked rows only as a held set of
+        every live row, each found at the set's start, and the set is gone
+        before any row steps again."""
+        monkeypatch.setattr(_engine, "CHUNK", chunk)
+        monkeypatch.setattr(_engine, "WORKERS", workers)
+        found, mixed, held, lock = {}, [], [], []
+        find, stepped, play = _cycles._find_cycles, _cycles._Lock.stepped, _cycles._Lock._play
+
+        def spy_find(t, h, per, live, *args):
+            out = find(t, h, per, live, *args)
+            rows = set() if out is None else set(out.row.tolist())
+            found[lock[0], t] = rows
+            if 0 < len(rows) < len(live):  # some rows lock while others step on
+                mixed.append(t)
+            return out
+
+        def spy_stepped(self, t, h, live):
+            assert self.cycles is None, t  # no locked row stepped chunk t
+            lock[:] = [self]
+            out = stepped(self, t, h, live)
+            if self.cycles is not None:
+                assert self.start == t + chunk, t
+                assert sorted(self.cycles.row.tolist()) == sorted(live.row.tolist()), t
+            return out
+
+        def spy_play(self, cyc, t, *args):
+            held.append(t)
+            assert set(cyc.row.tolist()) <= found[self, self.start], (t, self.start)
+            return play(self, cyc, t, *args)
+
+        monkeypatch.setattr(_cycles, "_find_cycles", spy_find)
+        monkeypatch.setattr(_cycles._Lock, "stepped", spy_stepped)
+        monkeypatch.setattr(_cycles._Lock, "_play", spy_play)
+        nets = [rh.NetworkConfig(N=12, hub_links=3, L=L) for L in (8, 1)]
+        seeds = [5, 3, 5, 11, 2, 7]
+        stacked = simulate_stack(
+            [rh.build_network(net) for net in nets], 2, 3, ["heterogeneous"] * 2, 120, 10, seeds,
+            True, True,
+        )
+        assert mixed and held
+        self.assert_match_reference(nets, stacked, "heterogeneous", 120, seeds)
 
     @staticmethod
     def assert_match_reference(nets, stacked, mode, T, seeds):
