@@ -48,9 +48,9 @@ it, as its phases keep their top sets, sure actions and keyed agents; only
 the number of tests depends on this. Which way a row plays changes no
 result.
 
-The held play follows a plan made when its set is found. Its rows are
-ordered by p, as rows of one p are at the same phase at every step, and cut
-into blocks of such rows. A keyed entry (row, phase, agent) keeps what its
+The lock test returns its rows ordered by p, as rows of one p are at the
+same phase at every step; the held play's plan cuts them into blocks of
+such rows. A keyed entry (row, phase, agent) keeps what its
 plays need: the offset of its agent's keys in a chunk of keys at its
 phase's step, its top doubled score c at period 0 and growth a period (c +
 k*grow at period k), its strategies' codes (+-1 for the top ones, 0 else)
@@ -72,7 +72,7 @@ their strategies' sums, the others 2 below their top score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,8 +90,8 @@ class _Cycles:
     (row, phase) order: the offset of its keys in a chunk of keys, (seeds,
     CHUNK, N, S), at the phase's step of the chunk, its top doubled score at
     period 0 and its growth per period, its strategies' suggestions at mu,
-    +-1 for the top ones and 0 else, and its saving inside at h. plan is the
-    held play's, made when these rows are held."""
+    +-1 for the top ones and 0 else, and its saving inside at h. A held set
+    has its start, the step of its phase 0, and the held play's plan."""
 
     row: np.ndarray
     per: np.ndarray
@@ -105,31 +105,26 @@ class _Cycles:
     grow: np.ndarray
     code: np.ndarray  # (S, entries)
     save: np.ndarray
+    start: int | None = None
     plan: list | None = None
 
     def __len__(self) -> int:
         return len(self.row)
 
-    def select(self, rows: np.ndarray) -> _Cycles | None:
-        """The rows at indices rows, or where rows is True, in that order,
-        with their entries; None for none."""
-        if rows.dtype == bool:
-            rows = np.flatnonzero(rows)
-        if not len(rows):
-            return None
-        size = self.count.sum(axis=1)
-        first, size = (np.cumsum(size) - size)[rows], size[rows]
-        entries = np.repeat(first - (np.cumsum(size) - size), size) + np.arange(size.sum())
-        return _Cycles(
-            **{name: getattr(self, name)[rows] for name in _ROW_FIELDS},
-            **{name: getattr(self, name)[..., entries] for name in _ENTRY_FIELDS},
-        )
+    def rows(self, keep, **fields) -> _Cycles:
+        """The rows where keep, with fields set, and every entry: the
+        entries are the keyed rows', so keep holds all of those or the
+        entries are not read."""
+        return replace(self, **{name: getattr(self, name)[keep] for name in _ROW_FIELDS}, **fields)
 
-    def grouped(self) -> _Cycles:
-        """These rows ordered by per, so that rows which play alike are
-        neighbours."""
-        order = np.argsort(self.per, kind="stable")
-        return self if (order == np.arange(len(order))).all() else self.select(order)
+    def phases(self, u, n):
+        """The flat positions in the phase fields (h, nin, cost) of the n
+        steps from u steps after phase 0 on, (rows, n), each period's
+        phases worked out once."""
+        pers, which = np.unique(self.per, return_inverse=True)
+        phase = ((u + np.arange(n)) % pers[:, None])[which]
+        phase += self.h.shape[1] * np.arange(len(self))[:, None]
+        return phase
 
     def advance(self, live, pos, b):
         """The doubled scores of these rows, at positions pos of the live
@@ -154,7 +149,6 @@ class _Lock:
         self.block_bytes, self.choose = block_bytes, choose
         self.words = np.zeros((len(nin_rec), -(-T // chunk)), dtype=np.int64)
         self.cycles: _Cycles | None = None  # the held set
-        self.start = None  # the step from which the held set is held, else None
 
     def stepped(self, t, h, live):
         """After the live rows stepped chunk t one by one with hub states h:
@@ -175,25 +169,20 @@ class _Lock:
         # locked, and so held
         if np.count_nonzero(per) < len(live):
             per[per > 1] = 0
-        found = _find_cycles(t, h, per, live, self.block_bytes) if per.any() else None
+        found = _find_cycles(h, per, live, self.block_bytes) if per.any() else None
         if found is None:
             return False
         fixed = found.count.sum(axis=1) == 0
         if len(found) == len(live) and not fixed.all():  # held only as every live row
             S, n = live.scores2.shape[1:]
-            self.cycles, self.start = found.select(~fixed).grouped(), t
-            self.cycles.plan = _plan(self.cycles, self._cap(n, S))
-        done = found.select(fixed)
-        if done is None:
+            self.cycles = found.rows(~fixed, start=t)
+            self.cycles.plan = _plan(self.cycles, held_cap(n, S, self.block_bytes))
+        if not fixed.any():
             return False
+        done = found.rows(fixed)
         at = np.searchsorted(live.row, done.row)
-        # a run with no keyed agent can never leave its cycle: fill its
-        # records, each step's phase, read once per period, indexing the
-        # flat phase fields
-        width = done.h.shape[1]
-        pers, which = np.unique(done.per, return_inverse=True)
-        phase = (np.arange(self.T - t) % pers[:, None])[which]
-        phase += width * np.arange(len(done))[:, None]
+        # a run with no keyed agent can never leave its cycle: fill its records
+        phase = done.phases(0, self.T - t)
         rec = phase[:, max(self.off - t, 0) :]
         nin, cost = done.nin.ravel()[rec], done.cost.ravel()[rec]
         self._record(done.row, t, done.h.ravel()[phase], nin, cost)
@@ -214,7 +203,7 @@ class _Lock:
         nin_c, cost_c, ok = self._play(cyc, t, c, keys, live, at)
         if not ok.all():
             self._restore(cyc, t, live)
-            self.cycles = self.start = None
+            self.cycles = None
             return False
         self._record(cyc.row, t, nin_c > live.L[at, None], nin_c, cost_c)
         return True
@@ -223,7 +212,7 @@ class _Lock:
         """After the last chunk: the held rows' scores catch up to T, and
         each row's (lock_step, period) is settled's, a block of rows at a
         time."""
-        if self.start is not None and self.final is not None:
+        if self.cycles is not None and self.final is not None:
             self._restore(self.cycles, self.T, live)
         w, block = self.words, max(1, self.block_bytes // (16 * (self.T + 4 * self.chunk)))
         parts = [settled(w[b : b + block], self.chunk, self.T) for b in range(0, len(w), block)]
@@ -242,16 +231,10 @@ class _Lock:
 
     def _restore(self, cyc, t, live):
         """The held rows cyc's scores and histories at step t, into the live
-        rows' state, where their scores stand at step start."""
+        rows' state, where their scores stand at step cyc.start."""
         at = np.searchsorted(live.row, cyc.row)
-        live.scores2[at] = cyc.advance(live, at, t - self.start)
-        live.mu[at] = cyc.mu[np.arange(len(cyc)), (t - self.start) % cyc.per]
-
-    def _cap(self, n, S):
-        """Keyed entries the held play takes at once, over its repetitions,
-        at N = n: as many as keep their temporaries within the lock test's
-        block, and one phase of every agent at least."""
-        return max(n, 3 * self.block_bytes // (2 * held_entry(S)))
+        live.scores2[at] = cyc.advance(live, at, t - cyc.start)
+        live.mu[at] = cyc.mu[np.arange(len(cyc)), (t - cyc.start) % cyc.per]
 
     def _play(self, cyc, t, c, keys, live, at):
         """The n_in and cost of the c steps of chunk t of the held rows cyc,
@@ -260,16 +243,15 @@ class _Lock:
 
         A step's n_in and cost are its phase's plus the keyed agents that
         its keys send inside. Each block of cyc.plan plays as repetitions of
-        its period, as many at once as keep its entries within _cap, each
-        gathering its keys at the block's offsets from its first step on;
-        a repetition that the chunk cuts plays the entries of its phases in
-        the chunk."""
-        K, width = cyc.h.shape
-        u = t - self.start  # steps since phase 0
-        phase = np.arange(K)[:, None] * width + (u + np.arange(c)) % cyc.per[:, None]
+        its period, as many at once as keep its entries within held_cap,
+        each gathering its keys at the block's offsets from its first step
+        on; a repetition that the chunk cuts plays the entries of its phases
+        in the chunk."""
+        u = t - cyc.start  # steps since phase 0
+        phase = cyc.phases(u, c)
         n_in, cost, h = cyc.nin.ravel()[phase], cyc.cost.ravel()[phase], cyc.h.ravel()[phase]
         n, S = keys.shape[2:]
-        flat, cap = keys.ravel(), self._cap(n, S)
+        flat, cap = keys.ravel(), held_cap(n, S, self.block_bytes)
         for per, e0, e1, starts, seg_row, seg_f in cyc.plan:
             # repetition r has phase 0 at step first[r] of the chunk, and its
             # top scores are period k[r]'s
@@ -339,7 +321,7 @@ def _keyed_choice(top, keys, code, choose):
 
 
 def _plan(cyc, cap):
-    """The held play's plan of cyc, whose rows are grouped by per: a list of
+    """The held play's plan of cyc, whose rows are ordered by per: a list of
     blocks of neighbouring rows of one per, cut where the entries before a
     row pass a multiple of cap, each as (per, first and end entries, and for
     each of its nonempty (row, phase) segments its first entry within the
@@ -370,16 +352,17 @@ def _increments(live, pos, h, mu, per):
     return tmu, sgn2[:, :, None, :] * tmu
 
 
-def _find_cycles(t, h, per, live, block_bytes):
-    """The live rows that pass the lock test at chunk boundary t, as
-    _Cycles, or None if none does. h is their hub states in the chunk before
-    it, (rows, CHUNK), and per a period of h for the rows to test and 0 for
-    the others. Phase f of a row's cycle is step t + f."""
+def _find_cycles(h, per, live, block_bytes):
+    """The live rows that pass the lock test at the chunk boundary after h,
+    ordered by per (stably), as _Cycles with the entries of those rows, or
+    None if none does. h is their hub states in the chunk before it, (rows,
+    CHUNK), and per a period of h for the rows to test and 0 for the others.
+    Phase f of a row's cycle is the boundary's step + f."""
     c, width = h.shape[1], h.shape[1] // 2
-    at = np.flatnonzero(per)
+    at = np.argsort(per, kind="stable")[len(per) - np.count_nonzero(per) :]  # the tested, by per
     per = per[at]
-    # phase f is step t + f, for f < width: h repeats the chunk's last period,
-    # and mu is the history before it
+    # phase f is the boundary's step + f, for f < width: h repeats the
+    # chunk's last period, and mu is the history before it
     phase = np.arange(width)
     hp = h[at[:, None], c - per[:, None] + phase % per[:, None]]
     bits = (hp << (width - 1 - phase)).sum(axis=1)
@@ -388,7 +371,7 @@ def _find_cycles(t, h, per, live, block_bytes):
 
     S, n = live.scores2.shape[1:]
     nin, cost, count = np.zeros((3, len(at), width), dtype=np.int64)
-    good = np.ones(len(at), dtype=bool)
+    good = np.empty(len(at), dtype=bool)
     parts = []
     # a block of rows at a time, every phase at once: (rows, phases, S, N)
     # arrays of the doubled scores at each phase and of its increments
@@ -407,7 +390,7 @@ def _find_cycles(t, h, per, live, block_bytes):
         most = grow.max(axis=1)
         best = s.max(axis=2)
         top = s == best[:, :, None]
-        good[k] &= ~(top & (grow != most[:, None])[:, None]).reshape(len(a), -1).any(axis=1)
+        ok = ~(top & (grow != most[:, None])[:, None]).reshape(len(a), -1).any(axis=1)
         code = top * tmu  # +-1 for the top strategies' suggestions, 0 for the others
         up, down = code.max(axis=2) > 0, code.min(axis=2) < 0
         sure = up & ~down
@@ -416,20 +399,20 @@ def _find_cycles(t, h, per, live, block_bytes):
         save = np.where(hk[..., None], live.lk[a, None, :, 1], live.lk[a, None, :, 0])
         cost[k, :p] = live.out_sum[a, None] - (sure * save).sum(axis=2)
         count[k, :p] = keyed.sum(axis=2)
-        i, f, j = np.nonzero(keyed)  # in (row, phase, agent) order
+        # every phase's hub state can still come about, and its keyed
+        # entries fit in the room a held row has for them
+        room = live.L[a, None] - nin[k, :p]  # keyed agents the hub still takes
+        ok &= (np.where(hk, count[k, :p] > room, room >= 0) | ~on).all(axis=1)
+        good[k] = ok & (entry_bytes(S) * count[k].sum(axis=1) <= held_room(n, S))
+        i, f, j = np.nonzero(keyed & good[k, None, None])  # in (row, phase, agent) order
         key = ((live.slot[a[i]] * c + f) * n + j) * S
         code = code[i, f, :, j].T
         parts.append((key, best[i, f, j], most[i, j].astype(np.int8), code, save[i, f, j]))
-    # every phase's hub state can still come about
-    lim = live.L[at, None]
-    good &= (np.where(hp, nin + count > lim, nin <= lim) | (phase >= per[:, None])).all(axis=1)
-    # its keyed entries fit in the room a held row has for them
-    good &= entry_bytes(S) * count.sum(axis=1) <= held_room(n, S)
     if not good.any():
         return None
     entries = (np.concatenate(x, axis=-1) for x in zip(*parts))
-    found = _Cycles(live.row[at], per, hp, mus, nin, cost, count, *entries)
-    return found if good.all() else found.select(good)
+    rows = (x[good] for x in (live.row[at], per, hp, mus, nin, cost, count))
+    return _Cycles(*rows, *entries)
 
 
 def _pack(h, chunk):
@@ -477,6 +460,13 @@ def settled(words, chunk, T):
     return np.stack((np.where(on, step[np.arange(len(words)), first], T), (first + 1) * on))
 
 
+def held_cap(n, S, block_bytes):
+    """Keyed entries the held play takes at once, over its repetitions, at
+    N = n: as many as keep their temporaries within the lock test's block,
+    and one phase of every agent at least."""
+    return max(n, 3 * block_bytes // (2 * held_entry(S)))
+
+
 def held_entry(S):
     """Bytes of the held play's temporaries for a keyed entry in one
     repetition: its S keys, signed in place, and its sums."""
@@ -503,10 +493,10 @@ def lock_bytes(n, S, T, chunk, block_bytes):
     plan's segments and held_room). The first is the largest of the lock
     test's block, one row's phases, the held play's temporaries and
     settled's block of rows. The held play takes at once the entries of
-    its cap (_Lock._cap), and one row's more where a block's rows pass it,
-    with their S offsets."""
+    held_cap, and one row's more where a block's rows pass it, with their S
+    offsets."""
     width = chunk // 2
-    cap = max(n, 3 * block_bytes // (2 * held_entry(S))) + held_room(n, S) // entry_bytes(S)
+    cap = held_cap(n, S, block_bytes) + held_room(n, S) // entry_bytes(S)
     held = (held_entry(S) + 8 * S) * cap
     fixed = max(3 * block_bytes // 2, 12 * width * S * n, held, 16 * (T + 4 * chunk))
     per_row = 8 * -(-T // chunk) + 24 * chunk + 57 * width + held_room(n, S)

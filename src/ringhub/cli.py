@@ -213,11 +213,14 @@ def optimal_lambda(
 def emit_outputs(rows: list[SweepRow], out_dir, basename: str = "results") -> Path:
     """Write sweep rows as the CSV table out_dir/basename.csv; returns its path.
 
-    Refuses empty input, and a basename that is not a file name, before
-    touching disk.
+    Refuses empty input, rows that are not SweepRows, and a basename that is
+    not a file name, before touching disk.
     """
+    rows = list(rows)
     if not rows:
         raise ValueError("rows is empty; nothing to emit")
+    if not all(isinstance(row, SweepRow) for row in rows):
+        raise ValueError("rows must be SweepRows")
     if basename in ("", ".", "..") or {os.sep, os.altsep} & set(basename):
         raise ValueError(f"basename must be a file name, got {basename!r}")
     out_dir = Path(out_dir)

@@ -217,7 +217,11 @@ def write_csv(path, header, rows) -> Path:
 
 
 def write_trace_csv(records: list[StepRecord], path) -> Path:
-    """Write a trace as CSV rows (t, n_in, h, total_cost), LF line endings."""
+    """Write a trace as CSV rows (t, n_in, h, total_cost), LF line endings,
+    refusing records that are not StepRecords before touching disk."""
+    records = list(records)
+    if not all(isinstance(rec, StepRecord) for rec in records):
+        raise ValueError("records must be StepRecords")
     return write_csv(
         path,
         ["t", "n_in", "h", "total_cost"],
@@ -226,7 +230,7 @@ def write_trace_csv(records: list[StepRecord], path) -> Path:
 
 
 def config_with(cfg: SimConfig, **changes) -> SimConfig:
-    """replace() that also reaches one level into the network config."""
+    """replace() that also reaches one level into the network config, the given one if any."""
     net_names = NetworkConfig.__dataclass_fields__
     unknown = sorted(set(changes) - set(net_names) - set(SimConfig.__dataclass_fields__))
     if unknown:
@@ -234,5 +238,8 @@ def config_with(cfg: SimConfig, **changes) -> SimConfig:
     net_fields = {k: v for k, v in changes.items() if k in net_names}
     sim_fields = {k: v for k, v in changes.items() if k not in net_fields}
     if net_fields:
-        sim_fields["network"] = replace(cfg.network, **net_fields)
+        net = sim_fields.get("network", cfg.network)
+        if not isinstance(net, NetworkConfig):
+            raise ValueError(f"network must be a NetworkConfig, got {net!r}")
+        sim_fields["network"] = replace(net, **net_fields)
     return replace(cfg, **sim_fields)

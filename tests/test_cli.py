@@ -304,6 +304,12 @@ class TestOutputs:
             cli.emit_outputs([], target)
         assert not target.exists()
 
+    def test_rows_that_are_not_sweep_rows_refused_before_writing(self, tmp_path):
+        target = tmp_path / "never"
+        with pytest.raises(ValueError, match="^rows"):
+            cli.emit_outputs([1], target)
+        assert not target.exists()
+
     def test_read_rows_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")

@@ -85,11 +85,17 @@ class TestConfigValidation:
             ({"N": 100, "L": 80, "alpha": Fraction(1, 2**44)}, "alpha"),
             ({"foo": 1}, "foo"),  # no such field
             ({"network": 1}, "network"),
+            ({"network": 1, "hub_links": 3}, "network"),
         ],
     )
     def test_rejection_names_the_field(self, changes, field):
         with pytest.raises(ValueError, match=field):
             rh.sim.config_with(small_config(), **changes)
+
+    def test_network_fields_apply_to_the_given_network(self):
+        net = rh.NetworkConfig(N=20, hub_links=5, L=10)
+        cfg = rh.sim.config_with(small_config(), network=net, hub_links=3)
+        assert cfg.network == rh.NetworkConfig(N=20, hub_links=3, L=10)
 
     @pytest.mark.parametrize(
         "build",
@@ -368,16 +374,21 @@ def spy_locks(monkeypatch):
     """Each row that passes the engine's lock test, as it does: (boundary,
     period, keyed agent-phases), the rows with none being filled and
     dropped. A forked worker's locks are its own."""
-    locks = []
-    find = _cycles._find_cycles
+    locks, boundary = [], []
+    find, stepped = _cycles._find_cycles, _cycles._Lock.stepped
 
-    def spy(t, *args):
-        found = find(t, *args)
+    def spy_stepped(self, t, *args):
+        boundary[:] = [t + self.chunk]
+        return stepped(self, t, *args)
+
+    def spy(*args):
+        found = find(*args)
         if found is not None:
             keyed = found.count.sum(axis=1).tolist()
-            locks.extend(zip([t] * len(found), found.per.tolist(), keyed))
+            locks.extend(zip(boundary * len(found), found.per.tolist(), keyed))
         return found
 
+    monkeypatch.setattr(_cycles._Lock, "stepped", spy_stepped)
     monkeypatch.setattr(_cycles, "_find_cycles", spy)
     return locks
 
@@ -519,18 +530,13 @@ class TestLockedRuns:
         # seeds 8 and 17 are held together on periods of 8 and 1 from step
         # 64, seed 8 leaves its cycle at step 128 and locks again at 224,
         # where both are held again on a plan made anew
-        made, lock = [], []
-        plan, hold = _cycles._plan, _cycles._Lock.hold
-
-        def spy_hold(self, *args):
-            lock[:] = [self]
-            return hold(self, *args)
+        made = []
+        plan = _cycles._plan
 
         def spy(cyc, cap):
-            made.append((cyc.row.tolist(), cyc.per.tolist(), lock[0].start))
+            made.append((cyc.row.tolist(), cyc.per.tolist(), cyc.start))
             return plan(cyc, cap)
 
-        monkeypatch.setattr(_cycles._Lock, "hold", spy_hold)
         monkeypatch.setattr(_cycles, "_plan", spy)
         net = rh.NetworkConfig(N=20, hub_links=6, L=10)
         batch, plays, _, _ = self.run_locked(monkeypatch, 32, workers, net, 4, [8, 17], 256)
@@ -781,26 +787,26 @@ class TestStackedPoints:
         found, mixed, held, lock = {}, [], [], []
         find, stepped, play = _cycles._find_cycles, _cycles._Lock.stepped, _cycles._Lock._play
 
-        def spy_find(t, h, per, live, *args):
-            out = find(t, h, per, live, *args)
+        def spy_find(h, per, live, *args):
+            out = find(h, per, live, *args)
             rows = set() if out is None else set(out.row.tolist())
-            found[lock[0], t] = rows
+            found[tuple(lock)] = rows
             if 0 < len(rows) < len(live):  # some rows lock while others step on
-                mixed.append(t)
+                mixed.append(lock[1])
             return out
 
         def spy_stepped(self, t, h, live):
             assert self.cycles is None, t  # no locked row stepped chunk t
-            lock[:] = [self]
+            lock[:] = [self, t + chunk]  # the lock and its boundary
             out = stepped(self, t, h, live)
             if self.cycles is not None:
-                assert self.start == t + chunk, t
+                assert self.cycles.start == t + chunk, t
                 assert sorted(self.cycles.row.tolist()) == sorted(live.row.tolist()), t
             return out
 
         def spy_play(self, cyc, t, *args):
             held.append(t)
-            assert set(cyc.row.tolist()) <= found[self, self.start], (t, self.start)
+            assert set(cyc.row.tolist()) <= found[self, cyc.start], (t, cyc.start)
             return play(self, cyc, t, *args)
 
         monkeypatch.setattr(_cycles, "_find_cycles", spy_find)
@@ -813,6 +819,67 @@ class TestStackedPoints:
             True, True,
         )
         assert mixed and held
+        self.assert_match_reference(nets, stacked, "heterogeneous", 120, seeds)
+
+    @pytest.mark.parametrize("chunk", [4, 32])
+    def test_lock_test_returns_the_rows_that_pass_by_period(self, monkeypatch, chunk):
+        """Each lock test, run a few rows to a block, returns its rows that
+        pass ordered by period, each with the fields, at its phases, and
+        the keyed entries it has when tested alone. A held row's room for
+        keyed entries is lowered to 4 of them, so that rows with more fail
+        the test; some blocks hold rows of two periods, and some rows that
+        pass have a longer period than a later one."""
+        monkeypatch.setattr(_engine, "CHUNK", chunk)
+        monkeypatch.setattr(_engine, "WORKERS", 1)
+        monkeypatch.setattr(_engine, "BLOCK_BYTES", 2400)
+        monkeypatch.setattr(_cycles, "held_room", lambda n, S: 4 * _cycles.entry_bytes(S))
+        find, increments = _cycles._find_cycles, _cycles._increments
+        periods, blocks, failed, keyed, crossed = [], [], [], [], []
+
+        def spy_increments(live, pos, h, mu, per):
+            periods.append(set(per.tolist()))
+            return increments(live, pos, h, mu, per)
+
+        def spy_find(h, per, live, *args):
+            periods.clear()
+            out = find(h, per, live, *args)
+            blocks.append(periods[:])  # the periods of each of its blocks
+            alone = {}
+            for r in np.flatnonzero(per):
+                one = find(h, np.where(np.arange(len(per)) == r, per, 0), live, *args)
+                alone[int(live.row[r])] = one
+                if one is None:
+                    failed.append(int(live.row[r]))
+            if out is None:
+                assert all(one is None for one in alone.values())
+                return out
+            assert (np.diff(out.per) >= 0).all()
+            passed = [r for r, one in alone.items() if one is not None]  # in live order
+            assert sorted(out.row.tolist()) == sorted(passed)
+            crossed.append(out.row.tolist() != passed)
+            ones = [alone[r] for r in out.row.tolist()]
+            on = np.arange(out.h.shape[1]) < out.per[:, None]  # each row's phases
+            for name in _cycles._ROW_FIELDS:
+                got, want = getattr(out, name), np.concatenate([getattr(x, name) for x in ones])
+                if got.ndim == 2:  # a phase field
+                    got, want = got[on], want[on]
+                assert np.array_equal(got, want), name
+            for name in _cycles._ENTRY_FIELDS:
+                want = np.concatenate([getattr(x, name) for x in ones], axis=-1)
+                assert np.array_equal(getattr(out, name), want), name
+            keyed.extend(out.row[out.count.sum(axis=1) > 0].tolist())
+            return out
+
+        monkeypatch.setattr(_cycles, "_find_cycles", spy_find)
+        monkeypatch.setattr(_cycles, "_increments", spy_increments)
+        nets = [rh.NetworkConfig(N=12, hub_links=3, L=L) for L in (1, 8)]
+        seeds = [5, 3, 5, 11, 2, 7]
+        stacked = simulate_stack(
+            [rh.build_network(net) for net in nets], 2, 3, ["heterogeneous"] * 2, 120, 10, seeds,
+            True, True,
+        )
+        assert failed and keyed and any(crossed)
+        assert any(len(b) > 1 for b in blocks) and any(len(x) > 1 for b in blocks for x in b)
         self.assert_match_reference(nets, stacked, "heterogeneous", 120, seeds)
 
     @staticmethod
@@ -1508,3 +1575,9 @@ class TestTraceCSV:
             t, n_in, h, cost = line.split(",")
             assert (int(t), int(n_in), int(h)) == (rec.t, rec.n_in, rec.h)
             assert float(cost) == float(rec.total_cost)
+
+    def test_records_that_are_not_step_records_refused_before_writing(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="^records"):
+            rh.write_trace_csv([1], path)
+        assert not path.exists()
